@@ -556,32 +556,6 @@ class EllipticalComponent:
             raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-# Operation-style wrappers mirroring the module surface.
-
-
-def log_density_generator(family: EllipticalFamily, t) -> float:
-    """log(c_m * g(t)) for scalar t; raises on out-of-support arguments."""
-    t = float(t)
-    if t < 0:
-        raise SupportError("t must be nonnegative")
-    if isinstance(family, PearsonII) and t > 1.0:
-        raise SupportError("Pearson II support is t in [0, 1]")
-    return float(family.log_gen(t))
-
-
-def density_generator_derivative(family: EllipticalFamily, t) -> float:
-    """d/dt of the normalized generator at scalar t."""
-    return float(family.gen_deriv(float(t)))
-
-
-def sample_r_squared(family: EllipticalFamily, rng: np.random.Generator, n: int) -> np.ndarray:
-    return family.sample_r2(rng, int(n))
-
-
-def expected_r_squared(family: EllipticalFamily):
-    return family.mean_r2()
-
-
 def sample(component: EllipticalComponent, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of mu + R * L * s, one sample per row."""
     n = int(n)

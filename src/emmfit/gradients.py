@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedGradientError
-from .families import density_generator_derivative  # noqa: F401  (module surface)
 from .mixture import MixtureModel
 from .transport import ProjectedMixture, ProjectionContext, project_model
 

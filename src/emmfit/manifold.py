@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, StepTooLargeError
-from .families import PD_FLOOR, check_spd
+from .families import check_spd
 
 
 @dataclass(frozen=True)
@@ -133,37 +133,3 @@ def transport_sigma(from_point: PdPoint | np.ndarray, to_sigma, u: np.ndarray) -
     to = to_sigma.sigma if isinstance(to_sigma, PdPoint) else np.asarray(to_sigma, dtype=float)
     b = lyapunov_solve(from_point, u)
     return _sym(b @ to + to @ b)
-
-
-def product_inner(
-    sigma_points: list[PdPoint],
-    d_sqrtpi_1: np.ndarray,
-    d_mu_1: np.ndarray,
-    d_sigma_1: list[np.ndarray],
-    d_sqrtpi_2: np.ndarray,
-    d_mu_2: np.ndarray,
-    d_sigma_2: list[np.ndarray],
-) -> float:
-    """Inner product on the product manifold (unit E[R^2]/m weight)."""
-    total = float(np.dot(d_sqrtpi_1, d_sqrtpi_2)) + float(np.sum(d_mu_1 * d_mu_2))
-    for point, u, v in zip(sigma_points, d_sigma_1, d_sigma_2):
-        lu = lyapunov_solve(point, u)
-        lv = lyapunov_solve(point, v)
-        total += float(np.trace(lu @ point.sigma @ lv))
-    return total
-
-
-@dataclass(frozen=True)
-class TangentUpdate:
-    """Riemannian gradient triple for one mixture iterate."""
-
-    d_sqrtpi: np.ndarray
-    d_mu: np.ndarray  # (k, m)
-    d_sigma: np.ndarray  # (k, m, m), each symmetric
-
-    def check(self, s: SpherePoint, tol: float = 1e-10) -> None:
-        if abs(float(s.s @ self.d_sqrtpi)) > tol:
-            raise ValueError("sqrt-weight direction is not tangent to the sphere")
-        for d in self.d_sigma:
-            if not np.allclose(d, d.T, atol=tol):
-                raise ValueError("scatter direction is not symmetric")

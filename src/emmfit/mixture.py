@@ -56,8 +56,8 @@ class MixtureModel:
     def component(self, i: int) -> EllipticalComponent:
         return EllipticalComponent(self.mus[i], self.sigmas[i], self.family)
 
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density at each row of x, computed by log-sum-exp."""
+    def component_logpdf(self, x: np.ndarray) -> np.ndarray:
+        """(k, n) array of log(pi_i f_i(x)): weighted component log densities."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         parts = np.empty((self.k, x.shape[0]))
         with np.errstate(divide="ignore"):
@@ -68,7 +68,11 @@ class MixtureModel:
             t = np.sum(z * z, axis=0)
             logdet = 2.0 * np.sum(np.log(np.diag(chol)))
             parts[i] = logw[i] + self.family.log_gen(t) - 0.5 * logdet
-        return logsumexp(parts, axis=0)
+        return parts
+
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density at each row of x, computed by log-sum-exp."""
+        return logsumexp(self.component_logpdf(x), axis=0)
 
     def to_dict(self) -> dict:
         return {

@@ -1,87 +1,69 @@
 """Fitting loops.
 
-Three stochastic Riemannian methods share one engine: per iteration a
+Three stochastic Riemannian methods share one engine: per iteration one
 random unit projection is drawn, the semi-discrete 1-D cost and its
 Euclidean gradients are formed, converted to tangent directions, and the
 parameters move through the manifold retractions.  They differ only in
 how the scatter step is scaled: plain steps (vanilla), element-wise
 adaptive moments (radam, the baseline whose matrix handling the
 direction-wise method improves on), or the direction-wise accumulator
-(dadam).  An EM baseline covers the Gaussian family.
+(dadam).  An EM baseline covers the Gaussian family.  A fit has the
+seven settings of ``OptimizerConfig`` and no others.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from . import families, manifold, mixture, transport
-from .errors import EmmfitError, MismatchError, StepTooLargeError
-from .gradients import EuclideanGrad, euclidean_grad
+from . import families, manifold, transport
+from .errors import EmmfitError, MismatchError, StepTooLargeError, UnsupportedGradientError
+from .gradients import euclidean_grad
 from .manifold import PdPoint, SpherePoint
 from .mixture import Dataset, MixtureModel
 
-# stepsize grid mirrored from the benchmark protocol
-ALPHA_GRID = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3)
-
 METHODS = ("vanilla", "radam", "dadam", "em")
+
+# Step halvings tried before a scatter update is given up for the iteration.
+PD_RETRIES = 20
+# Added under every adaptive square root.
+EPS_ADP = 1e-12
+# Floor on the weight square roots after a sphere step so weights stay positive.
+SQRTPI_FLOOR = 1e-6
+# Relative trust cap on scatter steps: the Lyapunov image of the step is
+# rescaled to spectral norm <= TRUST_CAP before retracting.  The exact
+# retraction distorts near |L| = 1, and single-projection noise on thin
+# components produces raw steps far beyond it.
+TRUST_CAP = 0.3
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "dadam"
-    alpha: float = 0.1
-    beta1: float = 0.9  # scalar, or callable h -> beta1^h
-    beta2: float = 0.999
+    """The seven settings of one fit."""
+
+    method: str = "dadam"  # one of METHODS
+    alpha: float = 0.1  # stepsize
+    beta1: float = 0.9  # first-moment decay (radam, dadam)
+    beta2: float = 0.999  # second-moment decay (radam, dadam)
     max_iters: int = 2000
-    seed: int = 0
-    projection_batch: int = 1
-    pd_retries: int = 20
-    eps_adp: float = 1e-12
-    bias_correction: bool = False  # ablation; the printed algorithm has none
-    adaptive_mu: bool = False  # optional element-wise moments on locations
-    unit_denominator: bool = False  # degenerate collapse used in tests
-    update_weights: bool = True
-    update_mus: bool = True
-    update_sigmas: bool = True
-    n_grid: int = 1024
-    margin_sigmas: float = 4.0
-    sqrtpi_floor: float = 1e-6
-    early_stop: bool = False
-    early_stop_window: int = 100
-    early_stop_tol: float = 1e-6
-    em_tol: float = 1e-8
-    track_nll_every: int = 0  # 0 disables NLL tracing
-    # Relative trust cap on scatter steps: the Lyapunov image of the step is
-    # rescaled to spectral norm <= trust_cap before retracting.  The exact
-    # retraction distorts near |L| = 1, and single-projection noise on thin
-    # components produces raw steps far beyond it.
-    trust_cap: float = 0.3
+    seed: int = 0  # projection stream; EM's collapse reseeding
+    em_tol: float = 1e-8  # EM stops once its NLL moves by less than this
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise MismatchError(f"unknown method {self.method!r}")
-        if not (callable(self.alpha) or self.alpha >= 0.0):
-            raise MismatchError("alpha must be nonnegative or a schedule")
+        if not self.alpha >= 0.0:
+            raise MismatchError("alpha must be nonnegative")
         if not 0.0 <= self.beta2 < 1.0:
             raise MismatchError("beta2 must lie in [0, 1)")
         if self.max_iters < 1:
             raise MismatchError("max_iters must be at least 1")
 
-    def alpha_at(self, h: int) -> float:
-        return float(self.alpha(h)) if callable(self.alpha) else float(self.alpha)
-
-    def beta1_at(self, h: int) -> float:
-        return float(self.beta1(h)) if callable(self.beta1) else float(self.beta1)
-
     def to_dict(self) -> dict:
-        doc = {}
-        for key, value in self.__dict__.items():
-            doc[key] = repr(value) if callable(value) else value
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -91,7 +73,6 @@ class FitReport:
     method: str
     final_model: MixtureModel
     costs: np.ndarray  # objective trace (sliced cost; NLL for EM)
-    nlls: np.ndarray  # NaN where not tracked or unavailable
     wall_ms: np.ndarray
     weight_gap: np.ndarray  # per-iteration |sum(pi) - 1|
     min_eig_ratio: np.ndarray  # per-iteration min_i lambda_min / (tr/m)
@@ -127,49 +108,65 @@ def _as_samples(data) -> np.ndarray:
     return data.samples if isinstance(data, Dataset) else np.asarray(data, dtype=float)
 
 
-def _tracked_nll(model: MixtureModel, samples: np.ndarray) -> float:
-    try:
-        return mixture.nll(model, samples)
-    except EmmfitError:
-        return float("nan")
-
-
-class _ScatterState:
-    """Per-component moment state for the adaptive scatter updates."""
-
-    def __init__(self, k: int, m: int):
-        self.u = [np.zeros((m, m)) for _ in range(k)]
-        self.v = [np.zeros((m, m)) for _ in range(k)]
-        self.adp = np.zeros(k)
-        self.prev_point: list[PdPoint | None] = [None] * k
-        self.beta1_prod = 1.0
-        self.beta2_prod = 1.0
-
-
 class _VectorAdamState:
+    """Element-wise adaptive moments with the running max of the second."""
+
     def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.vhat = np.zeros(shape)
 
+    def update(self, grad, carried, beta1: float, beta2: float):
+        """Blend the carried first moment with grad; return (m, denominator)."""
+        self.m = beta1 * carried + (1.0 - beta1) * grad
+        self.v = beta2 * self.v + (1.0 - beta2) * grad**2
+        self.vhat = np.maximum(self.vhat, self.v)
+        return self.m, np.sqrt(self.vhat + EPS_ADP)
 
-def _retract_scatter(point: PdPoint, step: np.ndarray, retries: int, trust_cap: float = 1.0):
-    """exp_sigma with a relative trust cap and the step-halving safeguard.
 
-    Returns (new point or None, halvings used, whether the cap engaged).
+class _ScatterMoments:
+    """One component's scatter momentum u, carried between iterates by
+    vector transport, and its second moment: the running max of v entry by
+    entry (radam) or of the directional p' v p (dadam)."""
+
+    def __init__(self, m: int, elementwise: bool):
+        self.elementwise = elementwise
+        self.u = np.zeros((m, m))
+        self.v = np.zeros((m, m))
+        self.second = np.zeros((m, m)) if elementwise else 0.0
+        self.prev_point: PdPoint | None = None
+
+    def step(self, point: PdPoint, rgrad, g_sigma, p, alpha: float, beta1: float, beta2: float):
+        if self.prev_point is None:
+            carried = np.zeros_like(self.u)
+        else:
+            carried = manifold.transport_sigma(self.prev_point, point.sigma, self.u)
+        self.u = beta1 * carried + (1.0 - beta1) * rgrad
+        self.prev_point = point
+        if self.elementwise:
+            self.v = beta2 * self.v + (1.0 - beta2) * g_sigma**2
+            self.second = np.maximum(self.second, self.v)
+            step = -alpha * self.u / np.sqrt(self.second + EPS_ADP)
+            return 0.5 * (step + step.T)
+        self.v = beta2 * self.v + (1.0 - beta2) * (g_sigma @ g_sigma.T)
+        self.second = max(float(p @ self.v @ p), self.second)
+        return -alpha * self.u / np.sqrt(self.second + EPS_ADP)
+
+
+def _retract_scatter(point: PdPoint, step: np.ndarray):
+    """exp_sigma with the relative trust cap and the step-halving safeguard.
+
+    Returns (new point or None, halvings used).
     """
-    capped = False
-    if trust_cap < 1.0:
-        lyap_norm = float(np.abs(np.linalg.eigvalsh(manifold.lyapunov_solve(point, step)))[-1])
-        if lyap_norm > trust_cap:
-            step = step * (trust_cap / lyap_norm)
-            capped = True
-    for attempt in range(retries + 1):
+    lyap_norm = float(np.abs(np.linalg.eigvalsh(manifold.lyapunov_solve(point, step)))[-1])
+    if lyap_norm > TRUST_CAP:
+        step = step * (TRUST_CAP / lyap_norm)
+    for attempt in range(PD_RETRIES + 1):
         try:
-            return manifold.exp_sigma(point, step), attempt, capped
+            return manifold.exp_sigma(point, step), attempt
         except StepTooLargeError:
             step = 0.5 * step
-    return None, retries + 1, capped
+    return None, PD_RETRIES + 1
 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
@@ -177,19 +174,18 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
     family = model0.family
     k, m = model0.k, model0.m
     method = cfg.method
+    alpha, beta1, beta2 = cfg.alpha, cfg.beta1, cfg.beta2
 
     sphere = manifold.sphere_from_weights(model0.weights)
     mus = model0.mus.copy()
     points = [PdPoint(sig) for sig in model0.sigmas]
 
-    scatter = _ScatterState(k, m)
+    scatter = [_ScatterMoments(m, elementwise=method == "radam") for _ in range(k)]
     pi_state = _VectorAdamState(k)
     mu_state = _VectorAdamState((k, m))
-    sigma_vhat = [np.zeros((m, m)) for _ in range(k)]
 
     H = cfg.max_iters
     costs = np.full(H, np.nan)
-    nlls = np.full(H, np.nan)
     wall = np.zeros(H)
     weight_gap = np.zeros(H)
     min_eig_ratio = np.zeros(H)
@@ -201,117 +197,51 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
     done = 0
     for h in range(1, H + 1):
         tic = time.perf_counter()
-        alpha = cfg.alpha_at(h)
-        beta1 = cfg.beta1_at(h)
-
-        batch_grads: list[EuclideanGrad] = []
-        batch_cost = 0.0
-        ps = transport.random_projections(m, cfg.projection_batch, rng)
+        # one direction per step; seeded fits depend on this exact draw
+        p = transport.random_projections(m, 1, rng)[0]
         try:
-            for p in ps:
-                ctx = transport.make_projection_context(
-                    p, samples, n_grid=cfg.n_grid, margin_sigmas=cfg.margin_sigmas
-                )
-                projected = transport.project_model(current, ctx)
-                batch_cost += transport.projected_w2(ctx, projected)
-                batch_grads.append(euclidean_grad(current, ctx, projected))
+            ctx = transport.make_projection_context(p, samples)
+            projected = transport.project_model(current, ctx)
+            cost = transport.projected_w2(ctx, projected)
+            grad = euclidean_grad(current, ctx, projected)
         except EmmfitError as exc:
+            # nothing to step along: the fit ends at this iteration
             events.append(f"iter {h}: projection failed ({exc})")
             failed, reason = True, f"projection failure at iteration {h}"
-            costs[h - 1] = np.nan
-            wall[h - 1] = 1e3 * (time.perf_counter() - tic)
-            weight_gap[h - 1] = abs(float(np.sum(sphere.weights)) - 1.0)
-            min_eig_ratio[h - 1] = min(
-                float(pt.eig[0][0]) / (np.trace(pt.sigma) / m) for pt in points
-            )
-            done = h
-            continue
+            cost, grad = np.nan, None
+        else:
+            if not np.isfinite(cost):
+                failed, reason = True, f"non-finite cost at iteration {h}"
 
-        cost = batch_cost / len(ps)
-        costs[h - 1] = cost
-        if not np.isfinite(cost):
-            failed, reason = True, f"non-finite cost at iteration {h}"
-
-        g_sqrtpi = np.mean([g.g_sqrtpi for g in batch_grads], axis=0)
-        g_mu = np.mean([g.g_mu for g in batch_grads], axis=0)
-        g_sigma = np.mean([g.g_sigma for g in batch_grads], axis=0)
-
-        # ---- weights on the sphere
-        if cfg.update_weights:
-            tangent = manifold.project_sphere_grad(sphere, g_sqrtpi)
+            # ---- weights on the sphere
+            tangent = manifold.project_sphere_grad(sphere, grad.g_sqrtpi)
             if method == "radam":
-                st = pi_state
-                st.m = beta1 * manifold.project_sphere_grad(sphere, st.m) + (1.0 - beta1) * tangent
-                st.v = cfg.beta2 * st.v + (1.0 - cfg.beta2) * tangent**2
-                st.vhat = np.maximum(st.vhat, st.v)
-                denom = 1.0 if cfg.unit_denominator else np.sqrt(st.vhat + cfg.eps_adp)
-                step = manifold.project_sphere_grad(sphere, st.m / denom)
+                carried = manifold.project_sphere_grad(sphere, pi_state.m)
+                moment, denom = pi_state.update(tangent, carried, beta1, beta2)
+                step = manifold.project_sphere_grad(sphere, moment / denom)
             else:
                 step = tangent
             new_sphere = manifold.exp_sphere(sphere, alpha * step)
-            # clamp away from the boundary so weights stay positive
-            clamped = np.maximum(new_sphere.s, cfg.sqrtpi_floor)
+            clamped = np.maximum(new_sphere.s, SQRTPI_FLOOR)
             sphere = SpherePoint(clamped / np.linalg.norm(clamped))
 
-        # ---- locations in Euclidean space
-        if cfg.update_mus:
-            if method == "radam" or (method == "dadam" and cfg.adaptive_mu):
-                st = mu_state
-                st.m = beta1 * st.m + (1.0 - beta1) * g_mu
-                st.v = cfg.beta2 * st.v + (1.0 - cfg.beta2) * g_mu**2
-                st.vhat = np.maximum(st.vhat, st.v)
-                denom = 1.0 if cfg.unit_denominator else np.sqrt(st.vhat + cfg.eps_adp)
-                mus = mus - alpha * st.m / denom
+            # ---- locations in Euclidean space
+            if method == "radam":
+                moment, denom = mu_state.update(grad.g_mu, mu_state.m, beta1, beta2)
+                mus = mus - alpha * moment / denom
             else:
-                mus = mus - alpha * g_mu
+                mus = mus - alpha * grad.g_mu
 
-        # ---- scatters on the PD manifold
-        if cfg.update_sigmas:
-            scatter.beta1_prod *= beta1
-            scatter.beta2_prod *= cfg.beta2
+            # ---- scatters on the PD manifold
+            g_sigma = grad.g_sigma
             for i in range(k):
                 point = points[i]
                 rgrad = manifold.riem_grad_sigma(point, g_sigma[i])
                 if method == "vanilla":
                     step = -alpha * rgrad
-                elif method == "dadam":
-                    if scatter.prev_point[i] is None:
-                        carried = np.zeros((m, m))
-                    else:
-                        carried = manifold.transport_sigma(
-                            scatter.prev_point[i], point.sigma, scatter.u[i]
-                        )
-                    scatter.u[i] = beta1 * carried + (1.0 - beta1) * rgrad
-                    scatter.v[i] = cfg.beta2 * scatter.v[i] + (1.0 - cfg.beta2) * (
-                        g_sigma[i] @ g_sigma[i].T
-                    )
-                    directional = max(float(p @ scatter.v[i] @ p) for p in ps)
-                    scatter.adp[i] = max(directional, scatter.adp[i])
-                    u_eff, adp_eff = scatter.u[i], scatter.adp[i]
-                    if cfg.bias_correction:
-                        u_eff = u_eff / (1.0 - scatter.beta1_prod)
-                        adp_eff = adp_eff / (1.0 - scatter.beta2_prod)
-                    step = -alpha * u_eff / np.sqrt(adp_eff + cfg.eps_adp)
-                    scatter.prev_point[i] = point
-                else:  # radam: element-wise second moments over the matrix
-                    if scatter.prev_point[i] is None:
-                        carried = np.zeros((m, m))
-                    else:
-                        carried = manifold.transport_sigma(
-                            scatter.prev_point[i], point.sigma, scatter.u[i]
-                        )
-                    scatter.u[i] = beta1 * carried + (1.0 - beta1) * rgrad
-                    scatter.v[i] = cfg.beta2 * scatter.v[i] + (1.0 - cfg.beta2) * g_sigma[i] ** 2
-                    sigma_vhat[i] = np.maximum(sigma_vhat[i], scatter.v[i])
-                    if cfg.unit_denominator:
-                        step = -alpha * scatter.u[i]
-                    else:
-                        step = -alpha * scatter.u[i] / np.sqrt(sigma_vhat[i] + cfg.eps_adp)
-                        step = 0.5 * (step + step.T)
-                    scatter.prev_point[i] = point
-                new_point, halvings, _ = _retract_scatter(
-                    point, step, cfg.pd_retries, cfg.trust_cap
-                )
+                else:
+                    step = scatter[i].step(point, rgrad, g_sigma[i], p, alpha, beta1, beta2)
+                new_point, halvings = _retract_scatter(point, step)
                 if new_point is None:
                     events.append(f"iter {h}: pd safeguard exhausted for component {i}")
                     failed, reason = True, f"pd safeguard exhausted at iteration {h}"
@@ -320,27 +250,20 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
                         events.append(f"iter {h}: step halved {halvings}x for component {i}")
                     points[i] = new_point
 
-        current = MixtureModel(family, sphere.weights, mus, np.stack([pt.sigma for pt in points]))
+            current = MixtureModel(family, sphere.weights, mus, np.stack([pt.sigma for pt in points]))
+
+        costs[h - 1] = cost
         weight_gap[h - 1] = abs(float(np.sum(current.weights)) - 1.0)
         min_eig_ratio[h - 1] = min(float(pt.eig[0][0]) / (np.trace(pt.sigma) / m) for pt in points)
-        if cfg.track_nll_every and h % cfg.track_nll_every == 0:
-            nlls[h - 1] = _tracked_nll(current, samples)
         wall[h - 1] = 1e3 * (time.perf_counter() - tic)
         done = h
-
-        if cfg.early_stop and h >= 2 * cfg.early_stop_window:
-            w = cfg.early_stop_window
-            prev = np.nanmean(costs[h - 2 * w : h - w])
-            curr = np.nanmean(costs[h - w : h])
-            if prev - curr < cfg.early_stop_tol:
-                events.append(f"iter {h}: early stop (window improvement {prev - curr:.3e})")
-                break
+        if grad is None:
+            break
 
     return FitReport(
         method=cfg.method,
         final_model=current,
         costs=costs[:done],
-        nlls=nlls[:done],
         wall_ms=wall[:done],
         weight_gap=weight_gap[:done],
         min_eig_ratio=min_eig_ratio[:done],
@@ -352,24 +275,13 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
     )
 
 
-def fit_vanilla(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
-    cfg = replace(cfg, method="vanilla")
-    return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
-
-
-def fit_radam(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
-    cfg = replace(cfg, method="radam")
-    return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
-
-
-def fit_dadam(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
-    cfg = replace(cfg, method="dadam")
-    return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
-
-
 def fit(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
+    """Fit by cfg.method from model0; the Riemannian methods need gradients."""
     if cfg.method == "em":
         return fit_em_gmm(model0, data, cfg)
+    if not model0.family.has_gradient:
+        name = model0.family.name
+        raise UnsupportedGradientError(f"{name} has no closed-form generator derivative for {cfg.method}")
     return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
 
 
@@ -406,6 +318,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     weight_gap = np.zeros(H)
     min_eig_ratio = np.zeros(H)
     events: list = []
+    reason = None
     prev_nll = np.inf
     done = 0
 
@@ -413,18 +326,12 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         tic = time.perf_counter()
         model = MixtureModel(model0.family, weights, mus, sigmas)
         # E-step: responsibilities in the log domain
-        log_parts = np.empty((k, n))
-        for i in range(k):
-            chol = np.linalg.cholesky(sigmas[i])
-            diff = samples - mus[i]
-            z = np.linalg.solve(chol, diff.T)
-            t = np.sum(z * z, axis=0)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            with np.errstate(divide="ignore"):
-                log_parts[i] = np.log(weights[i]) - 0.5 * (t + logdet + m * np.log(2.0 * np.pi))
+        log_parts = model.component_logpdf(samples)
         total = logsumexp(log_parts, axis=0)
         nll = float(-np.mean(total))
         nll_trace[h - 1] = nll
+        if reason is None and not np.isfinite(nll):
+            reason = f"non-finite NLL at iteration {h}"
         resp = np.exp(log_parts - total)
 
         # M-step
@@ -461,13 +368,12 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         method="em",
         final_model=final,
         costs=nll_trace[:done],
-        nlls=nll_trace[:done],
         wall_ms=wall[:done],
         weight_gap=weight_gap[:done],
         min_eig_ratio=min_eig_ratio[:done],
         events=events,
-        failed=not np.all(np.isfinite(nll_trace[:done])),
-        failure_reason=None,
+        failed=reason is not None,
+        failure_reason=reason,
         seed=cfg.seed,
         config=cfg.to_dict(),
     )

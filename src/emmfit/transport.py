@@ -3,7 +3,7 @@
 Three layers: the closed-form Wasserstein distance between two elliptical
 laws, the matching-based approximate distance between mixtures, and the
 sliced semi-discrete objective (projected model density vs. the empirical
-measure on one direction) together with its Kantorovich potential.
+measure on one direction), evaluated in closed form in the quantile domain.
 """
 
 from __future__ import annotations
@@ -262,10 +262,6 @@ class ProjectedMixture:
     rho: np.ndarray  # (G,)
     mass: float
 
-    @property
-    def rho_hat(self) -> np.ndarray:
-        return self.rho / self.mass
-
 
 def cell_edges(grid: np.ndarray) -> np.ndarray:
     """Midpoint cell edges whose widths equal the trapezoid weights."""
@@ -309,8 +305,8 @@ def project_model(model: MixtureModel, ctx: ProjectionContext) -> ProjectedMixtu
     """Projected mixture density along ctx.p, per the manifold's projected form.
 
     The m-dimensional generator and normalizer are used verbatim, so the
-    raw density carries a family-dependent constant mass; every consumer
-    renormalizes by the trapezoid mass.
+    raw density carries a family-dependent constant mass; ``projected_w2``
+    and the gradients renormalize by its mass on the grid.
     """
     return project_components(model.family, model.weights, model.mus, model.sigmas, ctx)
 
@@ -334,69 +330,6 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     d_s2 = np.diff(s2)
     y = ctx.grid
     return float(np.sum(y * y * masses - 2.0 * y * d_s1 + d_s2))
-
-
-def _normalize_density(ctx: ProjectionContext, density: np.ndarray) -> np.ndarray:
-    density = np.asarray(density, dtype=float)
-    if density.shape != ctx.grid.shape or np.any(density < 0.0):
-        raise DegenerateGridError("density must be nonnegative on the grid")
-    mass = float(ctx.grid_weights @ density)
-    if not np.isfinite(mass) or mass <= 1e-300:
-        raise DegenerateGridError("density mass is degenerate")
-    return density / mass
-
-
-def _cumtrapz(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = 0.0
-    np.cumsum((values[1:] + values[:-1]) * 0.5 * np.diff(grid), out=out[1:])
-    return out
-
-
-@dataclass(frozen=True)
-class SemiDiscreteState:
-    """Solved 1-D transport pieces shared by the cost, potential, gradients."""
-
-    rho_hat: np.ndarray
-    cdf: np.ndarray
-    tmap: np.ndarray
-    quantile_slope: np.ndarray  # dQ_emp/dq at cdf, zero in the clamped tails
-
-
-def semidiscrete_state(ctx: ProjectionContext, density: np.ndarray) -> SemiDiscreteState:
-    rho_hat = _normalize_density(ctx, density)
-    cdf = _cumtrapz(rho_hat, ctx.grid)
-    cdf /= cdf[-1]
-    levels = ctx.quantile_levels
-    samples = ctx.projected_samples
-    tmap = np.interp(cdf, levels, samples)
-    slopes = np.diff(samples) / np.diff(levels)
-    idx = np.clip(np.searchsorted(levels, cdf) - 1, 0, slopes.size - 1)
-    qslope = np.where((cdf <= levels[0]) | (cdf >= levels[-1]), 0.0, slopes[idx])
-    return SemiDiscreteState(rho_hat, cdf, tmap, qslope)
-
-
-def transport_map(ctx: ProjectionContext, density: np.ndarray) -> np.ndarray:
-    """Monotone map T on the grid sending the model law to the empirical one.
-
-    T = Q_emp o F_model with F the renormalized cumulative trapezoid of the
-    density and Q_emp the piecewise-linear empirical quantile function
-    through the midpoint levels (j - 1/2)/n.
-    """
-    return semidiscrete_state(ctx, density).tmap
-
-
-def w2_1d_semidiscrete(ctx: ProjectionContext, density: np.ndarray) -> float:
-    """integral |y - T(y)|^2 rho_hat(y) dy by the trapezoid rule."""
-    rho_hat = _normalize_density(ctx, density)
-    tmap = transport_map(ctx, density)
-    return float(ctx.grid_weights @ ((ctx.grid - tmap) ** 2 * rho_hat))
-
-
-def kantorovich_potential(ctx: ProjectionContext, density: np.ndarray) -> np.ndarray:
-    """Potential with phi' = 2 (y - T(y)), pinned to zero at the left edge."""
-    tmap = transport_map(ctx, density)
-    return _cumtrapz(2.0 * (ctx.grid - tmap), ctx.grid)
 
 
 def sliced_cost(

@@ -177,15 +177,3 @@ class TestTransportSigma:
             )
             assert np.allclose(out, out.T, atol=1e-10)
 
-
-def test_product_inner_positive_definite():
-    rng = np.random.default_rng(11)
-    points = [mf.PdPoint(random_spd(3, rng)) for _ in range(2)]
-    for _ in range(100):
-        ds = rng.normal(size=2)
-        dmu = rng.normal(size=(2, 3))
-        dsig = [random_sym(3, rng) for _ in range(2)]
-        if np.linalg.norm(ds) + np.linalg.norm(dmu) + sum(map(np.linalg.norm, dsig)) < 1e-9:
-            continue
-        val = mf.product_inner(points, ds, dmu, dsig, ds, dmu, dsig)
-        assert val > 0.0

@@ -159,97 +159,45 @@ class TestDU:
 
 
 class TestSemiDiscrete1D:
+    """The 1-D cost of projected_w2 on 1-D Gaussian mixtures."""
+
     def make_ctx(self, samples, n_grid=1024):
         return tp.make_projection_context(np.array([1.0]), np.asarray(samples)[:, None], n_grid)
+
+    def cost(self, ctx, weights, mus, variances):
+        model = mx.MixtureModel(
+            fam.gaussian(1), np.asarray(weights), np.asarray(mus)[:, None],
+            np.asarray(variances)[:, None, None],
+        )
+        return tp.projected_w2(ctx, tp.project_model(model, ctx))
 
     def test_matched_spikes(self):
         samples = np.repeat([0.0, 1.0], 500)
         ctx = self.make_ctx(samples, n_grid=4096)
         width = 0.003
-        density = 0.5 * (
-            stats.norm.pdf(ctx.grid, 0.0, width) + stats.norm.pdf(ctx.grid, 1.0, width)
-        )
-        assert tp.w2_1d_semidiscrete(ctx, density) < 1e-4
+        assert self.cost(ctx, [0.5, 0.5], [0.0, 1.0], [width**2, width**2]) < 1e-4
 
     def test_self_distance_gaussian(self):
         rng = np.random.default_rng(9)
         ctx = self.make_ctx(rng.standard_normal(100_000))
-        density = stats.norm.pdf(ctx.grid)
-        assert tp.w2_1d_semidiscrete(ctx, density) < 5e-3
+        assert self.cost(ctx, [1.0], [0.0], [1.0]) < 5e-3
 
     def test_point_target_second_moment(self):
         # all mass must travel to c=2: integral (y-2)^2 phi(y) dy = 1 + 4,
         # cross-checked by an independent quadrature at high resolution.
         samples = np.full(4000, 2.0)
         ctx = self.make_ctx(samples, n_grid=8192)
-        density = stats.norm.pdf(ctx.grid)
-        got = tp.w2_1d_semidiscrete(ctx, density)
+        got = self.cost(ctx, [1.0], [0.0], [1.0])
         ys = np.linspace(-9.0, 9.0, 400_001)
         oracle = np.trapezoid((ys - 2.0) ** 2 * stats.norm.pdf(ys), ys)
         assert got == pytest.approx(oracle, rel=1e-3)
         assert oracle == pytest.approx(5.0, rel=1e-6)
 
-    def test_transport_map_monotone(self):
-        rng = np.random.default_rng(10)
-        ctx = self.make_ctx(rng.standard_normal(5000))
-        density = 0.6 * stats.norm.pdf(ctx.grid, -1.0, 0.7) + 0.4 * stats.norm.pdf(ctx.grid, 2.0, 1.3)
-        tmap = tp.transport_map(ctx, density)
-        assert np.all(np.diff(tmap) >= 0.0)
-
     def test_degenerate_density(self):
+        # the model's mass lies far outside the grid laid over the data
         ctx = self.make_ctx(np.array([0.0, 1.0]))
         with pytest.raises(DegenerateGridError):
-            tp.w2_1d_semidiscrete(ctx, np.zeros_like(ctx.grid))
-        with pytest.raises(DegenerateGridError):
-            tp.w2_1d_semidiscrete(ctx, -np.ones_like(ctx.grid))
-
-
-class TestKantorovichPotential:
-    def test_identity_case(self):
-        # T(y) = y wherever mass lives, so phi is flat over the bulk; the
-        # value of the plateau is gauge (phi is pinned at the left edge,
-        # where the clamped empirical quantiles make T != y).
-        rng = np.random.default_rng(11)
-        ctx = tp.make_projection_context(np.array([1.0]), rng.standard_normal((200_000, 1)))
-        density = stats.norm.pdf(ctx.grid)
-        phi = tp.kantorovich_potential(ctx, density)
-        bulk = np.abs(ctx.grid) < 3.0
-        assert np.ptp(phi[bulk]) < 0.1
-
-    def test_point_target_quadratic_potential(self):
-        ctx = tp.make_projection_context(np.array([1.0]), np.zeros((100, 1)) + 1e-9)
-        density = stats.norm.pdf(ctx.grid)
-        phi = tp.kantorovich_potential(ctx, density)
-        expect = ctx.grid**2 - ctx.grid[0] ** 2
-        assert np.allclose(phi, expect, atol=1e-4 * max(1.0, np.abs(expect).max()))
-
-    def test_first_variation_wrt_location(self):
-        # Central differences of the 1-D cost in the location parameter
-        # match the potential integrated against the density derivative.
-        # The target is quantile-stratified: a raw random sample leaves
-        # order-statistic jitter in the cost at the h scale, which is
-        # objective noise rather than gradient error.
-        levels = (np.arange(20_000) + 0.5) / 20_000
-        data = stats.norm.ppf(levels, loc=0.8, scale=1.4)
-        ctx = tp.make_projection_context(np.array([1.0]), data[:, None], n_grid=4096)
-        family = fam.gaussian(1)
-        mu, var = 0.3, 1.1
-
-        def density(mu_value):
-            t = (ctx.grid - mu_value) ** 2 / var
-            return np.exp(family.log_gen(t)) / math.sqrt(var)
-
-        rho = density(mu)
-        mass = float(ctx.grid_weights @ rho)
-        phi = tp.kantorovich_potential(ctx, rho)
-        t = (ctx.grid - mu) ** 2 / var
-        drho_dmu = family.gen_deriv(t) * (-2.0 * (ctx.grid - mu) / var) / math.sqrt(var)
-        analytic = float(ctx.grid_weights @ (phi * drho_dmu)) / mass
-        h = 1e-5
-        fd = (
-            tp.w2_1d_semidiscrete(ctx, density(mu + h)) - tp.w2_1d_semidiscrete(ctx, density(mu - h))
-        ) / (2.0 * h)
-        assert analytic == pytest.approx(fd, rel=1e-4)
+            self.cost(ctx, [1.0], [1e4], [1.0])
 
 
 class TestSlicedCost:
