@@ -29,21 +29,25 @@ from .errors import (
 PD_FLOOR = 1e-10
 
 
-def check_spd(sigma: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
-    """Validate a symmetric positive definite matrix and return it as float64.
+def above_pd_floor(lam_min, trace, m: int):
+    """The PD-floor rule: lam_min > PD_FLOOR * trace / m, elementwise."""
+    return lam_min > PD_FLOOR * trace / m
 
-    The smallest eigenvalue must exceed ``floor * trace / m`` so that
-    round-off noise is tolerated but singular matrices are rejected.
-    """
+
+def check_spd(sigma: np.ndarray) -> np.ndarray:
+    """Validate a symmetric positive definite matrix, or a stack of them, and
+    return it as float64.  Each smallest eigenvalue must clear the PD floor,
+    so round-off noise is tolerated but singular matrices are rejected."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise NotPositiveDefiniteError(f"expected a square matrix, got shape {sigma.shape}")
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(sigma).max()))):
+    if sigma.ndim not in (2, 3) or sigma.shape[-1] != sigma.shape[-2]:
+        raise NotPositiveDefiniteError(f"expected a square matrix or a stack, got shape {sigma.shape}")
+    scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1), initial=0.0))[..., None, None]
+    if not np.all(np.abs(sigma - np.swapaxes(sigma, -1, -2)) <= 1e-8 * scale):
         raise NotPositiveDefiniteError("matrix is not symmetric")
-    m = sigma.shape[0]
-    lam_min = float(np.linalg.eigvalsh(sigma)[0])
-    if lam_min <= floor * float(np.trace(sigma)) / m:
-        raise NotPositiveDefiniteError(f"smallest eigenvalue {lam_min:.3e} below the PD floor")
+    lam_min = np.linalg.eigvalsh(sigma)[..., 0]
+    bad = ~above_pd_floor(lam_min, np.trace(sigma, axis1=-2, axis2=-1), sigma.shape[-1])
+    if np.any(bad):
+        raise NotPositiveDefiniteError(f"smallest eigenvalue {lam_min[bad].flat[0]:.3e} below the PD floor")
     return sigma
 
 

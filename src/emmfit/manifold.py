@@ -4,20 +4,28 @@ The square roots of the weights live on the unit sphere, locations in
 Euclidean space, and scatter matrices on the positive definite manifold
 whose metric is the Hessian of the elliptical Wasserstein distance.  All
 tangent algebra for the scatter matrices runs through the Lyapunov
-operator L_A[C] = B with AB + BA = C, evaluated in the eigenbasis of A.
-The constant metric weight E[R^2]/m is omitted throughout; it only
-rescales the stepsize.
+operator L_A[C] = B with AB + BA = C, evaluated in the eigenbasis that a
+``PdPoint`` keeps.  Scatter operations take one (m, m) matrix or a
+(k, m, m) stack; the retraction ``exp_sigma`` owns the trust region.  The
+constant metric weight E[R^2]/m is omitted throughout; it only rescales
+the stepsize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, StepTooLargeError
-from .families import check_spd
+from .families import above_pd_floor, check_spd
+
+# Halvings of a scatter step tried before the scatter is left where it was.
+PD_RETRIES = 20
+# Relative trust cap on scatter steps: the Lyapunov image L of the step is
+# rescaled so that |largest eigenvalue of L| <= TRUST_CAP.  The exact
+# retraction distorts near |L| = 1, and single-projection noise on thin
+# components produces raw steps far beyond it.
+TRUST_CAP = 0.3
 
 
 @dataclass(frozen=True)
@@ -45,35 +53,35 @@ def sphere_from_weights(pi) -> SpherePoint:
 
 @dataclass(frozen=True)
 class PdPoint:
-    """Positive definite scatter matrix with a cached eigendecomposition."""
+    """Positive definite matrix or (k, m, m) stack, sigma = q diag(lam) q^T.
+
+    ``PdPoint(sigma)`` validates with ``check_spd`` and runs one ``eigh``;
+    ``exp_sigma`` passes in the lam and q of the eigh that admitted it."""
 
     sigma: np.ndarray
+    lam: np.ndarray | None = None
+    q: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", check_spd(self.sigma))
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        lam, q = np.linalg.eigh(self.sigma)
-        return lam, q
-
-    @property
-    def m(self) -> int:
-        return self.sigma.shape[0]
+        if self.lam is None:
+            sigma = check_spd(self.sigma)
+            lam, q = np.linalg.eigh(sigma)
+            self.__dict__.update(sigma=sigma, lam=lam, q=q)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve A B + B A = C for symmetric C and positive definite A."""
+    """Solve A B + B A = C for symmetric C and positive definite A (or stacks)."""
     if not isinstance(a, PdPoint):
         a = PdPoint(a)
-    lam, q = a.eig
-    c_tilde = q.T @ np.asarray(c, dtype=float) @ q
-    b_tilde = c_tilde / (lam[:, None] + lam[None, :])
-    return _sym(q @ b_tilde @ q.T)
+    lam, q = a.lam, a.q
+    qt = np.swapaxes(q, -1, -2)
+    c_tilde = qt @ np.asarray(c, dtype=float) @ q
+    b_tilde = c_tilde / (lam[..., :, None] + lam[..., None, :])
+    return _sym(q @ b_tilde @ qt)
 
 
 def riem_grad_sigma(sigma: PdPoint | np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -87,27 +95,42 @@ def riem_grad_sigma(sigma: PdPoint | np.ndarray, egrad: np.ndarray) -> np.ndarra
     return egrad @ s + s @ egrad
 
 
-def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> PdPoint:
-    """Retraction (L[step] + I) Sigma (L[step] + I) for an already-scaled step.
+def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, int | np.ndarray]:
+    """Retraction (L + I) Sigma (L + I), L = L_Sigma[step], of an already-scaled step.
 
-    Raises StepTooLargeError when the result leaves the PD cone; callers
-    halve the step and retry.
+    L is first scaled down to TRUST_CAP (see there; the quadratic is
+    trustworthy only while |L| < 1).  One ``eigh`` of the images is both
+    their PD-floor test and the decomposition the new point keeps.  An
+    image below the floor is retried with L halved, at most PD_RETRIES
+    times; a matrix that never passes keeps its input value.
+
+    Returns (point, halvings): the halvings each matrix took, an int for
+    one matrix and a (k,) array for a stack; PD_RETRIES + 1 marks a matrix
+    left where it was.
     """
-    if not isinstance(sigma, PdPoint):
-        sigma = PdPoint(sigma)
-    lyap = lyapunov_solve(sigma, step)
-    # The retraction is a quadratic, trustworthy only while |L|_2 < 1: an
-    # L eigenvalue of -1 sends the factor L + I through singularity (the
-    # image wraps back into the cone on a non-geodesic branch), and
-    # magnitudes beyond one distort just as badly on the expanding side.
-    if float(np.abs(np.linalg.eigvalsh(lyap))[-1]) >= 1.0 - 1e-12:
-        raise StepTooLargeError("retraction step leaves the trust region |L| < 1")
-    e = lyap + np.eye(sigma.m)
-    out = _sym(e @ sigma.sigma @ e.T)
-    try:
-        return PdPoint(out)
-    except NotPositiveDefiniteError as exc:
-        raise StepTooLargeError(str(exc)) from exc
+    point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
+    shape, m = point.sigma.shape, point.sigma.shape[-1]
+    lyap = lyapunov_solve(point, step).reshape(-1, m, m)
+    top = np.abs(np.linalg.eigvalsh(lyap)[:, -1])
+    # the factor is exactly 1.0 below the cap, and never divides by zero
+    lyap *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
+    base = point.sigma.reshape(-1, m, m)
+    sig, lam, q = base.copy(), point.lam.reshape(-1, m).copy(), point.q.reshape(-1, m, m).copy()
+    halvings = np.zeros(len(base), dtype=int)
+    todo = np.arange(len(base))
+    for _ in range(PD_RETRIES + 1):
+        e = lyap[todo] + np.eye(m)
+        cand = _sym(e @ base[todo] @ np.swapaxes(e, 1, 2))
+        cand_lam, cand_q = np.linalg.eigh(cand)
+        ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
+        sig[todo[ok]], lam[todo[ok]], q[todo[ok]] = cand[ok], cand_lam[ok], cand_q[ok]
+        todo = todo[~ok]
+        if todo.size == 0:
+            break
+        halvings[todo] += 1
+        lyap[todo] *= 0.5
+    out = PdPoint(sig.reshape(shape), lam.reshape(shape[:-1]), q.reshape(shape))
+    return out, (int(halvings[0]) if len(shape) == 2 else halvings)
 
 
 def exp_sphere(s: SpherePoint | np.ndarray, tangent: np.ndarray) -> SpherePoint:

@@ -39,8 +39,7 @@ class MixtureModel:
         k, m = w.size, self.family.m
         if mus.shape != (k, m) or sigmas.shape != (k, m, m):
             raise InvalidFamilyError(f"expected mus ({k},{m}) and sigmas ({k},{m},{m})")
-        for s in sigmas:
-            families.check_spd(s)
+        families.check_spd(sigmas)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mus", mus)
         object.__setattr__(self, "sigmas", sigmas)

@@ -7,8 +7,11 @@ parameters move through the manifold retractions.  They differ only in
 how the scatter step is scaled: plain steps (vanilla), element-wise
 adaptive moments (radam, the baseline whose matrix handling the
 direction-wise method improves on), or the direction-wise accumulator
-(dadam).  An EM baseline covers the Gaussian family.  A fit has the
-seven settings of ``OptimizerConfig`` and no others.
+(dadam).  All k scatters take one step together: their moments are
+(k, m, m) stacks, and one ``manifold.exp_sigma`` call retracts the whole
+stack, capping and halving each step as it needs.  An EM baseline covers
+the Gaussian family.  A fit has the seven settings of ``OptimizerConfig``
+and no others.
 """
 
 from __future__ import annotations
@@ -20,24 +23,17 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import families, manifold, transport
-from .errors import EmmfitError, MismatchError, StepTooLargeError, UnsupportedGradientError
+from .errors import EmmfitError, MismatchError, UnsupportedGradientError
 from .gradients import euclidean_grad
 from .manifold import PdPoint, SpherePoint
 from .mixture import Dataset, MixtureModel
 
 METHODS = ("vanilla", "radam", "dadam", "em")
 
-# Step halvings tried before a scatter update is given up for the iteration.
-PD_RETRIES = 20
 # Added under every adaptive square root.
 EPS_ADP = 1e-12
 # Floor on the weight square roots after a sphere step so weights stay positive.
 SQRTPI_FLOOR = 1e-6
-# Relative trust cap on scatter steps: the Lyapunov image of the step is
-# rescaled to spectral norm <= TRUST_CAP before retracting.  The exact
-# retraction distorts near |L| = 1, and single-projection noise on thin
-# components produces raw steps far beyond it.
-TRUST_CAP = 0.3
 
 
 @dataclass(frozen=True)
@@ -125,15 +121,15 @@ class _VectorAdamState:
 
 
 class _ScatterMoments:
-    """One component's scatter momentum u, carried between iterates by
-    vector transport, and its second moment: the running max of v entry by
-    entry (radam) or of the directional p' v p (dadam)."""
+    """The (k, m, m) scatter momenta u, carried between iterates by vector
+    transport, and their second moments: the running max of v entry by entry
+    (radam, (k, m, m)) or of the directional p' v p (dadam, (k,))."""
 
-    def __init__(self, m: int, elementwise: bool):
+    def __init__(self, k: int, m: int, elementwise: bool):
         self.elementwise = elementwise
-        self.u = np.zeros((m, m))
-        self.v = np.zeros((m, m))
-        self.second = np.zeros((m, m)) if elementwise else 0.0
+        self.u = np.zeros((k, m, m))
+        self.v = np.zeros((k, m, m))
+        self.second = np.zeros((k, m, m) if elementwise else k)
         self.prev_point: PdPoint | None = None
 
     def step(self, point: PdPoint, rgrad, g_sigma, p, alpha: float, beta1: float, beta2: float):
@@ -147,26 +143,12 @@ class _ScatterMoments:
             self.v = beta2 * self.v + (1.0 - beta2) * g_sigma**2
             self.second = np.maximum(self.second, self.v)
             step = -alpha * self.u / np.sqrt(self.second + EPS_ADP)
-            return 0.5 * (step + step.T)
-        self.v = beta2 * self.v + (1.0 - beta2) * (g_sigma @ g_sigma.T)
-        self.second = max(float(p @ self.v @ p), self.second)
-        return -alpha * self.u / np.sqrt(self.second + EPS_ADP)
-
-
-def _retract_scatter(point: PdPoint, step: np.ndarray):
-    """exp_sigma with the relative trust cap and the step-halving safeguard.
-
-    Returns (new point or None, halvings used).
-    """
-    lyap_norm = float(np.abs(np.linalg.eigvalsh(manifold.lyapunov_solve(point, step)))[-1])
-    if lyap_norm > TRUST_CAP:
-        step = step * (TRUST_CAP / lyap_norm)
-    for attempt in range(PD_RETRIES + 1):
-        try:
-            return manifold.exp_sigma(point, step), attempt
-        except StepTooLargeError:
-            step = 0.5 * step
-    return None, PD_RETRIES + 1
+            return 0.5 * (step + np.swapaxes(step, 1, 2))
+        self.v = beta2 * self.v + (1.0 - beta2) * (g_sigma @ np.swapaxes(g_sigma, 1, 2))
+        # row by row: a stacked (p @ v) @ p rounds differently from p @ v_i @ p
+        directional = np.array([row @ p for row in p @ self.v])
+        self.second = np.maximum(directional, self.second)
+        return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
@@ -178,9 +160,9 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
 
     sphere = manifold.sphere_from_weights(model0.weights)
     mus = model0.mus.copy()
-    points = [PdPoint(sig) for sig in model0.sigmas]
+    points = PdPoint(model0.sigmas)
 
-    scatter = [_ScatterMoments(m, elementwise=method == "radam") for _ in range(k)]
+    scatter = _ScatterMoments(k, m, elementwise=method == "radam")
     pi_state = _VectorAdamState(k)
     mu_state = _VectorAdamState((k, m))
 
@@ -222,6 +204,8 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 step = tangent
             new_sphere = manifold.exp_sphere(sphere, alpha * step)
+            for i in np.flatnonzero(new_sphere.s < SQRTPI_FLOOR):
+                events.append(f"iter {h}: weight floor for component {i}")
             clamped = np.maximum(new_sphere.s, SQRTPI_FLOOR)
             sphere = SpherePoint(clamped / np.linalg.norm(clamped))
 
@@ -232,29 +216,25 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 mus = mus - alpha * grad.g_mu
 
-            # ---- scatters on the PD manifold
-            g_sigma = grad.g_sigma
-            for i in range(k):
-                point = points[i]
-                rgrad = manifold.riem_grad_sigma(point, g_sigma[i])
-                if method == "vanilla":
-                    step = -alpha * rgrad
-                else:
-                    step = scatter[i].step(point, rgrad, g_sigma[i], p, alpha, beta1, beta2)
-                new_point, halvings = _retract_scatter(point, step)
-                if new_point is None:
+            # ---- scatters on the PD manifold, all k in one step
+            rgrad = manifold.riem_grad_sigma(points, grad.g_sigma)
+            if method == "vanilla":
+                step = -alpha * rgrad
+            else:
+                step = scatter.step(points, rgrad, grad.g_sigma, p, alpha, beta1, beta2)
+            points, halvings = manifold.exp_sigma(points, step)
+            for i in np.flatnonzero(halvings):
+                if halvings[i] > manifold.PD_RETRIES:
                     events.append(f"iter {h}: pd safeguard exhausted for component {i}")
                     failed, reason = True, f"pd safeguard exhausted at iteration {h}"
                 else:
-                    if halvings:
-                        events.append(f"iter {h}: step halved {halvings}x for component {i}")
-                    points[i] = new_point
+                    events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
 
-            current = MixtureModel(family, sphere.weights, mus, np.stack([pt.sigma for pt in points]))
+            current = MixtureModel(family, sphere.weights, mus, points.sigma)
 
         costs[h - 1] = cost
         weight_gap[h - 1] = abs(float(np.sum(current.weights)) - 1.0)
-        min_eig_ratio[h - 1] = min(float(pt.eig[0][0]) / (np.trace(pt.sigma) / m) for pt in points)
+        min_eig_ratio[h - 1] = np.min(points.lam[:, 0] / (np.trace(points.sigma, axis1=1, axis2=2) / m))
         wall[h - 1] = 1e3 * (time.perf_counter() - tic)
         done = h
         if grad is None:
@@ -352,11 +332,8 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         weights = weights / weights.sum()
 
         weight_gap[h - 1] = abs(float(weights.sum()) - 1.0)
-        ratios = []
-        for sig in sigmas:
-            lam = np.linalg.eigvalsh(sig)
-            ratios.append(lam[0] / (np.trace(sig) / m))
-        min_eig_ratio[h - 1] = min(ratios)
+        lam_min = np.linalg.eigvalsh(sigmas)[:, 0]
+        min_eig_ratio[h - 1] = np.min(lam_min / (np.trace(sigmas, axis1=1, axis2=2) / m))
         wall[h - 1] = 1e3 * (time.perf_counter() - tic)
         done = h
         if abs(prev_nll - nll) < cfg.em_tol:

@@ -189,9 +189,9 @@ class ProjectionContext:
         return (np.arange(n) + 0.5) / n
 
     @cached_property
-    def _quantile_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Prefix integrals of the empirical quantile function and its square
-        # at its breakpoints {0, (j-1/2)/n, 1}; with these, integrals of
+    def _quantile_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # The empirical quantile function Q at its breakpoints {0, (j-1/2)/n, 1},
+        # and the prefix integrals of Q and Q^2 there; with these, integrals of
         # (c - Q(q))^2 over any quantile slab are closed forms.
         levels = np.concatenate([[0.0], self.quantile_levels, [1.0]])
         values = np.concatenate(
@@ -203,17 +203,14 @@ class ProjectionContext:
         s2 = np.concatenate(
             [[0.0], np.cumsum(dq * (left * left + left * right + right * right) / 3.0)]
         )
-        return levels, s1, s2
+        return levels, values, s1, s2
 
     def quantile_prefixes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Q(q), S1(q), S2(q)) with S1 = int_0^q Q and S2 = int_0^q Q^2."""
-        levels, s1, s2 = self._quantile_moments
+        levels, values, s1, s2 = self._quantile_moments
         q = np.clip(q, 0.0, 1.0)
         idx = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, levels.size - 2)
         q0 = levels[idx]
-        values = np.concatenate(
-            [[self.projected_samples[0]], self.projected_samples, [self.projected_samples[-1]]]
-        )
         v0, v1 = values[idx], values[idx + 1]
         width = levels[idx + 1] - q0
         frac = np.where(width > 0.0, (q - q0) / np.where(width > 0.0, width, 1.0), 0.0)

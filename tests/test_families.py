@@ -298,3 +298,12 @@ def test_make_family_and_aliases():
         fam.make_family("nosuch", 2)
     with pytest.raises(InvalidFamilyError):
         fam.make_family("kotz", 2, bogus=1.0)
+
+
+def test_check_spd_validates_a_stack_in_one_call():
+    good = np.stack([np.eye(2), np.diag([2.0, 0.5])])
+    assert np.array_equal(fam.check_spd(good), good)
+    with pytest.raises(NotPositiveDefiniteError):
+        fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]))
+    with pytest.raises(NotPositiveDefiniteError):
+        fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])]))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from emmfit import manifold as mf
-from emmfit.errors import NotPositiveDefiniteError, StepTooLargeError
+from emmfit.errors import NotPositiveDefiniteError
+from emmfit.families import PD_FLOOR
 
 
 def random_spd(m, rng, scale=1.0):
@@ -77,12 +78,14 @@ class TestExpSigma:
     def test_zero_step(self):
         rng = np.random.default_rng(4)
         sig = random_spd(3, rng)
-        out = mf.exp_sigma(sig, np.zeros((3, 3)))
+        out, halvings = mf.exp_sigma(sig, np.zeros((3, 3)))
         assert np.allclose(out.sigma, sig, atol=1e-14)
+        assert halvings == 0
 
     def test_scalar_case(self):
-        out = mf.exp_sigma(np.array([[1.0]]), np.array([[-0.2]]))
+        out, halvings = mf.exp_sigma(np.array([[1.0]]), np.array([[-0.2]]))
         assert out.sigma[0, 0] == pytest.approx(0.81, abs=1e-14)
+        assert halvings == 0
 
     def test_first_order_consistency(self):
         # ||exp(Sigma, eps V) - (Sigma + eps V)||_F must shrink like eps^2:
@@ -92,7 +95,7 @@ class TestExpSigma:
         v = random_sym(2, rng)
         errs = []
         for eps in (1e-2, 5e-3, 2.5e-3):
-            out = mf.exp_sigma(sig, eps * v).sigma
+            out = mf.exp_sigma(sig, eps * v)[0].sigma
             errs.append(np.linalg.norm(out - (sig.sigma + eps * v)))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes >= 1.9)
@@ -102,19 +105,50 @@ class TestExpSigma:
         for _ in range(20):
             sig = mf.PdPoint(random_spd(2, rng))
             step = 0.3 * random_sym(2, rng)
-            try:
-                out = mf.exp_sigma(sig, step)
-            except StepTooLargeError:
-                continue
+            out, _ = mf.exp_sigma(sig, step)
             assert np.linalg.eigvalsh(out.sigma)[0] > 0.0
 
-    def test_large_step_raises(self):
-        # -2I maps the Lyapunov image exactly onto the cone boundary;
-        # -10I would wrap around on the non-geodesic branch.
-        with pytest.raises(StepTooLargeError):
-            mf.exp_sigma(np.eye(2), -2.0 * np.eye(2))
-        with pytest.raises(StepTooLargeError):
-            mf.exp_sigma(np.eye(2), -10.0 * np.eye(2))
+    def test_large_step_is_capped(self):
+        # -2I maps the Lyapunov image exactly onto the cone boundary and
+        # -10I would wrap around on the non-geodesic branch; both are cut
+        # back to L = -TRUST_CAP * I, so the image is (1 - 0.3)^2 I.
+        for scale in (2.0, 10.0):
+            out, halvings = mf.exp_sigma(np.eye(2), -scale * np.eye(2))
+            assert np.allclose(out.sigma, 0.49 * np.eye(2), rtol=0.0, atol=1e-15)
+            assert halvings == 0
+
+    def test_exhausted_matrix_stays_while_its_neighbour_moves(self):
+        # r sits 1e-9 relative above the PD floor of diag(1, r), and every
+        # halving of the step toward zero still lands below it.
+        r = 0.5 * PD_FLOOR * (1.0 + 1e-9)
+        sigma0 = np.diag([1.0, r])
+        assert r > PD_FLOOR * np.trace(sigma0) / 2
+        stack = np.stack([sigma0, np.eye(2)])
+        steps = np.stack([np.diag([0.0, -r]), -0.1 * np.eye(2)])
+        out, halvings = mf.exp_sigma(stack, steps)
+        assert halvings.tolist() == [mf.PD_RETRIES + 1, 0]
+        assert out.sigma[0].tobytes() == sigma0.tobytes()
+        assert np.allclose(out.sigma[1], 0.95**2 * np.eye(2), rtol=0.0, atol=1e-15)
+
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(11)
+        for m in (2, 5, 16):
+            sigmas = np.stack([random_spd(m, rng) for _ in range(4)])
+            steps = np.stack([0.05 * random_sym(m, rng) for _ in range(4)])
+            out, halvings = mf.exp_sigma(sigmas, steps)
+            assert halvings.tolist() == [0] * 4
+            for i in range(4):
+                one, h = mf.exp_sigma(sigmas[i], steps[i])
+                assert h == 0
+                for a, b in ((out.sigma[i], one.sigma), (out.lam[i], one.lam), (out.q[i], one.q)):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_point_keeps_the_eigh_that_admitted_it(self):
+        rng = np.random.default_rng(12)
+        out, _ = mf.exp_sigma(random_spd(3, rng), 0.1 * random_sym(3, rng))
+        lam, q = np.linalg.eigh(out.sigma)
+        assert out.lam.tobytes() == lam.tobytes()
+        assert out.q.tobytes() == q.tobytes()
 
 
 class TestExpSphere:

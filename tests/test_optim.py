@@ -87,6 +87,40 @@ def test_iterates_stay_on_simplex_and_pd(case, method, monkeypatch):
     assert np.all(report.min_eig_ratio > 0.0)
 
 
+def test_scatter_step_work_per_iteration(case, monkeypatch):
+    # Per iteration: one Lyapunov solve in the retraction, one in the
+    # momentum transport; one eigvalsh for the trust cap, one eigh of the
+    # retracted scatters, one eigvalsh validating the new model.
+    calls = {"solve": 0, "eig": 0}
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(optim.manifold, "lyapunov_solve", counting("solve", optim.manifold.lyapunov_solve))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting("eig", getattr(np.linalg, name)))
+    data, model0 = case
+    totals = []
+    for iters in (20, 40):
+        calls.update(solve=0, eig=0)
+        cfg = optim.OptimizerConfig(method="dadam", alpha=0.03, max_iters=iters, em_tol=0.0, seed=5)
+        assert optim.fit(model0, data, cfg).iterations == iters
+        totals.append(dict(calls))
+    # the difference leaves out the one-off validation of the start
+    assert (totals[1]["solve"] - totals[0]["solve"]) / 20 <= 2
+    assert (totals[1]["eig"] - totals[0]["eig"]) / 20 <= 3
+
+
+def test_weight_floor_is_reported(case):
+    report = golden_fit("radam", *case)
+    assert report.final_model.weights[0] < 1e-11
+    assert any(e.endswith("weight floor for component 0") for e in report.events)
+
+
 def test_family_without_gradient_raises_up_front(case):
     data, model0 = case
     stable = mx.MixtureModel(fam.AlphaStable(m=2), model0.weights, model0.mus, model0.sigmas)
