@@ -22,7 +22,8 @@ class DensityUnavailableError(EmmfitError):
 
 
 class UnsupportedGradientError(EmmfitError):
-    """No closed-form generator derivative for this family."""
+    """No sliced-cost gradient for this family: no closed-form generator
+    derivative, or no integrable 1-D projected kernel."""
 
 
 class UndefinedSecondMomentError(EmmfitError):

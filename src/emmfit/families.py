@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -51,6 +52,14 @@ def check_spd(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
+class _PrimitiveTable(NamedTuple):
+    nodes: np.ndarray  # (N,)  u_j = 3 tan(j * dtheta)
+    coef: np.ndarray  # (N-1, 4)  PCHIP coefficients, column r multiplies s^(3-r)
+    dtheta: float
+    u_max: float  # nodes[-1]
+    phi_max: float  # Phi(u_max)
+
+
 def _as_t(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -67,8 +76,9 @@ class EllipticalFamily:
     name = "elliptical"
     # Families without a normalized density cannot enter likelihoods.
     has_density = True
-    # Families without a closed-form generator derivative cannot be used
-    # with the analytic sliced-Wasserstein gradients.
+    # Families without a closed-form generator derivative, or whose projected
+    # kernel has no 1-D primitive, cannot be used with the analytic
+    # sliced-Wasserstein gradients.
     has_gradient = True
 
     def __post_init__(self):
@@ -91,38 +101,68 @@ class EllipticalFamily:
         return np.where(np.isneginf(lg), 0.0, out)
 
     @cached_property
-    def _primitive_interp(self):
+    def _primitive_table(self):
         # Odd primitive of the 1-D projected kernel, used for exact cell
-        # masses: Phi(u) = integral_0^u c_m g(z^2) dz on a tangent-warped
-        # grid so heavy tails are resolved.  Requires the kernel to be
-        # integrable in one dimension (Kotz needs a > 1/2).  A monotone C^1
-        # interpolant keeps the encoded kernel continuous, so parameter
-        # derivatives of cell masses stay consistent with finite
+        # masses: Phi(u) = integral_0^u c_m g(z^2) dz, by the trapezoid rule
+        # on a tangent-warped grid so heavy tails are resolved.  A monotone
+        # C^1 (PCHIP) interpolant keeps the encoded kernel continuous, so
+        # parameter derivatives of cell masses stay consistent with finite
         # differences of the masses themselves.
+        #
+        # Layout: N = 65 536 nodes u_j = 3 tan(theta_j), theta_j = j * dtheta
+        # uniform on [0, pi/2 - 1e-7]; coef is scipy's (4, N-1) PCHIP
+        # coefficient array transposed, so one gather fetches an interval's
+        # four coefficients, column r multiplying s^(3-r), s = u - u_i.
+        # Because theta is uniform, arctan(u/3) / dtheta is the interval up
+        # to rounding, which can put it one interval off; one fix-up step
+        # makes it the interval scipy's binary search picks (u_i <= u <
+        # u_{i+1}, the last interval closed on the right).  gen_primitive
+        # and gen_primitive_slope then sum the cubic in scipy's own
+        # operation order, so they return scipy's bits without its search.
         from scipy.interpolate import PchipInterpolator
 
-        theta = np.linspace(0.0, np.pi / 2.0 - 1e-7, 65_536)
+        if not self.has_gradient:
+            raise UnsupportedGradientError(f"{self.name} {self.params()} has no usable 1-D projected kernel")
+        theta, dtheta = np.linspace(0.0, np.pi / 2.0 - 1e-7, 65_536, retstep=True)
         scale = 3.0
         u = scale * np.tan(theta)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             integrand = np.exp(self.log_gen(u * u)) * scale / np.cos(theta) ** 2
         integrand = np.where(np.isfinite(integrand), integrand, 0.0)
         phi = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) * 0.5 * np.diff(theta))])
-        interp = PchipInterpolator(u, phi, extrapolate=False)
-        return interp, interp.derivative(), float(u[-1]), float(phi[-1])
+        coef = np.ascontiguousarray(PchipInterpolator(u, phi, extrapolate=False).c.T)
+        return _PrimitiveTable(u, coef, dtheta, float(u[-1]), float(phi[-1]))
+
+    def _primitive_cubic(self, u):
+        """Locate |u| in the primitive table: (saturated, s, (c0, c1, c2, c3)),
+        where |u| >= u_max is saturated and elsewhere the primitive is
+        c3 + c2 s + c1 s^2 + c0 s^3 with s = |u| - u_i on its interval i."""
+        table = self._primitive_table
+        nodes = table.nodes
+        mag = np.minimum(np.abs(u), table.u_max)
+        last = len(nodes) - 2
+        # NaN casts to the most negative integer, so clip on both sides
+        with np.errstate(invalid="ignore"):
+            i = np.clip((np.arctan(mag / 3.0) / table.dtheta).astype(np.intp), 0, last)
+        i -= nodes.take(i) > mag
+        i += (nodes.take(i + 1) <= mag) & (i < last)
+        return mag >= table.u_max, mag - nodes.take(i), np.moveaxis(table.coef.take(i, axis=0), -1, 0)
 
     def gen_primitive(self, u) -> np.ndarray:
         """Phi(u) = integral_0^u of the projected kernel c_m g(z^2) dz, odd in u."""
-        interp, _, u_max, phi_max = self._primitive_interp
         u = np.asarray(u, dtype=float)
-        mag = np.minimum(np.abs(u), u_max)
-        return np.sign(u) * np.where(mag >= u_max, phi_max, interp(mag))
+        saturated, s, (c0, c1, c2, c3) = self._primitive_cubic(u)
+        ss = s * s
+        # scipy's order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s)
+        value = (c3 + c2 * s) + c1 * ss + c0 * (ss * s)
+        return np.sign(u) * np.where(saturated, self._primitive_table.phi_max, value)
 
     def gen_primitive_slope(self, u) -> np.ndarray:
         """Derivative of the interpolated primitive (the kernel it encodes)."""
-        _, deriv, u_max, _ = self._primitive_interp
-        mag = np.abs(np.asarray(u, dtype=float))
-        return np.where(mag >= u_max, 0.0, deriv(np.minimum(mag, u_max)))
+        saturated, s, (c0, c1, c2, _) = self._primitive_cubic(np.asarray(u, dtype=float))
+        # the derivative PPoly's rows are (3 c0, 2 c1, c2), summed in that order
+        value = (c2 + (2.0 * c1) * s) + (3.0 * c0) * (s * s)
+        return np.where(saturated, 0.0, value)
 
     def sample_r2(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws of R^2."""
@@ -152,6 +192,12 @@ class Kotz(EllipticalFamily):
             raise InvalidFamilyError(
                 f"Kotz requires a > 1 - m/2, b > 0, s > 0; got a={self.a}, b={self.b}, s={self.s}"
             )
+
+    @property
+    def has_gradient(self) -> bool:
+        # the projected kernel behaves like |z|^(2a-2) at 0, so its 1-D
+        # primitive exists only for a > 1/2
+        return self.a > 0.5
 
     @cached_property
     def _shape(self) -> float:

@@ -48,7 +48,7 @@ def euclidean_grad(
 ) -> EuclideanGrad:
     """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas."""
     if not model.family.has_gradient:
-        raise UnsupportedGradientError(f"{model.family.name} has no closed-form generator derivative")
+        raise UnsupportedGradientError(f"{model.family.name} {model.family.params()} has no sliced-cost gradient")
     if projected is None:
         projected = project_model(model, ctx)
     k = model.k

@@ -22,9 +22,10 @@ from .families import above_pd_floor, check_spd
 # Halvings of a scatter step tried before the scatter is left where it was.
 PD_RETRIES = 20
 # Relative trust cap on scatter steps: the Lyapunov image L of the step is
-# rescaled so that |largest eigenvalue of L| <= TRUST_CAP.  The exact
-# retraction distorts near |L| = 1, and single-projection noise on thin
-# components produces raw steps far beyond it.
+# rescaled so that its largest |eigenvalue| is at most TRUST_CAP, whether
+# the step expands or contracts.  The exact retraction distorts near
+# |L| = 1, and single-projection noise on thin components produces raw
+# steps far beyond it.
 TRUST_CAP = 0.3
 
 
@@ -111,7 +112,7 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
     point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
     shape, m = point.sigma.shape, point.sigma.shape[-1]
     lyap = lyapunov_solve(point, step).reshape(-1, m, m)
-    top = np.abs(np.linalg.eigvalsh(lyap)[:, -1])
+    top = np.abs(np.linalg.eigvalsh(lyap)[:, [0, -1]]).max(axis=1)
     # the factor is exactly 1.0 below the cap, and never divides by zero
     lyap *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
     base = point.sigma.reshape(-1, m, m)

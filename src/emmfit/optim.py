@@ -260,8 +260,10 @@ def fit(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
     if cfg.method == "em":
         return fit_em_gmm(model0, data, cfg)
     if not model0.family.has_gradient:
-        name = model0.family.name
-        raise UnsupportedGradientError(f"{name} has no closed-form generator derivative for {cfg.method}")
+        family = model0.family
+        raise UnsupportedGradientError(
+            f"{family.name} {family.params()} has no sliced-cost gradient for {cfg.method}"
+        )
     return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
 
 

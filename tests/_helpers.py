@@ -5,6 +5,7 @@ from scipy import stats
 
 from emmfit import families as fam
 from emmfit import mixture as mx
+from emmfit import optim
 
 
 def newton_sqrtm(a: np.ndarray, iters: int = 60) -> np.ndarray:
@@ -23,6 +24,42 @@ def bures_gap_newton(s1: np.ndarray, s2: np.ndarray) -> float:
     r1 = newton_sqrtm(s1)
     cross = newton_sqrtm(r1 @ s2 @ r1)
     return float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
+
+
+def golden_case():
+    """The seeded m=2, k=3 data set and start of the golden fits."""
+    data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))
+    model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(11))
+    return data, model0
+
+
+def golden_fit(method: str, data, model0):
+    cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=40, em_tol=0.0, seed=5)
+    return optim.fit(model0, data, cfg)
+
+
+def pchip_primitive_oracle(family):
+    """(primitive, slope) of the projected kernel, evaluated the way scipy
+    does: a PchipInterpolator on the family's table nodes and its derivative
+    PPoly, each binary-searching the nodes for every point."""
+    from scipy.interpolate import PchipInterpolator
+
+    table = family._primitive_table
+    # the table's constant coefficients are the node values Phi(u_j)
+    interp = PchipInterpolator(table.nodes, np.append(table.coef[:, 3], table.phi_max), extrapolate=False)
+    deriv = interp.derivative()
+    u_max, phi_max = table.u_max, table.phi_max
+
+    def primitive(u):
+        u = np.asarray(u, dtype=float)
+        mag = np.minimum(np.abs(u), u_max)
+        return np.sign(u) * np.where(mag >= u_max, phi_max, interp(mag))
+
+    def slope(u):
+        mag = np.abs(np.asarray(u, dtype=float))
+        return np.where(mag >= u_max, 0.0, deriv(np.minimum(mag, u_max)))
+
+    return primitive, slope
 
 
 def random_spd(m, rng, base=1.0, spread=0.5):

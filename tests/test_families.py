@@ -1,15 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from _helpers import golden_case, golden_fit, pchip_primitive_oracle
 from emmfit import families as fam
 from emmfit.errors import (
     DensityUnavailableError,
     InvalidFamilyError,
     NotPositiveDefiniteError,
     SupportError,
+    UnsupportedGradientError,
 )
 
 
@@ -307,3 +313,84 @@ def test_check_spd_validates_a_stack_in_one_call():
         fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]))
     with pytest.raises(NotPositiveDefiniteError):
         fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])]))
+
+
+# every family with a density, as a function of m
+DENSITY_FAMILIES = {
+    "gaussian": fam.gaussian,
+    "cauchy": fam.cauchy,
+    "laplace": fam.laplace,
+    "kotz": lambda m: fam.Kotz(m=m, a=2.0, b=1.0, s=1.5),
+    "pearson7": lambda m: fam.PearsonVII(m=m, v=5.0, s=(m + 5.0) / 2.0),
+    "pearson2": lambda m: fam.PearsonII(m=m, s=3.0),
+    "logistic": lambda m: fam.Logistic(m=m),
+    "hyperbolic": lambda m: fam.Hyperbolic(m=m, v=2.0, a=1.0, lam=-0.5),
+}
+
+
+@functools.cache
+def family_and_oracle(name, m):
+    family = DENSITY_FAMILIES[name](m)
+    return family, pchip_primitive_oracle(family)
+
+
+def assert_same_bits(got, want):
+    # NaN in, NaN out; every other value bit for bit, signed zeros included
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestPrimitiveLookup:
+    @pytest.mark.parametrize("m", [1, 2, 8, 16])
+    @pytest.mark.parametrize("name", sorted(DENSITY_FAMILIES))
+    def test_matches_pchip_bitwise_at_every_node(self, name, m):
+        family, (primitive, slope) = family_and_oracle(name, m)
+        table = family._primitive_table
+        nodes, u_max = table.nodes, table.u_max
+        near = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+        ends = [0.0, u_max, np.nextafter(u_max, np.inf), 2.0 * u_max, 1e300, np.inf, np.nan]
+        u = np.concatenate([near, ends])
+        u = np.concatenate([u, -u]).reshape(2, -1)
+        assert_same_bits(family.gen_primitive(u), primitive(u))
+        assert_same_bits(family.gen_primitive_slope(u), slope(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["cauchy", "gaussian", "pearson2"]),
+        m=st.sampled_from([1, 8]),
+        u=arrays(np.float64, st.integers(1, 64), elements=st.floats(width=64)),
+    )
+    def test_matches_pchip_bitwise_on_any_float(self, name, m, u):
+        family, (primitive, slope) = family_and_oracle(name, m)
+        assert_same_bits(family.gen_primitive(u), primitive(u))
+        assert_same_bits(family.gen_primitive_slope(u), slope(u))
+
+    def test_fit_never_evaluates_a_ppoly(self, monkeypatch):
+        from scipy.interpolate import PPoly
+
+        data, model0 = golden_case()
+        model0.family.gen_primitive(np.zeros(1))  # builds the table
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a PPoly was evaluated")
+
+        monkeypatch.setattr(PPoly, "__call__", refuse)
+        report = golden_fit("dadam", data, model0)
+        assert not report.failed
+        assert report.iterations == 40
+
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    def test_kotz_without_a_1d_primitive_is_refused(self, a):
+        # the projected kernel ~ |z|^(2a-2) is not integrable at 0 for a <= 1/2
+        family = fam.Kotz(m=2, a=a)
+        assert not family.has_gradient
+        with pytest.raises(UnsupportedGradientError):
+            family.gen_primitive(np.zeros(1))
+        with pytest.raises(UnsupportedGradientError):
+            family.gen_primitive_slope(np.zeros(1))
+
+    def test_kotz_with_a_1d_primitive_is_kept(self):
+        family = fam.Kotz(m=2, a=0.6)
+        assert family.has_gradient
+        assert np.isfinite(family.gen_primitive(np.inf))

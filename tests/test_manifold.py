@@ -117,6 +117,13 @@ class TestExpSigma:
             assert np.allclose(out.sigma, 0.49 * np.eye(2), rtol=0.0, atol=1e-15)
             assert halvings == 0
 
+    def test_contracting_step_is_capped(self):
+        # L = diag(-5, 0.1): the cap reads the largest |eigenvalue|, 5, not
+        # the largest eigenvalue, so L is scaled by 0.3/5 to diag(-0.3, 0.006).
+        out, halvings = mf.exp_sigma(np.eye(2), np.diag([-10.0, 0.2]))
+        assert np.allclose(out.sigma, np.diag([0.49, 1.006**2]), rtol=0.0, atol=1e-15)
+        assert halvings == 0
+
     def test_exhausted_matrix_stays_while_its_neighbour_moves(self):
         # r sits 1e-9 relative above the PD floor of diag(1, r), and every
         # halving of the step toward zero still lands below it.

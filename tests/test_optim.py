@@ -1,8 +1,11 @@
 """Fitting loops: golden traces, determinism, invariants and fail-fast stops.
 
 The golden fixture ``data/golden_fits.json`` holds seeded fits recorded
-before the optimiser was reduced to its seven settings; regenerate it
-(only on purpose) with ``PYTHONPATH=src python tests/test_optim.py``.
+before the optimiser was reduced to its seven settings.  The ``radam``
+entry alone was re-recorded when the scatter trust cap began to bound
+contracting steps as well as expanding ones; the others are as first recorded.
+Regenerate it (only on purpose) with
+``PYTHONPATH=src python tests/test_optim.py``.
 """
 
 import json
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import golden_case, golden_fit
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -18,17 +22,6 @@ from emmfit.errors import UnsupportedGradientError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fits.json"
 GOLDEN_METHODS = ("vanilla", "radam", "dadam", "em")
-
-
-def golden_case():
-    data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))
-    model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(11))
-    return data, model0
-
-
-def golden_fit(method: str, data, model0):
-    cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=40, em_tol=0.0, seed=5)
-    return optim.fit(model0, data, cfg)
 
 
 def fit_record(report) -> dict:
@@ -139,6 +132,26 @@ def test_projection_failure_stops_at_once(case, method):
     assert report.failed
     assert report.iterations == 1
     assert "iteration 1" in report.failure_reason
+
+
+@pytest.mark.parametrize("method", ("vanilla", "radam", "dadam"))
+def test_non_finite_start_stops_at_once(case, method):
+    # NaN locations give NaN cell masses, which the projection refuses.
+    data, model0 = case
+    lost = mx.MixtureModel(model0.family, model0.weights, np.full_like(model0.mus, np.nan), model0.sigmas)
+    report = golden_fit(method, data, lost)
+    assert report.failed
+    assert report.iterations == 1
+    assert report.failure_reason == "projection failure at iteration 1"
+
+
+@pytest.mark.parametrize("a", (0.3, 0.5))
+def test_non_integrable_kotz_raises_up_front(case, a):
+    data, model0 = case
+    spiky = mx.MixtureModel(fam.Kotz(m=2, a=a), model0.weights, model0.mus, model0.sigmas)
+    for method in ("vanilla", "radam", "dadam"):
+        with pytest.raises(UnsupportedGradientError):
+            golden_fit(method, data, spiky)
 
 
 if __name__ == "__main__":
