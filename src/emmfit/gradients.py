@@ -73,7 +73,7 @@ def euclidean_grad(
     # Interior quantile boundaries of the cells and their potential gains.
     masses = (projected.rho * w) / mass
     bounds = np.cumsum(masses)[:-1]
-    q_at, _, _ = ctx.quantile_prefixes(bounds)
+    q_at, _ = ctx.quantile_prefixes(bounds)
     gain = (grid[:-1] - q_at) ** 2 - (grid[1:] - q_at) ** 2
 
     # d cost / d theta = sum_j gain_j * d a_j, with a_j the normalized

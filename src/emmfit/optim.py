@@ -100,8 +100,13 @@ class FitReport:
         return doc
 
 
-def _as_samples(data) -> np.ndarray:
-    return data.samples if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+def _as_samples(data, m: int) -> np.ndarray:
+    """The (n, m) samples of a Dataset, or of a raw array given the Dataset
+    checks (a 2-D array with at least one row, every entry finite)."""
+    samples = (data if isinstance(data, Dataset) else Dataset(data)).samples
+    if samples.shape[1] != m:
+        raise MismatchError(f"data has {samples.shape[1]} columns, the model has dimension {m}")
+    return samples
 
 
 class _VectorAdamState:
@@ -152,7 +157,7 @@ class _ScatterMoments:
 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
-    samples = _as_samples(data)
+    samples = _as_samples(data, model0.m)
     family = model0.family
     k, m = model0.k, model0.m
     method = cfg.method
@@ -280,7 +285,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     """Standard EM with a covariance eigenvalue floor and collapse reseeding."""
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
-    samples = _as_samples(data)
+    samples = _as_samples(data, model0.m)
     n, m = samples.shape
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
@@ -361,12 +366,10 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
 def initialize(data, k: int, family, strategy: str = "random", rng=None) -> MixtureModel:
     """Random starting point: simplex weights, box-uniform or D^2-weighted
     locations, isotropic scatters carrying the data covariance trace."""
-    samples = _as_samples(data)
+    samples = _as_samples(data, family.m)
     n, m = samples.shape
     if n < k:
         raise MismatchError(f"need at least k={k} samples, got {n}")
-    if family.m != m:
-        raise MismatchError("family dimension does not match the data")
     rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))

@@ -4,6 +4,9 @@ Three layers: the closed-form Wasserstein distance between two elliptical
 laws, the matching-based approximate distance between mixtures, and the
 sliced semi-discrete objective (projected model density vs. the empirical
 measure on one direction), evaluated in closed form in the quantile domain.
+The empirical quantile function is read straight from the sorted
+projections and their prefix sum, at the few levels the cost and its
+gradient ask for.
 """
 
 from __future__ import annotations
@@ -170,7 +173,14 @@ def d_u(
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """One random direction: sorted projected data and the quadrature grid."""
+    """One random direction: sorted projected data and the quadrature grid.
+
+    The empirical quantile function Q of the n sorted projections x is
+    piecewise linear with knot j at level (j + 1/2)/n and value x[j], and
+    flat outside [1/(2n), 1 - 1/(2n)].  Q and its prefix integral are read
+    from x by index arithmetic, so the only per-direction table is the
+    prefix sum of x, built on first use.
+    """
 
     p: np.ndarray
     projected_samples: np.ndarray
@@ -183,42 +193,39 @@ class ProjectionContext:
         if np.any(np.diff(self.projected_samples) < 0.0):
             raise MismatchError("projected samples must be sorted")
 
-    @property
-    def quantile_levels(self) -> np.ndarray:
-        n = self.projected_samples.size
-        return (np.arange(n) + 0.5) / n
-
     @cached_property
-    def _quantile_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # The empirical quantile function Q at its breakpoints {0, (j-1/2)/n, 1},
-        # and the prefix integrals of Q and Q^2 there; with these, integrals of
-        # (c - Q(q))^2 over any quantile slab are closed forms.
-        levels = np.concatenate([[0.0], self.quantile_levels, [1.0]])
-        values = np.concatenate(
-            [[self.projected_samples[0]], self.projected_samples, [self.projected_samples[-1]]]
-        )
-        dq = np.diff(levels)
-        left, right = values[:-1], values[1:]
-        s1 = np.concatenate([[0.0], np.cumsum(dq * 0.5 * (left + right))])
-        s2 = np.concatenate(
-            [[0.0], np.cumsum(dq * (left * left + left * right + right * right) / 3.0)]
-        )
-        return levels, values, s1, s2
+    def _prefix_sums(self) -> np.ndarray:
+        # C[j] = x[0] + ... + x[j-1], with C[0] = 0
+        x = self.projected_samples
+        c = np.empty(x.size + 1)
+        c[0] = 0.0
+        np.cumsum(x, out=c[1:])
+        return c
 
-    def quantile_prefixes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q(q), S1(q), S2(q)) with S1 = int_0^q Q and S2 = int_0^q Q^2."""
-        levels, values, s1, s2 = self._quantile_moments
-        q = np.clip(q, 0.0, 1.0)
-        idx = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, levels.size - 2)
-        q0 = levels[idx]
-        v0, v1 = values[idx], values[idx + 1]
-        width = levels[idx + 1] - q0
-        frac = np.where(width > 0.0, (q - q0) / np.where(width > 0.0, width, 1.0), 0.0)
-        qv = v0 + (v1 - v0) * frac
-        part = q - q0
-        s1_q = s1[idx] + part * 0.5 * (v0 + qv)
-        s2_q = s2[idx] + part * (v0 * v0 + v0 * qv + qv * qv) / 3.0
-        return qv, s1_q, s2_q
+    def quantile_prefixes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Q(q), S1(q)) with S1 = int_0^q Q; q is clipped to [0, 1]."""
+        x = self.projected_samples
+        c = self._prefix_sums
+        n = x.size
+        # t is q's position in knot units; knot i sits at t = i
+        t = np.clip(q, 0.0, 1.0) * n - 0.5
+        tau = np.clip(t, 0.0, n - 1)
+        i = tau.astype(np.intp)
+        f = tau - i
+        x0 = x[i]
+        # at the last knot f = 0, so its clipped neighbour adds nothing
+        qv = x0 + (x[np.minimum(i + 1, n - 1)] - x0) * f
+        # knots 0..i as trapezoids, the part of segment i up to tau, and the
+        # flat run below the first knot or past the last one (t - tau)
+        s1 = (c[i + 1] - 0.5 * x0 + 0.5 * f * (x0 + qv) + (t - tau) * qv) / n
+        return qv, s1
+
+    @property
+    def quantile_second_moment(self) -> float:
+        """int_0^1 Q(q)^2 dq, summed over Q's linear pieces in closed form."""
+        x = self.projected_samples
+        ends = x[0] * x[0] + x[-1] * x[-1]
+        return float((2.0 / 3.0) * (x @ x) + ends / 6.0 + (x[:-1] @ x[1:]) / 3.0) / x.size
 
 
 def make_projection_context(
@@ -226,7 +233,8 @@ def make_projection_context(
 ) -> ProjectionContext:
     """Project the data along p and lay a uniform trapezoid grid over it."""
     p = np.asarray(p, dtype=float)
-    projected = np.sort(np.asarray(samples, dtype=float) @ p)
+    projected = np.asarray(samples, dtype=float) @ p
+    projected.sort()
     spread = float(projected.std())
     if spread <= 0.0:
         spread = max(1.0, abs(float(projected[0])))
@@ -311,9 +319,11 @@ def project_model(model: MixtureModel, ctx: ProjectionContext) -> ProjectedMixtu
 def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     """Exact semi-discrete cost of the cell-discretized projected model.
 
-    Each cell's mass occupies a slab of quantile levels; its transport cost
-    to the empirical quantile function is integral (y_cell - Q(q))^2 dq in
-    closed form.  Unlike pointwise trapezoid evaluation this keeps the
+    Each cell's mass occupies a slab of quantile levels [a_j, a_(j+1)]; its
+    transport cost to the empirical quantile function is, in closed form,
+    int (y_j - Q(q))^2 dq = y_j^2 dm_j - 2 y_j dS1_j + int Q^2 over the slab.
+    The slabs tile [0, 1], so the Q^2 terms add up to the one scalar
+    int_0^1 Q^2.  Unlike pointwise trapezoid evaluation this keeps the
     within-cell spread cost, so components thinner than a grid cell cannot
     shed their transport cost by collapsing further.
     """
@@ -321,12 +331,11 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     bounds = np.empty(masses.size + 1)
     bounds[0] = 0.0
     np.cumsum(masses, out=bounds[1:])
+    # exact ends: the slabs' Q^2 integrals add up to int_0^1 Q^2
     bounds[-1] = 1.0
-    _, s1, s2 = ctx.quantile_prefixes(bounds)
-    d_s1 = np.diff(s1)
-    d_s2 = np.diff(s2)
+    _, s1 = ctx.quantile_prefixes(bounds)
     y = ctx.grid
-    return float(np.sum(y * y * masses - 2.0 * y * d_s1 + d_s2))
+    return float(np.sum(y * y * masses - 2.0 * y * np.diff(s1))) + ctx.quantile_second_moment
 
 
 def sliced_cost(

@@ -62,6 +62,32 @@ def pchip_primitive_oracle(family):
     return primitive, slope
 
 
+def quantile_prefix_oracle(x, q):
+    """(Q(q), S1(q), S2(q)) of the empirical quantile function of sorted x,
+    with S1 = int_0^q Q and S2 = int_0^q Q^2: the breakpoints {0, (j+1/2)/n, 1}
+    and prefix integrals over them tabulated in full, then read by binary
+    search."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    levels = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])
+    values = np.concatenate([[x[0]], x, [x[-1]]])
+    dq = np.diff(levels)
+    left, right = values[:-1], values[1:]
+    s1 = np.concatenate([[0.0], np.cumsum(dq * 0.5 * (left + right))])
+    s2 = np.concatenate([[0.0], np.cumsum(dq * (left * left + left * right + right * right) / 3.0)])
+    q = np.clip(q, 0.0, 1.0)
+    idx = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, levels.size - 2)
+    q0 = levels[idx]
+    v0, v1 = values[idx], values[idx + 1]
+    width = levels[idx + 1] - q0
+    frac = np.where(width > 0.0, (q - q0) / np.where(width > 0.0, width, 1.0), 0.0)
+    qv = v0 + (v1 - v0) * frac
+    part = q - q0
+    s1_q = s1[idx] + part * 0.5 * (v0 + qv)
+    s2_q = s2[idx] + part * (v0 * v0 + v0 * qv + qv * qv) / 3.0
+    return qv, s1_q, s2_q
+
+
 def random_spd(m, rng, base=1.0, spread=0.5):
     a = rng.normal(size=(m, m)) * spread
     return a @ a.T + base * np.eye(m)

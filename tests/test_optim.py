@@ -4,11 +4,15 @@ The golden fixture ``data/golden_fits.json`` holds seeded fits recorded
 before the optimiser was reduced to its seven settings.  The ``radam``
 entry alone was re-recorded when the scatter trust cap began to bound
 contracting steps as well as expanding ones; the others are as first recorded.
-Regenerate it (only on purpose) with
-``PYTHONPATH=src python tests/test_optim.py``.
+Re-record entries only on purpose, naming each one, e.g.
+``PYTHONPATH=src python tests/test_optim.py radam``; the entries not named
+are left as they are, and with no name the script prints its usage and
+writes nothing.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from _helpers import golden_case, golden_fit
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
-from emmfit.errors import UnsupportedGradientError
+from emmfit.errors import InvalidFamilyError, MismatchError, UnsupportedGradientError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fits.json"
 GOLDEN_METHODS = ("vanilla", "radam", "dadam", "em")
@@ -154,8 +158,62 @@ def test_non_integrable_kotz_raises_up_front(case, a):
             golden_fit(method, data, spiky)
 
 
+BAD_SAMPLES = ("nan", "inf", "no rows", "one row vector", "extra column", "extra column dataset")
+
+
+def bad_samples(case, kind):
+    """Samples the fit must refuse, and the error it must raise."""
+    samples = case[0].samples
+    if kind == "nan":
+        samples = samples.copy()
+        samples[7, 1] = np.nan
+    elif kind == "inf":
+        samples = samples.copy()
+        samples[0, 0] = -np.inf
+    elif kind == "no rows":
+        samples = samples[:0]
+    elif kind == "one row vector":
+        samples = samples[0]
+    elif kind == "extra column":
+        return np.hstack([samples, samples[:, :1]]), MismatchError
+    else:
+        return mx.Dataset(np.hstack([samples, samples[:, :1]])), MismatchError
+    return samples, InvalidFamilyError
+
+
+@pytest.mark.parametrize("kind", BAD_SAMPLES)
+@pytest.mark.parametrize("method", GOLDEN_METHODS)
+def test_raw_samples_are_checked_at_the_boundary(case, method, kind):
+    samples, error = bad_samples(case, kind)
+    with pytest.raises(error):
+        optim.fit(case[1], samples, optim.OptimizerConfig(method=method, max_iters=5))
+
+
+@pytest.mark.parametrize("kind", BAD_SAMPLES)
+def test_initialize_checks_raw_samples(case, kind):
+    samples, error = bad_samples(case, kind)
+    with pytest.raises(error):
+        optim.initialize(samples, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("args", ([], ["adam"]))
+def test_regenerator_without_a_known_name_writes_nothing(args):
+    before = GOLDEN.read_bytes()
+    run = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "usage" in run.stderr
+    assert GOLDEN.read_bytes() == before
+
+
 if __name__ == "__main__":
+    methods = sys.argv[1:]
+    if not methods or not set(methods) <= set(GOLDEN_METHODS):
+        sys.exit(
+            "usage: PYTHONPATH=src python tests/test_optim.py METHOD [METHOD ...]\n"
+            f"re-records the named entries of {GOLDEN.name}; METHOD is one of {', '.join(GOLDEN_METHODS)}"
+        )
     data, model0 = golden_case()
-    doc = {method: fit_record(golden_fit(method, data, model0)) for method in GOLDEN_METHODS}
-    GOLDEN.parent.mkdir(exist_ok=True)
+    doc = json.loads(GOLDEN.read_text())
+    for method in methods:
+        doc[method] = fit_record(golden_fit(method, data, model0))
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")

@@ -1,11 +1,17 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from _helpers import bures_gap_newton, exact_w2_1d_gmm, random_gmm, random_spd
+from _helpers import bures_gap_newton, exact_w2_1d_gmm, quantile_prefix_oracle, random_gmm, random_spd
 from emmfit import families as fam
+from emmfit import gradients as gr
 from emmfit import mixture as mx
 from emmfit import transport as tp
 from emmfit.errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
@@ -198,6 +204,94 @@ class TestSemiDiscrete1D:
         ctx = self.make_ctx(np.array([0.0, 1.0]))
         with pytest.raises(DegenerateGridError):
             self.cost(ctx, [1.0], [1e4], [1.0])
+
+
+def quantile_ctx(x):
+    return tp.make_projection_context(np.array([1.0]), np.asarray(x, dtype=float)[:, None])
+
+
+def knot_levels(n):
+    """q = 0 and 1, every knot (j + 1/2)/n with both float neighbours, and
+    random levels out of order, some outside [0, 1]."""
+    knots = (np.arange(n) + 0.5) / n
+    rng = np.random.default_rng(n)
+    return np.concatenate(
+        [[0.0, 1.0], knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0), rng.uniform(-0.5, 1.5, 200)]
+    )
+
+
+def assert_matches_oracle(x, q):
+    ctx = quantile_ctx(x)
+    q_val, s1 = ctx.quantile_prefixes(q)
+    q_ref, s1_ref, _ = quantile_prefix_oracle(ctx.projected_samples, q)
+    tol = 1e-12 * np.max(np.abs(x))
+    np.testing.assert_allclose(q_val, q_ref, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(s1, s1_ref, rtol=0.0, atol=tol)
+
+
+class TestQuantileReads:
+    """Q and its prefix integral read in place, against the tabulated
+    breakpoints searched level by level."""
+
+    SAMPLES = {
+        "one": np.array([3.5]),
+        "two": np.array([-2.0, 7.0]),
+        "three": np.array([4.0, -1.0, 9.5]),
+        "thousand": 10.0 * np.random.default_rng(20).standard_normal(1000),
+        "ties": np.repeat([-4.0, 0.5, 0.5, 6.0], [3, 1, 2, 4]),
+        "all tied": np.full(5, -2.5),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_matches_oracle_at_every_knot(self, name):
+        x = self.SAMPLES[name]
+        assert_matches_oracle(x, knot_levels(x.size))
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_second_moment_matches_oracle(self, name):
+        x = self.SAMPLES[name]
+        ctx = quantile_ctx(x)
+        _, _, s2 = quantile_prefix_oracle(ctx.projected_samples, np.array([0.0, 1.0]))
+        assert ctx.quantile_second_moment == pytest.approx(s2[1] - s2[0], rel=1e-14, abs=0.0)
+
+    def test_flat_outside_the_knots(self):
+        ctx = quantile_ctx([1.0, 2.0, 4.0])
+        q_val, s1 = ctx.quantile_prefixes(np.array([-0.3, 0.0, 1.0 / 6.0, 5.0 / 6.0, 1.0, 1.2]))
+        np.testing.assert_array_equal(q_val, [1.0, 1.0, 1.0, 4.0, 4.0, 4.0])
+        np.testing.assert_allclose(s1, [0.0, 0.0, 1.0 / 6.0, 7.0 / 3.0 - 4.0 / 6.0, 7.0 / 3.0, 7.0 / 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=arrays(np.float64, st.integers(1, 40), elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+        q=arrays(np.float64, st.integers(1, 64), elements=st.floats(-0.5, 1.5)),
+    )
+    def test_matches_oracle_on_any_levels(self, x, q):
+        assert_matches_oracle(np.sort(x), q)
+
+
+def test_cost_and_gradient_hold_no_n_sized_tables():
+    # Only the prefix sum of the n projections may outlive the calls; the
+    # family's kernel table is built before tracing starts.
+    rng = np.random.default_rng(21)
+    model = random_gmm(2, 3, rng)
+    samples = mx.sample_mixture(model, rng, 100_000).samples
+    ctx = tp.make_projection_context(tp.random_projections(2, 1, rng)[0], samples)
+    tp.project_model(model, ctx)
+    nbytes = ctx.projected_samples.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        projected = tp.project_model(model, ctx)
+        tp.projected_w2(ctx, projected)
+        gr.euclidean_grad(model, ctx, projected)
+        del projected
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * nbytes
+    assert held - before <= 1.2 * nbytes
 
 
 class TestSlicedCost:
