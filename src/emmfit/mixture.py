@@ -7,11 +7,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import families
-from .errors import GenerationError, InvalidFamilyError
+from .errors import GenerationError, InvalidFamilyError, MismatchError
 from .families import EllipticalComponent, EllipticalFamily
 
 WEIGHT_TOL = 1e-12
@@ -56,22 +54,46 @@ class MixtureModel:
         return EllipticalComponent(self.mus[i], self.sigmas[i], self.family)
 
     def component_logpdf(self, x: np.ndarray) -> np.ndarray:
-        """(k, n) array of log(pi_i f_i(x)): weighted component log densities."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        parts = np.empty((self.k, x.shape[0]))
+        """(k, n) array of log(pi_i f_i(x)), the weighted component log
+        densities at the n rows of x ((n, m), or one point as an m-vector).
+
+        The rows are read as the (m, n) view x.T, without a copy, and go
+        through the same batched kernel that EM runs (``_weighted_logdens``)
+        with two (m, n) work buffers allocated here.
+        """
+        xt = np.atleast_2d(np.asarray(x, dtype=float)).T
+        return self._weighted_logdens(xt, np.empty(xt.shape), np.empty(xt.shape))
+
+    def _weighted_logdens(self, xt: np.ndarray, diff: np.ndarray, white: np.ndarray) -> np.ndarray:
+        """The (k, n) weighted component log densities at the columns of the
+        (m, n) array xt; diff and white are (m, n) buffers the caller owns
+        and may reuse across calls (their contents are overwritten).
+
+        One stacked Cholesky factors the k scatters as L_i L_i^T and one
+        stacked solve against the identity gives the L_i^-1.  Per component
+        the centred samples go into diff, one (m x m) @ (m x n) product
+        whitens them into white, and their squared column norms fill row i
+        of t; one ``log_gen`` call on all of t follows, and
+        log pi_i - 1/2 log det Sigma_i is added in place.
+        """
+        k, m = self.k, self.m
+        chol = np.linalg.cholesky(self.sigmas)
+        inv_chol = np.linalg.solve(chol, np.broadcast_to(np.eye(m), chol.shape))
+        half_logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        t = np.empty((k, xt.shape[1]))
+        for i in range(k):
+            np.subtract(xt, self.mus[i][:, None], out=diff)
+            np.matmul(inv_chol[i], diff, out=white)
+            np.einsum("ij,ij->j", white, white, out=t[i])
+        parts = self.family.log_gen(t)
         with np.errstate(divide="ignore"):
-            logw = np.log(self.weights)
-        for i in range(self.k):
-            chol = np.linalg.cholesky(self.sigmas[i])
-            z = solve_triangular(chol, (x - self.mus[i]).T, lower=True)
-            t = np.sum(z * z, axis=0)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            parts[i] = logw[i] + self.family.log_gen(t) - 0.5 * logdet
+            parts += (np.log(self.weights) - half_logdet)[:, None]
         return parts
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density at each row of x, computed by log-sum-exp."""
-        return logsumexp(self.component_logpdf(x), axis=0)
+        """Log density at each row of x: the max-shifted log-sum-exp of
+        ``component_logpdf(x)`` over the k components."""
+        return logsumexp_columns(self.component_logpdf(x))
 
     def to_dict(self) -> dict:
         return {
@@ -121,15 +143,37 @@ class Dataset:
         return self.samples.shape[1]
 
 
+def as_samples(data, m: int) -> np.ndarray:
+    """The (n, m) samples of a Dataset, or of a raw array given the Dataset
+    checks (a 2-D array with at least one row, every entry finite)."""
+    samples = (data if isinstance(data, Dataset) else Dataset(data)).samples
+    if samples.shape[1] != m:
+        raise MismatchError(f"data has {samples.shape[1]} columns, the model has dimension {m}")
+    return samples
+
+
+def logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)), each column shifted by its largest entry.
+
+    A column of -inf gives -inf, one holding +inf gives +inf and one
+    holding NaN gives NaN, as ``scipy.special.logsumexp`` does, without a
+    floating-point warning.
+    """
+    top = a.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift).sum(axis=0)) + shift
+
+
 def pdf(model: MixtureModel, x) -> float:
     """Mixture density at one point."""
     return float(np.exp(model.logpdf(np.asarray(x, dtype=float).reshape(1, -1))[0]))
 
 
 def nll(model: MixtureModel, data) -> float:
-    """Averaged negative log-likelihood over dataset rows."""
-    samples = data.samples if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    return float(-np.mean(model.logpdf(samples)))
+    """Averaged negative log-likelihood over the rows of a Dataset, or of a
+    raw (n, m) array given the Dataset checks."""
+    return float(-np.mean(model.logpdf(as_samples(data, model.m))))
 
 
 def sample_mixture(model: MixtureModel, rng: np.random.Generator, n: int) -> Dataset:

@@ -10,8 +10,10 @@ direction-wise method improves on), or the direction-wise accumulator
 (dadam).  All k scatters take one step together: their moments are
 (k, m, m) stacks, and one ``manifold.exp_sigma`` call retracts the whole
 stack, capping and halving each step as it needs.  An EM baseline covers
-the Gaussian family.  A fit has the seven settings of ``OptimizerConfig``
-and no others.
+the Gaussian family: its E-step runs the batched density kernel of
+``MixtureModel.component_logpdf`` on the samples in (m, n) layout, and
+its E- and M-steps reuse two (m, n) buffers allocated once per fit.  A
+fit has the seven settings of ``OptimizerConfig`` and no others.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import families, manifold, transport
 from .errors import EmmfitError, MismatchError, UnsupportedGradientError
 from .gradients import euclidean_grad
 from .manifold import PdPoint, SpherePoint
-from .mixture import Dataset, MixtureModel
+from .mixture import MixtureModel, as_samples, logsumexp_columns
 
 METHODS = ("vanilla", "radam", "dadam", "em")
 
@@ -100,15 +101,6 @@ class FitReport:
         return doc
 
 
-def _as_samples(data, m: int) -> np.ndarray:
-    """The (n, m) samples of a Dataset, or of a raw array given the Dataset
-    checks (a 2-D array with at least one row, every entry finite)."""
-    samples = (data if isinstance(data, Dataset) else Dataset(data)).samples
-    if samples.shape[1] != m:
-        raise MismatchError(f"data has {samples.shape[1]} columns, the model has dimension {m}")
-    return samples
-
-
 class _VectorAdamState:
     """Element-wise adaptive moments with the running max of the second."""
 
@@ -157,7 +149,7 @@ class _ScatterMoments:
 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
-    samples = _as_samples(data, model0.m)
+    samples = as_samples(data, model0.m)
     family = model0.family
     k, m = model0.k, model0.m
     method = cfg.method
@@ -282,10 +274,21 @@ def _is_gaussian(family) -> bool:
 
 
 def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
-    """Standard EM with a covariance eigenvalue floor and collapse reseeding."""
+    """Standard EM with a covariance eigenvalue floor and collapse reseeding.
+
+    The samples are copied once into a contiguous (m, n) array x^T, and two
+    (m, n) work buffers are allocated once per fit.  The E-step runs the
+    batched kernel of ``MixtureModel.component_logpdf`` on them; the
+    responsibilities then overwrite the (k, n) log densities in place.  In
+    the M-step each component's centred samples and their
+    responsibility-weighted copy reuse the two buffers, so its scatter is
+    one (m x n) @ (n x m) product, and one stacked ``eigh`` floors the
+    eigenvalues of all k scatters; a reseeded component keeps its
+    isotropic scatter.
+    """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
-    samples = _as_samples(data, model0.m)
+    samples = as_samples(data, model0.m)
     n, m = samples.shape
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
@@ -294,10 +297,17 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         np.var(samples[:, 0])
     )
     floor = 1e-6 * data_cov_trace / m
+    iso = np.eye(m) * data_cov_trace / m
 
     weights = model0.weights.copy()
     mus = model0.mus.copy()
     sigmas = model0.sigmas.copy()
+    # one contiguous (m, n) copy: centring a transposed view reads it
+    # across rows, about four times slower per pass
+    xt = np.ascontiguousarray(samples.T)
+    diff = np.empty((m, n))
+    wdiff = np.empty((m, n))
+    covs = np.empty((k, m, m))
 
     H = cfg.max_iters
     nll_trace = np.full(H, np.nan)
@@ -312,31 +322,36 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     for h in range(1, H + 1):
         tic = time.perf_counter()
         model = MixtureModel(model0.family, weights, mus, sigmas)
-        # E-step: responsibilities in the log domain
-        log_parts = model.component_logpdf(samples)
-        total = logsumexp(log_parts, axis=0)
+        # E-step: responsibilities in the log domain, then in place
+        log_parts = model._weighted_logdens(xt, diff, wdiff)
+        total = logsumexp_columns(log_parts)
         nll = float(-np.mean(total))
         nll_trace[h - 1] = nll
         if reason is None and not np.isfinite(nll):
             reason = f"non-finite NLL at iteration {h}"
-        resp = np.exp(log_parts - total)
+        resp = np.exp(np.subtract(log_parts, total, out=log_parts), out=log_parts)
 
         # M-step
         mass = resp.sum(axis=1)
+        collapsed = mass < 1e-8
         for i in range(k):
-            if mass[i] < 1e-8:
+            if collapsed[i]:
                 events.append(f"iter {h}: component {i} collapsed, reseeded")
                 mus[i] = samples[rng.integers(n)]
-                sigmas[i] = np.eye(m) * data_cov_trace / m
+                covs[i] = iso
                 weights[i] = 1.0 / k
                 continue
             weights[i] = mass[i] / n
             mus[i] = resp[i] @ samples / mass[i]
-            diff = samples - mus[i]
-            cov = (resp[i][:, None] * diff).T @ diff / mass[i]
-            lam, q = np.linalg.eigh(0.5 * (cov + cov.T))
-            sigmas[i] = (q * np.maximum(lam, floor)) @ q.T
+            np.subtract(xt, mus[i][:, None], out=diff)
+            np.multiply(diff, resp[i], out=wdiff)
+            covs[i] = wdiff @ diff.T / mass[i]
+        # drop the (k, n) arrays before the next E-step allocates its own
+        del log_parts, resp, total
         weights = weights / weights.sum()
+        lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
+        sigmas = (q * np.maximum(lam, floor)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        sigmas[collapsed] = iso
 
         weight_gap[h - 1] = abs(float(weights.sum()) - 1.0)
         lam_min = np.linalg.eigvalsh(sigmas)[:, 0]
@@ -366,7 +381,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
 def initialize(data, k: int, family, strategy: str = "random", rng=None) -> MixtureModel:
     """Random starting point: simplex weights, box-uniform or D^2-weighted
     locations, isotropic scatters carrying the data covariance trace."""
-    samples = _as_samples(data, family.m)
+    samples = as_samples(data, family.m)
     n, m = samples.shape
     if n < k:
         raise MismatchError(f"need at least k={k} samples, got {n}")

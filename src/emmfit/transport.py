@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
 from .families import EllipticalComponent
-from .mixture import Dataset, MixtureModel, sample_mixture
+from .mixture import Dataset, MixtureModel, as_samples, sample_mixture
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
 ASSIGNMENT_CUTOFF = 2048  # largest sample count for exact discrete matching
@@ -345,8 +345,9 @@ def sliced_cost(
     n_grid: int = 1024,
     margin_sigmas: float = 4.0,
 ) -> float:
-    """Average semi-discrete 1-D cost over the given unit projections."""
-    samples = data.samples if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    """Average semi-discrete 1-D cost over the given unit projections, on the
+    rows of a Dataset or of a raw (n, m) array given the Dataset checks."""
+    samples = as_samples(data, model.m)
     total = 0.0
     count = 0
     for p in projections:

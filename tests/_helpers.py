@@ -26,6 +26,38 @@ def bures_gap_newton(s1: np.ndarray, s2: np.ndarray) -> float:
     return float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
 
 
+# every family with a density, as a function of m
+DENSITY_FAMILIES = {
+    "gaussian": fam.gaussian,
+    "cauchy": fam.cauchy,
+    "laplace": fam.laplace,
+    "kotz": lambda m: fam.Kotz(m=m, a=2.0, b=1.0, s=1.5),
+    "pearson7": lambda m: fam.PearsonVII(m=m, v=5.0, s=(m + 5.0) / 2.0),
+    "pearson2": lambda m: fam.PearsonII(m=m, s=3.0),
+    "logistic": lambda m: fam.Logistic(m=m),
+    "hyperbolic": lambda m: fam.Hyperbolic(m=m, v=2.0, a=1.0, lam=-0.5),
+}
+
+
+def component_logpdf_oracle(model, x):
+    """(k, n) weighted component log densities log(pi_i f_i(x)) at the rows
+    of x, one component at a time: a Cholesky factor and a forward
+    substitution per component, on the samples in (n, m) layout."""
+    from scipy.linalg import solve_triangular
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    parts = np.empty((model.k, x.shape[0]))
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    for i in range(model.k):
+        chol = np.linalg.cholesky(model.sigmas[i])
+        z = solve_triangular(chol, (x - model.mus[i]).T, lower=True)
+        t = np.sum(z * z, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        parts[i] = logw[i] + model.family.log_gen(t) - 0.5 * logdet
+    return parts
+
+
 def golden_case():
     """The seeded m=2, k=3 data set and start of the golden fits."""
     data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from _helpers import golden_case, golden_fit, pchip_primitive_oracle
+from _helpers import DENSITY_FAMILIES, golden_case, golden_fit, pchip_primitive_oracle
 from emmfit import families as fam
 from emmfit.errors import (
     DensityUnavailableError,
@@ -17,6 +17,42 @@ from emmfit.errors import (
     SupportError,
     UnsupportedGradientError,
 )
+
+
+# log|x| nodes of the interpolated stable CDF, 0.01 <= |x| <= 100: below
+# them scipy returns F(0) (its window is 0.005 * alpha^(1/alpha) wide), and
+# above them, for alpha = 1.5, it changes method at |x| ~ 316 with a jump a
+# spline would ring around
+STABLE_LOG_NODES = np.linspace(math.log(0.01), math.log(100.0), 401)
+
+
+def stable_cdf(alpha):
+    """scipy's ``levy_stable.cdf(x, alpha, 0)`` at a fraction of its cost
+    (about 0.3 ms a point): a cubic spline in log|x| through its values at
+    STABLE_LOG_NODES, folded by F(-x) = 1 - F(x); the exact CDF for the
+    few points outside their range.  It is checked against the exact CDF
+    at 200 points halfway between the nodes, of both signs, where a spline
+    errs most, so a KS statistic moves by at most the 1e-6 allowed there."""
+    from scipy.interpolate import CubicSpline
+
+    lo, hi = np.exp(STABLE_LOG_NODES[[0, -1]])
+    spline = CubicSpline(STABLE_LOG_NODES, stats.levy_stable.cdf(np.exp(STABLE_LOG_NODES), alpha, 0.0))
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        mag = np.abs(x)
+        inside = (mag >= lo) & (mag <= hi)
+        upper = spline(np.log(mag[inside]))
+        out = np.empty_like(x)
+        out[inside] = np.where(x[inside] > 0.0, upper, 1.0 - upper)
+        if not inside.all():
+            out[~inside] = stats.levy_stable.cdf(x[~inside], alpha, 0.0)
+        return out
+
+    halfway = 0.5 * (STABLE_LOG_NODES[1:] + STABLE_LOG_NODES[:-1])
+    check = np.exp(halfway[::2]) * np.resize([1.0, -1.0], 200)
+    assert np.max(np.abs(cdf(check) - stats.levy_stable.cdf(check, alpha, 0.0))) < 1e-6
+    return cdf
 
 
 def quad_cdf_m1(family, xs, nodes=400_001, tail_scale=3.0):
@@ -140,7 +176,7 @@ class TestRSquaredSampler:
             r2 = family.sample_r2(rng, 50_000)
             sign = np.where(rng.random(50_000) < 0.5, -1.0, 1.0)
             x = np.sqrt(r2) * sign
-            ks = stats.kstest(x, lambda q: stats.levy_stable.cdf(q, alpha, 0.0)).statistic
+            ks = stats.kstest(x, stable_cdf(alpha)).statistic
             assert ks < 0.012
 
 
@@ -244,7 +280,7 @@ class TestSamplerDensityAgreement:
         family = fam.AlphaStable(m=1, alpha=1.5)
         comp = fam.EllipticalComponent(np.zeros(1), np.eye(1), family)
         x = fam.sample(comp, rng, 50_000)[:, 0]
-        ks = stats.kstest(x, lambda q: stats.levy_stable.cdf(q, 1.5, 0.0)).statistic
+        ks = stats.kstest(x, stable_cdf(1.5)).statistic
         assert ks < 0.012
 
 
@@ -313,19 +349,6 @@ def test_check_spd_validates_a_stack_in_one_call():
         fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]))
     with pytest.raises(NotPositiveDefiniteError):
         fam.check_spd(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])]))
-
-
-# every family with a density, as a function of m
-DENSITY_FAMILIES = {
-    "gaussian": fam.gaussian,
-    "cauchy": fam.cauchy,
-    "laplace": fam.laplace,
-    "kotz": lambda m: fam.Kotz(m=m, a=2.0, b=1.0, s=1.5),
-    "pearson7": lambda m: fam.PearsonVII(m=m, v=5.0, s=(m + 5.0) / 2.0),
-    "pearson2": lambda m: fam.PearsonII(m=m, s=3.0),
-    "logistic": lambda m: fam.Logistic(m=m),
-    "hyperbolic": lambda m: fam.Hyperbolic(m=m, v=2.0, a=1.0, lam=-0.5),
-}
 
 
 @functools.cache

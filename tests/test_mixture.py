@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
+from scipy.special import logsumexp
 
+from _helpers import DENSITY_FAMILIES, component_logpdf_oracle, golden_case, random_gmm
 from emmfit import families as fam
 from emmfit import mixture as mx
-from emmfit.errors import DensityUnavailableError, GenerationError, InvalidFamilyError
+from emmfit import transport as tp
+from emmfit.errors import DensityUnavailableError, GenerationError, InvalidFamilyError, MismatchError
 
 
 def small_model(m=2, k=3, family=None, seed=0):
@@ -69,6 +76,93 @@ class TestPdf:
     def test_invalid_weights(self):
         with pytest.raises(InvalidFamilyError):
             mx.MixtureModel(fam.gaussian(1), [0.5, 0.6], np.zeros((2, 1)), np.ones((2, 1, 1)))
+
+
+def kernel_case(family, k, rng):
+    """A k-component model of the family whose first scatter sits just above
+    the PD floor and, for k > 1, whose last weight is zero; and 40 points
+    near its locations, the first of them at the first location."""
+    m = family.m
+    mus = rng.normal(scale=2.0, size=(k, m))
+    sigmas = np.empty((k, m, m))
+    for i in range(k):
+        q = mx.random_orthogonal(m, rng)
+        lam = rng.uniform(0.5, 2.0, size=m)
+        if i == 0 and m > 1:
+            lam[0] = 2.0 * fam.PD_FLOOR * lam[1:].sum() / m
+        sigma = (q * lam) @ q.T
+        sigmas[i] = 0.5 * (sigma + sigma.T)
+    weights = rng.dirichlet(np.ones(k))
+    if k > 1:
+        weights[-1] = 0.0
+        weights /= weights.sum()
+    model = mx.MixtureModel(family, weights, mus, sigmas)
+    # Pearson II has support t <= 1: most points stay inside it
+    spread = 0.3 if family.name == "pearson2" else 1.0
+    x = mus[rng.integers(k, size=40)] + spread * rng.normal(size=(40, m))
+    x[0] = mus[0]
+    return model, x
+
+
+class TestComponentLogpdf:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("m", [1, 2, 8, 16])
+    @pytest.mark.parametrize("name", sorted(DENSITY_FAMILIES))
+    def test_matches_per_component_oracle(self, name, m, k):
+        model, x = kernel_case(DENSITY_FAMILIES[name](m), k, np.random.default_rng([m, k]))
+        # every row, one row, and one point given as an m-vector
+        for points in (x, x[1:2], x[1]):
+            got = model.component_logpdf(points)
+            want = component_logpdf_oracle(model, points)
+            assert got.shape == want.shape == (k, np.atleast_2d(points).shape[0])
+            # -inf (a zero weight, points outside a bounded support) exactly;
+            # finite values to 1e-12 of max(1, |value|), since a log density
+            # near zero still carries the rounding of its O(1) terms
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 16])
+    def test_gaussian_matches_scipy(self, m):
+        rng = np.random.default_rng(m)
+        model = random_gmm(m, 4, rng)
+        x = model.mus[rng.integers(4, size=40)] + rng.normal(size=(40, m))
+        want = np.stack([
+            np.log(w) + stats.multivariate_normal.logpdf(x, mu, sigma)
+            for w, mu, sigma in zip(model.weights, model.mus, model.sigmas)
+        ])
+        np.testing.assert_allclose(model.component_logpdf(x), want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 8)),
+            elements=st.one_of(st.floats(-1e3, 1e3), st.just(-np.inf)),
+        ),
+        st.integers(0, 7),
+    )
+    def test_logsumexp_matches_scipy(self, a, dead):
+        a = a.copy()
+        a[:, dead % a.shape[1]] = -np.inf  # one column without any mass
+        np.testing.assert_allclose(mx.logsumexp_columns(a), logsumexp(a, axis=0), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "extra column"])
+@pytest.mark.parametrize("reader", ["nll", "sliced_cost"])
+def test_raw_samples_are_checked_at_the_boundary(reader, kind):
+    data, model = golden_case()
+    samples = data.samples.copy()
+    error = InvalidFamilyError
+    if kind == "nan":
+        samples[7, 1] = np.nan
+    elif kind == "inf":
+        samples[0, 0] = np.inf
+    else:
+        samples, error = np.hstack([samples, samples[:, :1]]), MismatchError
+    with pytest.raises(error):
+        if reader == "nll":
+            mx.nll(model, samples)
+        else:
+            tp.sliced_cost(model, samples, tp.random_projections(2, 4, np.random.default_rng(0)))
 
 
 class TestNll:

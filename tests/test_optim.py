@@ -10,9 +10,11 @@ are left as they are, and with no name the script prints its usage and
 writes nothing.
 """
 
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +86,14 @@ def test_iterates_stay_on_simplex_and_pd(case, method, monkeypatch):
     assert np.all(report.min_eig_ratio > 0.0)
 
 
-def test_scatter_step_work_per_iteration(case, monkeypatch):
-    # Per iteration: one Lyapunov solve in the retraction, one in the
-    # momentum transport; one eigvalsh for the trust cap, one eigh of the
-    # retracted scatters, one eigvalsh validating the new model.
-    calls = {"solve": 0, "eig": 0}
+EIGEN_ROUTINES = [(np.linalg, "eigh"), (np.linalg, "eigvalsh")]
+
+
+def calls_per_iteration(case, monkeypatch, method, routines):
+    """Calls per iteration of each kind of routine ({kind: [(owner, name)]})
+    in the golden fit by method: the difference of a 40- and a 20-iteration
+    fit, which leaves out the one-off validations of the start and result."""
+    calls = dict.fromkeys(routines, 0)
 
     def counting(kind, fn):
         def wrapper(*args, **kwargs):
@@ -97,19 +102,75 @@ def test_scatter_step_work_per_iteration(case, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(optim.manifold, "lyapunov_solve", counting("solve", optim.manifold.lyapunov_solve))
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting("eig", getattr(np.linalg, name)))
+    for kind, names in routines.items():
+        for owner, name in names:
+            monkeypatch.setattr(owner, name, counting(kind, getattr(owner, name)))
     data, model0 = case
     totals = []
     for iters in (20, 40):
-        calls.update(solve=0, eig=0)
-        cfg = optim.OptimizerConfig(method="dadam", alpha=0.03, max_iters=iters, em_tol=0.0, seed=5)
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=iters, em_tol=0.0, seed=5)
         assert optim.fit(model0, data, cfg).iterations == iters
         totals.append(dict(calls))
-    # the difference leaves out the one-off validation of the start
-    assert (totals[1]["solve"] - totals[0]["solve"]) / 20 <= 2
-    assert (totals[1]["eig"] - totals[0]["eig"]) / 20 <= 3
+    return {kind: (totals[1][kind] - totals[0][kind]) / 20 for kind in calls}
+
+
+def test_scatter_step_work_per_iteration(case, monkeypatch):
+    # Per iteration: one Lyapunov solve in the retraction, one in the
+    # momentum transport; one eigvalsh for the trust cap, one eigh of the
+    # retracted scatters, one eigvalsh validating the new model.
+    routines = {"solve": [(optim.manifold, "lyapunov_solve")], "eig": EIGEN_ROUTINES}
+    per_iteration = calls_per_iteration(case, monkeypatch, "dadam", routines)
+    assert per_iteration["solve"] <= 2
+    assert per_iteration["eig"] <= 3
+
+
+def test_em_eigen_work_per_iteration(case, monkeypatch):
+    # Per iteration: one stacked eigh flooring the k scatters, one eigvalsh
+    # for the health record, one eigvalsh validating the new model.
+    assert calls_per_iteration(case, monkeypatch, "em", {"eig": EIGEN_ROUTINES})["eig"] <= 3
+
+
+def test_em_takes_no_triangular_solve_or_scipy_logsumexp(case, monkeypatch):
+    import scipy.linalg
+    import scipy.special
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused scipy routine was called")
+
+    for owner, name in ((scipy.linalg, "solve_triangular"), (scipy.special, "logsumexp")):
+        monkeypatch.setattr(owner, name, refuse)
+        # and wherever an engine module imported the name itself
+        for module in (mx, optim):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    report = golden_fit("em", *case)
+    assert not report.failed
+    assert report.iterations == 40
+
+
+def test_em_and_nll_hold_few_sample_sized_buffers():
+    n, m, k = 100_000, 8, 4
+    data = mx.generate_synthetic(m, k, n, 4.0, 2.0, np.random.default_rng(3))
+    model0 = optim.initialize(data, k, fam.gaussian(m), "kmeanspp-lite", np.random.default_rng(4))
+    cfg = optim.OptimizerConfig(method="em", max_iters=3, em_tol=0.0)
+    unit = 8 * n * m  # bytes of the samples
+    peaks = []
+    for run in (lambda: optim.fit(model0, data, cfg), lambda: mx.nll(model0, data.samples)):
+        run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
+        finally:
+            tracemalloc.stop()
+    # EM: the (m, n) copy of the samples, two (m, n) buffers and the (k, n)
+    # densities with their temporaries, 4.75 units (fresh per-component
+    # temporaries in (n, m) layout peak at 5.75); nll reads x^T as a view
+    # and peaks at 3.50 units.
+    assert peaks[0] < 5.0
+    assert peaks[1] < 3.6
 
 
 def test_weight_floor_is_reported(case):
