@@ -13,7 +13,7 @@ the stepsize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,10 @@ PD_RETRIES = 20
 # |L| = 1, and single-projection noise on thin components produces raw
 # steps far beyond it.
 TRUST_CAP = 0.3
+# Every |eigenvalue| of L is at most its Frobenius norm, so an image whose
+# norm is at most this (the cap less a margin for rounding in either
+# norm) is below the cap and needs no eigenvalues.
+CAP_PRETEST = (1.0 - 1e-6) * TRUST_CAP
 
 
 @dataclass(frozen=True)
@@ -57,17 +61,26 @@ class PdPoint:
     """Positive definite matrix or (k, m, m) stack, sigma = q diag(lam) q^T.
 
     ``PdPoint(sigma)`` validates with ``check_spd`` and runs one ``eigh``;
-    ``exp_sigma`` passes in the lam and q of the eigh that admitted it."""
+    ``exp_sigma`` builds its result with ``_admitted`` from the lam and q
+    of the eigh that admitted it.  Either way a PdPoint is an admitted
+    point: ``MixtureModel`` takes one in place of a scatter stack without
+    deciding positive definiteness again."""
 
     sigma: np.ndarray
-    lam: np.ndarray | None = None
-    q: np.ndarray | None = None
+    lam: np.ndarray = field(init=False)
+    q: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.lam is None:
-            sigma = check_spd(self.sigma)
-            lam, q = np.linalg.eigh(sigma)
-            self.__dict__.update(sigma=sigma, lam=lam, q=q)
+        sigma = check_spd(self.sigma)
+        lam, q = np.linalg.eigh(sigma)
+        self.__dict__.update(sigma=sigma, lam=lam, q=q)
+
+    @classmethod
+    def _admitted(cls, sigma, lam, q) -> "PdPoint":
+        """A point from the eigh (lam, q) that admitted sigma, unchecked."""
+        point = object.__new__(cls)
+        point.__dict__.update(sigma=sigma, lam=lam, q=q)
+        return point
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -100,9 +113,11 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
     """Retraction (L + I) Sigma (L + I), L = L_Sigma[step], of an already-scaled step.
 
     L is first scaled down to TRUST_CAP (see there; the quadratic is
-    trustworthy only while |L| < 1).  One ``eigh`` of the images is both
-    their PD-floor test and the decomposition the new point keeps.  An
-    image below the floor is retried with L halved, at most PD_RETRIES
+    trustworthy only while |L| < 1).  Only an L whose Frobenius norm
+    exceeds CAP_PRETEST can reach the cap, so only those have their
+    eigenvalues read (``_trust_cap``).  One ``eigh`` of the images is
+    both their PD-floor test and the decomposition the new point keeps.
+    An image below the floor is retried with L halved, at most PD_RETRIES
     times; a matrix that never passes keeps its input value.
 
     Returns (point, halvings): the halvings each matrix took, an int for
@@ -112,9 +127,7 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
     point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
     shape, m = point.sigma.shape, point.sigma.shape[-1]
     lyap = lyapunov_solve(point, step).reshape(-1, m, m)
-    top = np.abs(np.linalg.eigvalsh(lyap)[:, [0, -1]]).max(axis=1)
-    # the factor is exactly 1.0 below the cap, and never divides by zero
-    lyap *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
+    _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
     sig, lam, q = base.copy(), point.lam.reshape(-1, m).copy(), point.q.reshape(-1, m, m).copy()
     halvings = np.zeros(len(base), dtype=int)
@@ -130,8 +143,22 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
             break
         halvings[todo] += 1
         lyap[todo] *= 0.5
-    out = PdPoint(sig.reshape(shape), lam.reshape(shape[:-1]), q.reshape(shape))
+    out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]), q.reshape(shape))
     return out, (int(halvings[0]) if len(shape) == 2 else halvings)
+
+
+def _trust_cap(lyap: np.ndarray) -> None:
+    """Scale each image of the (k, m, m) stack lyap, in place, so that its
+    largest |eigenvalue| is at most TRUST_CAP.
+
+    Images at or below CAP_PRETEST in Frobenius norm are left as they are:
+    for them the factor below is exactly 1.0, so skipping it keeps every bit.
+    """
+    near = np.flatnonzero(np.einsum("kij,kij->k", lyap, lyap) > CAP_PRETEST * CAP_PRETEST)
+    if near.size:
+        top = np.abs(np.linalg.eigvalsh(lyap[near])[:, [0, -1]]).max(axis=1)
+        # the factor is exactly 1.0 below the cap, and never divides by zero
+        lyap[near] *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
 
 
 def exp_sphere(s: SpherePoint | np.ndarray, tangent: np.ndarray) -> SpherePoint:

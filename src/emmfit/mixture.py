@@ -11,6 +11,7 @@ import numpy as np
 from . import families
 from .errors import GenerationError, InvalidFamilyError, MismatchError
 from .families import EllipticalComponent, EllipticalFamily
+from .manifold import PdPoint
 
 WEIGHT_TOL = 1e-12
 
@@ -21,6 +22,10 @@ class MixtureModel:
 
     ``weights`` is a probability vector, ``mus`` is (k, m) and ``sigmas``
     is (k, m, m) with every scatter matrix symmetric positive definite.
+    A raw ``sigmas`` array is checked by ``families.check_spd``; an admitted
+    ``manifold.PdPoint`` stack is taken as it is (its ``sigma`` becomes
+    ``sigmas``), because the eigh that admitted it already decided it.
+    Weights and shapes are checked either way.
     """
 
     family: EllipticalFamily
@@ -31,13 +36,15 @@ class MixtureModel:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         mus = np.asarray(self.mus, dtype=float)
-        sigmas = np.asarray(self.sigmas, dtype=float)
+        admitted = isinstance(self.sigmas, PdPoint)
+        sigmas = self.sigmas.sigma if admitted else np.asarray(self.sigmas, dtype=float)
         if w.ndim != 1 or np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise InvalidFamilyError("weights must be nonnegative and sum to one")
         k, m = w.size, self.family.m
         if mus.shape != (k, m) or sigmas.shape != (k, m, m):
             raise InvalidFamilyError(f"expected mus ({k},{m}) and sigmas ({k},{m},{m})")
-        families.check_spd(sigmas)
+        if not admitted:
+            families.check_spd(sigmas)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mus", mus)
         object.__setattr__(self, "sigmas", sigmas)
@@ -152,6 +159,17 @@ def as_samples(data, m: int) -> np.ndarray:
     return samples
 
 
+def sample_covariance(samples: np.ndarray) -> np.ndarray:
+    """The biased (m, m) covariance of the rows of an (n, m) array."""
+    m = samples.shape[1]
+    return np.cov(samples.T, bias=True).reshape(m, m)
+
+
+def _column_shift(a: np.ndarray) -> np.ndarray:
+    top = a.max(axis=0)
+    return np.where(np.isfinite(top), top, 0.0)
+
+
 def logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)), each column shifted by its largest entry.
 
@@ -159,10 +177,24 @@ def logsumexp_columns(a: np.ndarray) -> np.ndarray:
     holding NaN gives NaN, as ``scipy.special.logsumexp`` does, without a
     floating-point warning.
     """
-    top = a.max(axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)
+    shift = _column_shift(a)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - shift).sum(axis=0)) + shift
+
+
+def normalize_columns(a: np.ndarray) -> np.ndarray:
+    """Overwrite a with exp(a) / sum(exp(a), axis=0) and return the
+    log-sum-exp of its columns, bit for bit ``logsumexp_columns(a)``.
+
+    One ``exp`` pass serves both: the shifted exponentials are written
+    over a, summed for the log-sum-exp, and divided by their column sums.
+    """
+    shift = _column_shift(a)
+    np.exp(np.subtract(a, shift, out=a), out=a)
+    sums = a.sum(axis=0)
+    a /= sums
+    with np.errstate(divide="ignore"):
+        return np.log(sums) + shift
 
 
 def pdf(model: MixtureModel, x) -> float:

@@ -9,11 +9,16 @@ adaptive moments (radam, the baseline whose matrix handling the
 direction-wise method improves on), or the direction-wise accumulator
 (dadam).  All k scatters take one step together: their moments are
 (k, m, m) stacks, and one ``manifold.exp_sigma`` call retracts the whole
-stack, capping and halving each step as it needs.  An EM baseline covers
-the Gaussian family: its E-step runs the batched density kernel of
-``MixtureModel.component_logpdf`` on the samples in (m, n) layout, and
-its E- and M-steps reuse two (m, n) buffers allocated once per fit.  A
-fit has the seven settings of ``OptimizerConfig`` and no others.
+stack, capping and halving each step as it needs.  Each thing is decided
+once: the samples are validated at the ``fit`` boundary and their
+covariance, which sets every direction's grid margin, is taken once per
+fit; each step's model is built from the ``PdPoint`` the retraction
+admitted, so no scatter is checked again inside the loop.  An EM
+baseline covers the Gaussian family: its E-step runs the batched density
+kernel of ``MixtureModel.component_logpdf`` on the samples in (m, n)
+layout, and its E- and M-steps reuse two (m, n) buffers allocated once
+per fit.  A fit has the seven settings of ``OptimizerConfig`` and no
+others.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from . import families, manifold, transport
 from .errors import EmmfitError, MismatchError, UnsupportedGradientError
 from .gradients import euclidean_grad
 from .manifold import PdPoint, SpherePoint
-from .mixture import MixtureModel, as_samples, logsumexp_columns
+from .mixture import MixtureModel, as_samples, normalize_columns, sample_covariance
 
 METHODS = ("vanilla", "radam", "dadam", "em")
 
@@ -150,6 +155,7 @@ class _ScatterMoments:
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
     samples = as_samples(data, model0.m)
+    cov = sample_covariance(samples)
     family = model0.family
     k, m = model0.k, model0.m
     method = cfg.method
@@ -179,7 +185,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
         # one direction per step; seeded fits depend on this exact draw
         p = transport.random_projections(m, 1, rng)[0]
         try:
-            ctx = transport.make_projection_context(p, samples)
+            ctx = transport.make_projection_context(p, samples, cov=cov)
             projected = transport.project_model(current, ctx)
             cost = transport.projected_w2(ctx, projected)
             grad = euclidean_grad(current, ctx, projected)
@@ -227,7 +233,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
                 else:
                     events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
 
-            current = MixtureModel(family, sphere.weights, mus, points.sigma)
+            current = MixtureModel(family, sphere.weights, mus, points)
 
         costs[h - 1] = cost
         weight_gap[h - 1] = abs(float(np.sum(current.weights)) - 1.0)
@@ -279,12 +285,14 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     The samples are copied once into a contiguous (m, n) array x^T, and two
     (m, n) work buffers are allocated once per fit.  The E-step runs the
     batched kernel of ``MixtureModel.component_logpdf`` on them; the
-    responsibilities then overwrite the (k, n) log densities in place.  In
+    responsibilities then overwrite the (k, n) log densities in place, from
+    the one ``exp`` that their log-sum-exp takes (``normalize_columns``).  In
     the M-step each component's centred samples and their
     responsibility-weighted copy reuse the two buffers, so its scatter is
     one (m x n) @ (n x m) product, and one stacked ``eigh`` floors the
-    eigenvalues of all k scatters; a reseeded component keeps its
-    isotropic scatter.
+    eigenvalues of all k scatters, whose smallest floored eigenvalue is
+    also the health record's; a reseeded component keeps its isotropic
+    scatter.
     """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
@@ -293,9 +301,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
 
-    data_cov_trace = float(np.trace(np.cov(samples.T, bias=True))) if m > 1 else float(
-        np.var(samples[:, 0])
-    )
+    data_cov_trace = float(np.trace(sample_covariance(samples)))
     floor = 1e-6 * data_cov_trace / m
     iso = np.eye(m) * data_cov_trace / m
 
@@ -322,14 +328,12 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     for h in range(1, H + 1):
         tic = time.perf_counter()
         model = MixtureModel(model0.family, weights, mus, sigmas)
-        # E-step: responsibilities in the log domain, then in place
-        log_parts = model._weighted_logdens(xt, diff, wdiff)
-        total = logsumexp_columns(log_parts)
-        nll = float(-np.mean(total))
+        # E-step: the log densities become the responsibilities in place
+        resp = model._weighted_logdens(xt, diff, wdiff)
+        nll = float(-np.mean(normalize_columns(resp)))
         nll_trace[h - 1] = nll
         if reason is None and not np.isfinite(nll):
             reason = f"non-finite NLL at iteration {h}"
-        resp = np.exp(np.subtract(log_parts, total, out=log_parts), out=log_parts)
 
         # M-step
         mass = resp.sum(axis=1)
@@ -347,15 +351,17 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
             np.multiply(diff, resp[i], out=wdiff)
             covs[i] = wdiff @ diff.T / mass[i]
         # drop the (k, n) arrays before the next E-step allocates its own
-        del log_parts, resp, total
+        del resp
         weights = weights / weights.sum()
         lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
-        sigmas = (q * np.maximum(lam, floor)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        lam = np.maximum(lam, floor)
+        sigmas = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         sigmas[collapsed] = iso
+        # the floored eigenvalues are the new scatters' (up to rounding)
+        lam[collapsed] = iso[0, 0]
 
         weight_gap[h - 1] = abs(float(weights.sum()) - 1.0)
-        lam_min = np.linalg.eigvalsh(sigmas)[:, 0]
-        min_eig_ratio[h - 1] = np.min(lam_min / (np.trace(sigmas, axis1=1, axis2=2) / m))
+        min_eig_ratio[h - 1] = np.min(lam[:, 0] / (np.trace(sigmas, axis1=1, axis2=2) / m))
         wall[h - 1] = 1e3 * (time.perf_counter() - tic)
         done = h
         if abs(prev_nll - nll) < cfg.em_tol:
@@ -388,8 +394,7 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))
-    cov = np.cov(samples.T, bias=True).reshape(m, m)
-    iso = np.eye(m) * float(np.trace(cov)) / m
+    iso = np.eye(m) * float(np.trace(sample_covariance(samples))) / m
     if strategy == "random":
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         mus = rng.uniform(lo, hi, size=(k, m))

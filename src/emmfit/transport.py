@@ -12,20 +12,18 @@ gradient ask for.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
 from .families import EllipticalComponent
-from .mixture import Dataset, MixtureModel, as_samples, sample_mixture
+from .mixture import MixtureModel, as_samples, sample_covariance
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
-ASSIGNMENT_CUTOFF = 2048  # largest sample count for exact discrete matching
-SLICED_FALLBACK_PROJECTIONS = 512
 
 
 def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
@@ -171,6 +169,11 @@ def d_u(
     return value, TransportPlan(perm, value, angle)
 
 
+def _check_unit(p: np.ndarray) -> None:
+    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+        raise MismatchError("projection direction must be unit norm")
+
+
 @dataclass(frozen=True)
 class ProjectionContext:
     """One random direction: sorted projected data and the quadrature grid.
@@ -180,6 +183,11 @@ class ProjectionContext:
     flat outside [1/(2n), 1 - 1/(2n)].  Q and its prefix integral are read
     from x by index arithmetic, so the only per-direction table is the
     prefix sum of x, built on first use.
+
+    A context built from outside checks that p is a unit vector and that
+    the projections are sorted.  ``make_projection_context`` checks p and
+    sorts the projections itself, so the context it returns is trusted
+    and skips the O(n) sortedness re-scan (``_trusted``).
     """
 
     p: np.ndarray
@@ -188,10 +196,16 @@ class ProjectionContext:
     grid_weights: np.ndarray
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.p) - 1.0) > 1e-12:
-            raise MismatchError("projection direction must be unit norm")
+        _check_unit(self.p)
         if np.any(np.diff(self.projected_samples) < 0.0):
             raise MismatchError("projected samples must be sorted")
+
+    @classmethod
+    def _trusted(cls, p, projected_samples, grid, grid_weights) -> "ProjectionContext":
+        """A context over a unit p and projections already sorted, unchecked."""
+        ctx = object.__new__(cls)
+        ctx.__dict__.update(p=p, projected_samples=projected_samples, grid=grid, grid_weights=grid_weights)
+        return ctx
 
     @cached_property
     def _prefix_sums(self) -> np.ndarray:
@@ -229,22 +243,38 @@ class ProjectionContext:
 
 
 def make_projection_context(
-    p: np.ndarray, samples: np.ndarray, n_grid: int = 1024, margin_sigmas: float = 4.0
+    p: np.ndarray,
+    samples: np.ndarray,
+    n_grid: int = 1024,
+    margin_sigmas: float = 4.0,
+    *,
+    cov: np.ndarray,
 ) -> ProjectionContext:
-    """Project the data along p and lay a uniform trapezoid grid over it."""
+    """Project the data along the unit vector p and lay a uniform trapezoid
+    grid over it, reaching margin_sigmas spreads past the extreme projections.
+
+    The spread is the projections' standard deviation, read as
+    sqrt(p' cov p) from the samples' biased covariance ``cov``
+    (``mixture.sample_covariance``), which a caller projecting the same
+    samples many times computes once.  Constant projections fall back to a
+    spread of max(1, |x|).  The context is built trusted: p is checked here
+    and the projections are sorted here, so nothing is re-scanned.
+    """
     p = np.asarray(p, dtype=float)
-    projected = np.asarray(samples, dtype=float) @ p
+    _check_unit(p)
+    samples = np.asarray(samples, dtype=float)
+    projected = samples @ p
     projected.sort()
-    spread = float(projected.std())
-    if spread <= 0.0:
-        spread = max(1.0, abs(float(projected[0])))
+    var = float(p @ cov @ p)
+    # constant projections have var 0, or a rounding-negative one
+    spread = math.sqrt(var) if var > 0.0 else max(1.0, abs(float(projected[0])))
     lo = projected[0] - margin_sigmas * spread
     hi = projected[-1] + margin_sigmas * spread
     grid = np.linspace(lo, hi, n_grid)
     step = grid[1] - grid[0]
     weights = np.full(n_grid, step)
     weights[0] = weights[-1] = 0.5 * step
-    return ProjectionContext(p, projected, grid, weights)
+    return ProjectionContext._trusted(p, projected, grid, weights)
 
 
 @dataclass(frozen=True)
@@ -348,10 +378,11 @@ def sliced_cost(
     """Average semi-discrete 1-D cost over the given unit projections, on the
     rows of a Dataset or of a raw (n, m) array given the Dataset checks."""
     samples = as_samples(data, model.m)
+    cov = sample_covariance(samples)
     total = 0.0
     count = 0
     for p in projections:
-        ctx = make_projection_context(p, samples, n_grid=n_grid, margin_sigmas=margin_sigmas)
+        ctx = make_projection_context(p, samples, n_grid=n_grid, margin_sigmas=margin_sigmas, cov=cov)
         total += projected_w2(ctx, project_model(model, ctx))
         count += 1
     if count == 0:
@@ -364,55 +395,3 @@ def random_projections(m: int, count: int, rng: np.random.Generator) -> np.ndarr
     p = rng.standard_normal((count, m))
     return p / np.linalg.norm(p, axis=1, keepdims=True)
 
-
-def _materialize(side, rng: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(side, MixtureModel):
-        return sample_mixture(side, rng, n).samples
-    samples = side.samples if isinstance(side, Dataset) else np.asarray(side, dtype=float)
-    if samples.shape[0] > n:
-        idx = np.sort(rng.choice(samples.shape[0], size=n, replace=False))
-        return samples[idx]
-    return samples
-
-
-def w2_method(n: int, m: int) -> str:
-    """Which estimator mc_mixture_w2 uses for a given size and dimension."""
-    if m == 1:
-        return "sorted"
-    return "assignment" if n <= ASSIGNMENT_CUTOFF else "sliced"
-
-
-def mc_mixture_w2(side1, side2, rng: np.random.Generator, n: int = 1024) -> float:
-    """Empirical squared Wasserstein distance between two sample clouds.
-
-    Each side is a MixtureModel (sampled at size n) or sample data
-    (subsampled to size n).  1-D uses sorted matching; m > 1 solves the
-    assignment problem exactly up to the cutoff, beyond which the sliced
-    approximation with 512 projections is used (see ``w2_method``).
-    """
-    sides = [side1, side2]
-    counts = [
-        n if isinstance(s, MixtureModel) else min(n, np.asarray(getattr(s, "samples", s)).shape[0])
-        for s in sides
-    ]
-    size = min(counts)
-    if size < 2:
-        raise MismatchError("need at least two samples per side")
-    x = _materialize(side1, rng, size)
-    y = _materialize(side2, rng, size)
-    if x.shape != y.shape:
-        raise MismatchError("sample clouds must have equal shape")
-    m = x.shape[1]
-    method = w2_method(size, m)
-    if method == "sorted":
-        diff = np.sort(x[:, 0]) - np.sort(y[:, 0])
-        return float(np.mean(diff * diff))
-    if method == "assignment":
-        costs = cdist(x, y, metric="sqeuclidean")
-        rows, cols = linear_sum_assignment(costs)
-        return float(costs[rows, cols].mean())
-    total = 0.0
-    for p in random_projections(m, SLICED_FALLBACK_PROJECTIONS, rng):
-        diff = np.sort(x @ p) - np.sort(y @ p)
-        total += float(np.mean(diff * diff))
-    return total / SLICED_FALLBACK_PROJECTIONS

@@ -2,10 +2,14 @@
 
 import numpy as np
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
+from emmfit import transport as tp
+from emmfit.errors import MismatchError
 
 
 def newton_sqrtm(a: np.ndarray, iters: int = 60) -> np.ndarray:
@@ -120,6 +124,16 @@ def quantile_prefix_oracle(x, q):
     return qv, s1_q, s2_q
 
 
+def trust_cap_always_eigvalsh(lyap):
+    """The trust cap without the Frobenius pre-test: the eigenvalues of every
+    image in the (k, m, m) stack lyap are read, and each image is scaled in
+    place by TRUST_CAP / max(largest |eigenvalue|, TRUST_CAP)."""
+    from emmfit import manifold as mf
+
+    top = np.abs(np.linalg.eigvalsh(lyap)[:, [0, -1]]).max(axis=1)
+    lyap *= (mf.TRUST_CAP / np.maximum(top, mf.TRUST_CAP))[:, None, None]
+
+
 def random_spd(m, rng, base=1.0, spread=0.5):
     a = rng.normal(size=(m, m)) * spread
     return a @ a.T + base * np.eye(m)
@@ -130,6 +144,64 @@ def random_gmm(m, k, rng, mu_scale=2.0, balanced=False, base=0.5, spread=0.5):
     sigmas = np.stack([random_spd(m, rng, base=base, spread=spread) for _ in range(k)])
     pi = np.full(k, 1.0 / k) if balanced else rng.dirichlet(np.ones(k))
     return mx.MixtureModel(fam.gaussian(m), pi, mus, sigmas)
+
+
+ASSIGNMENT_CUTOFF = 2048  # largest sample count for exact discrete matching
+SLICED_FALLBACK_PROJECTIONS = 512
+
+
+def _materialize(side, rng: np.random.Generator, n: int) -> np.ndarray:
+    if isinstance(side, mx.MixtureModel):
+        return mx.sample_mixture(side, rng, n).samples
+    samples = side.samples if isinstance(side, mx.Dataset) else np.asarray(side, dtype=float)
+    if samples.shape[0] > n:
+        idx = np.sort(rng.choice(samples.shape[0], size=n, replace=False))
+        return samples[idx]
+    return samples
+
+
+def w2_method(n: int, m: int) -> str:
+    """Which estimator mc_mixture_w2 uses for a given size and dimension."""
+    if m == 1:
+        return "sorted"
+    return "assignment" if n <= ASSIGNMENT_CUTOFF else "sliced"
+
+
+def mc_mixture_w2(side1, side2, rng: np.random.Generator, n: int = 1024) -> float:
+    """Monte Carlo oracle: the empirical squared Wasserstein distance
+    between two sample clouds.
+
+    Each side is a MixtureModel (sampled at size n) or sample data
+    (subsampled to size n).  1-D uses sorted matching; m > 1 solves the
+    assignment problem exactly up to the cutoff, beyond which the sliced
+    approximation with 512 projections is used (see ``w2_method``).
+    """
+    sides = [side1, side2]
+    counts = [
+        n if isinstance(s, mx.MixtureModel) else min(n, np.asarray(getattr(s, "samples", s)).shape[0])
+        for s in sides
+    ]
+    size = min(counts)
+    if size < 2:
+        raise MismatchError("need at least two samples per side")
+    x = _materialize(side1, rng, size)
+    y = _materialize(side2, rng, size)
+    if x.shape != y.shape:
+        raise MismatchError("sample clouds must have equal shape")
+    m = x.shape[1]
+    method = w2_method(size, m)
+    if method == "sorted":
+        diff = np.sort(x[:, 0]) - np.sort(y[:, 0])
+        return float(np.mean(diff * diff))
+    if method == "assignment":
+        costs = cdist(x, y, metric="sqeuclidean")
+        rows, cols = linear_sum_assignment(costs)
+        return float(costs[rows, cols].mean())
+    total = 0.0
+    for p in tp.random_projections(m, SLICED_FALLBACK_PROJECTIONS, rng):
+        diff = np.sort(x @ p) - np.sort(y @ p)
+        total += float(np.mean(diff * diff))
+    return total / SLICED_FALLBACK_PROJECTIONS
 
 
 def exact_w2_1d_gmm(model_a, model_b, nodes=100_000, span=12.0):
@@ -156,6 +228,14 @@ def exact_w2_1d_gmm(model_a, model_b, nodes=100_000, span=12.0):
     return float(np.mean((qa - qb) ** 2))
 
 
+def line_ctx(x, n_grid=1024, margin_sigmas=4.0):
+    """``make_projection_context`` along the one direction of 1-D samples x."""
+    samples = np.asarray(x, dtype=float)[:, None]
+    return tp.make_projection_context(
+        np.array([1.0]), samples, n_grid, margin_sigmas, cov=mx.sample_covariance(samples)
+    )
+
+
 def stratified_target_ctx(p, rng, n=4000, n_grid=1024, k_target=3, span=3.0):
     """ProjectionContext whose target is quantile-stratified, not sampled.
 
@@ -164,8 +244,6 @@ def stratified_target_ctx(p, rng, n=4000, n_grid=1024, k_target=3, span=3.0):
     quantiles of a smooth reference mixture keep the cost differentiable
     while exercising the same code path.
     """
-    from emmfit import transport as tp
-
     mus = rng.uniform(-span, span, size=k_target)
     sds = rng.uniform(0.7, 1.6, size=k_target)
     w = rng.dirichlet(np.ones(k_target) * 5.0)
@@ -189,8 +267,6 @@ def stratified_target_ctx(p, rng, n=4000, n_grid=1024, k_target=3, span=3.0):
 
 
 def projection_cost(family, weights, mus, sigmas, ctx):
-    from emmfit import transport as tp
-
     projected = tp.project_components(family, weights, mus, sigmas, ctx)
     return tp.projected_w2(ctx, projected)
 
@@ -205,8 +281,6 @@ def fd_gradient_errors(model, ctx, h=1e-5):
     any single step sporadically noisy).
     """
     from emmfit import gradients as gr
-    from emmfit import transport as tp
-
     projected = tp.project_model(model, ctx)
     grad = gr.euclidean_grad(model, ctx, projected)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _helpers import fd_gradient_errors, random_model_for_grad, stratified_target_ctx
+from _helpers import fd_gradient_errors, line_ctx, random_model_for_grad, stratified_target_ctx
 from emmfit import families as fam
 from emmfit import gradients as gr
 from emmfit import manifold as mf
@@ -23,7 +23,7 @@ class TestEuclideanGrad:
         model = mx.MixtureModel(fam.gaussian(1), [1.0], [[0.4]], [[[1.3]]])
         levels = (np.arange(20_000) + 0.5) / 20_000
         target = stats.norm.ppf(levels, loc=0.4, scale=np.sqrt(1.3))
-        ctx = tp.make_projection_context(np.array([1.0]), target[:, None])
+        ctx = line_ctx(target)
         grad = gr.euclidean_grad(model, ctx)
         assert abs(grad.g_mu[0, 0]) < 1e-3
         assert abs(grad.w_sigma[0]) < 1e-3
@@ -34,7 +34,7 @@ class TestEuclideanGrad:
         model = mx.MixtureModel(fam.gaussian(1), [1.0], [[-1.5]], [np.eye(1)])
         levels = (np.arange(2000) + 0.5) / 2000
         target = stats.norm.ppf(levels, loc=1.5)
-        ctx = tp.make_projection_context(np.array([1.0]), target[:, None])
+        ctx = line_ctx(target)
         grad = gr.euclidean_grad(model, ctx)
         assert grad.g_mu[0, 0] < 0.0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import trust_cap_always_eigvalsh
 from emmfit import manifold as mf
 from emmfit.errors import NotPositiveDefiniteError
 from emmfit.families import PD_FLOOR
@@ -156,6 +157,70 @@ class TestExpSigma:
         lam, q = np.linalg.eigh(out.sigma)
         assert out.lam.tobytes() == lam.tobytes()
         assert out.q.tobytes() == q.tobytes()
+
+
+# Frobenius norms of Lyapunov images: far below, just below the pre-test
+# margin, within it, at the cap, and above it
+CAP_NORMS = (
+    0.1,
+    mf.CAP_PRETEST * (1.0 - 1e-9),
+    mf.TRUST_CAP * (1.0 - 1e-9),
+    mf.TRUST_CAP,
+    mf.TRUST_CAP * (1.0 + 1e-12),
+    0.5,
+    3.0,
+)
+
+
+def scaled_images(m, rng):
+    """A (2 * len(CAP_NORMS), m, m) stack of symmetric images, one rank-one
+    (|lambda| = Frobenius norm, the tightest case) and one full-rank at each
+    of CAP_NORMS."""
+    images = []
+    for norm in CAP_NORMS:
+        v = rng.normal(size=m)
+        for image in (np.outer(v, v), random_sym(m, rng)):
+            images.append(image * (norm / np.linalg.norm(image)))
+    return np.stack(images)
+
+
+class TestTrustCapPretest:
+    @pytest.mark.parametrize("m", (2, 5, 16))
+    def test_matches_the_always_eigvalsh_rule_bitwise(self, m):
+        images = scaled_images(m, np.random.default_rng(m))
+        got, want = images.copy(), images.copy()
+        mf._trust_cap(got)
+        trust_cap_always_eigvalsh(want)
+        assert got.tobytes() == want.tobytes()
+        # images below the pre-test are not touched, the ones above are capped
+        below = np.linalg.norm(images, axis=(1, 2)) <= mf.CAP_PRETEST
+        assert got[below].tobytes() == images[below].tobytes()
+        assert np.all(np.abs(np.linalg.eigvalsh(got)) <= mf.TRUST_CAP * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("m", (2, 5, 16))
+    def test_exp_sigma_matches_the_always_eigvalsh_rule_bitwise(self, m, monkeypatch):
+        rng = np.random.default_rng(100 + m)
+        images = scaled_images(m, rng)
+        sigmas = np.stack([random_spd(m, rng) for _ in images])
+        # steps whose Lyapunov images are the scaled images: Sigma L + L Sigma
+        steps = sigmas @ images + images @ sigmas
+        new, new_halvings = mf.exp_sigma(sigmas, steps)
+        monkeypatch.setattr(mf, "_trust_cap", trust_cap_always_eigvalsh)
+        old, old_halvings = mf.exp_sigma(sigmas, steps)
+        assert new_halvings.tobytes() == old_halvings.tobytes()
+        for a, b in ((new.sigma, old.sigma), (new.lam, old.lam), (new.q, old.q)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_small_steps_read_no_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        point = mf.PdPoint(np.stack([random_spd(4, rng) for _ in range(3)]))
+        steps = 0.01 * np.stack([random_sym(4, rng) for _ in range(3)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh read below the trust cap")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        mf.exp_sigma(point, steps)
 
 
 class TestExpSphere:

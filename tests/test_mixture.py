@@ -12,7 +12,14 @@ from _helpers import DENSITY_FAMILIES, component_logpdf_oracle, golden_case, ran
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import transport as tp
-from emmfit.errors import DensityUnavailableError, GenerationError, InvalidFamilyError, MismatchError
+from emmfit.errors import (
+    DensityUnavailableError,
+    GenerationError,
+    InvalidFamilyError,
+    MismatchError,
+    NotPositiveDefiniteError,
+)
+from emmfit.manifold import PdPoint
 
 
 def small_model(m=2, k=3, family=None, seed=0):
@@ -76,6 +83,45 @@ class TestPdf:
     def test_invalid_weights(self):
         with pytest.raises(InvalidFamilyError):
             mx.MixtureModel(fam.gaussian(1), [0.5, 0.6], np.zeros((2, 1)), np.ones((2, 1, 1)))
+
+
+class TestAdmittedScatters:
+    """A PdPoint stack was admitted by the eigh that built it, so the model
+    takes it without check_spd; raw arrays keep the full check."""
+
+    def test_admitted_point_is_not_checked_again(self, monkeypatch):
+        sigmas = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        point = PdPoint(sigmas)
+
+        def refuse(sigma):
+            raise AssertionError("an admitted point was checked again")
+
+        monkeypatch.setattr(fam, "check_spd", refuse)
+        model = mx.MixtureModel(fam.gaussian(2), [0.5, 0.5], np.zeros((2, 2)), point)
+        assert model.sigmas is point.sigma
+
+    def test_weights_and_shapes_are_still_checked(self):
+        point = PdPoint(np.stack([np.eye(2), np.eye(2)]))
+        with pytest.raises(InvalidFamilyError):
+            mx.MixtureModel(fam.gaussian(2), [0.5, 0.6], np.zeros((2, 2)), point)
+        with pytest.raises(InvalidFamilyError):
+            mx.MixtureModel(fam.gaussian(2), [1.0], np.zeros((1, 2)), point)
+
+    def test_raw_arrays_are_checked(self):
+        singular = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            mx.MixtureModel(fam.gaussian(2), [0.5, 0.5], np.zeros((2, 2)), singular)
+
+    def test_a_hand_built_point_is_checked(self):
+        # only the retraction builds a point without check_spd
+        singular = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            PdPoint(singular)
+        with pytest.raises(NotPositiveDefiniteError):
+            PdPoint(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])]))
+        lam, q = np.linalg.eigh(singular)
+        with pytest.raises(TypeError):
+            PdPoint(singular, lam, q)
 
 
 def kernel_case(family, k, rng):
@@ -144,6 +190,23 @@ class TestComponentLogpdf:
         a = a.copy()
         a[:, dead % a.shape[1]] = -np.inf  # one column without any mass
         np.testing.assert_allclose(mx.logsumexp_columns(a), logsumexp(a, axis=0), rtol=1e-14, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 8)),
+            elements=st.one_of(st.floats(-1e3, 1e3), st.just(-np.inf)),
+        ),
+    )
+    def test_normalize_columns_shares_the_logsumexp_exp(self, a):
+        a = a.copy()
+        a[0, np.all(np.isneginf(a), axis=0)] = 0.0  # every column keeps some mass
+        total = mx.logsumexp_columns(a)
+        resp = a.copy()
+        assert mx.normalize_columns(resp).tobytes() == total.tobytes()
+        np.testing.assert_allclose(resp, np.exp(a - total), rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "extra column"])

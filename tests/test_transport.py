@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from _helpers import bures_gap_newton, exact_w2_1d_gmm, quantile_prefix_oracle, random_gmm, random_spd
+from _helpers import (
+    bures_gap_newton,
+    exact_w2_1d_gmm,
+    line_ctx,
+    mc_mixture_w2,
+    quantile_prefix_oracle,
+    random_gmm,
+    random_spd,
+    w2_method,
+)
 from emmfit import families as fam
 from emmfit import gradients as gr
 from emmfit import mixture as mx
@@ -168,7 +177,7 @@ class TestSemiDiscrete1D:
     """The 1-D cost of projected_w2 on 1-D Gaussian mixtures."""
 
     def make_ctx(self, samples, n_grid=1024):
-        return tp.make_projection_context(np.array([1.0]), np.asarray(samples)[:, None], n_grid)
+        return line_ctx(samples, n_grid)
 
     def cost(self, ctx, weights, mus, variances):
         model = mx.MixtureModel(
@@ -206,8 +215,55 @@ class TestSemiDiscrete1D:
             self.cost(ctx, [1.0], [1e4], [1.0])
 
 
+class TestProjectionContextChecks:
+    """A context built from outside is checked; ``make_projection_context``
+    checks p, sorts, and reads the spread from the sample covariance."""
+
+    GRID = np.linspace(-3.0, 3.0, 8)
+    WEIGHTS = np.full(8, GRID[1] - GRID[0])
+
+    def test_outside_context_refuses_unsorted_samples(self):
+        with pytest.raises(MismatchError, match="sorted"):
+            tp.ProjectionContext(np.array([1.0]), np.array([0.5, -0.5]), self.GRID, self.WEIGHTS)
+
+    def test_outside_context_refuses_a_non_unit_direction(self):
+        with pytest.raises(MismatchError, match="unit norm"):
+            tp.ProjectionContext(np.array([0.6, 0.9]), np.array([-0.5, 0.5]), self.GRID, self.WEIGHTS)
+
+    def test_trusted_context_refuses_a_non_unit_direction(self):
+        with pytest.raises(MismatchError, match="unit norm"):
+            tp.make_projection_context(np.array([1.0, 1.0]), np.zeros((4, 2)), cov=np.eye(2))
+
+    def test_covariance_is_required(self):
+        with pytest.raises(TypeError, match="cov"):
+            tp.make_projection_context(np.array([1.0]), np.zeros((4, 1)))
+
+    @staticmethod
+    def spread_of(ctx, margin_sigmas):
+        x = ctx.projected_samples
+        return ((ctx.grid[-1] - ctx.grid[0]) - (x[-1] - x[0])) / (2.0 * margin_sigmas)
+
+    @pytest.mark.parametrize("m", (1, 2, 8))
+    def test_spread_is_the_projections_std(self, m):
+        rng = np.random.default_rng(30 + m)
+        samples = 5.0 + rng.normal(size=(5000, m)) @ rng.normal(size=(m, m))
+        cov = mx.sample_covariance(samples)
+        for p in tp.random_projections(m, 8, rng):
+            ctx = tp.make_projection_context(p, samples, margin_sigmas=3.0, cov=cov)
+            assert np.all(np.diff(ctx.projected_samples) >= 0.0)
+            want = ctx.projected_samples.std()
+            assert self.spread_of(ctx, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("value", (0.25, -2.5, 40.0))
+    def test_constant_samples_fall_back_to_their_magnitude(self, value):
+        samples = np.full((64, 1), value)
+        assert samples[:, 0].std() == 0.0
+        ctx = line_ctx(samples[:, 0])
+        assert self.spread_of(ctx, 4.0) == pytest.approx(max(1.0, abs(value)), rel=1e-12, abs=0.0)
+
+
 def quantile_ctx(x):
-    return tp.make_projection_context(np.array([1.0]), np.asarray(x, dtype=float)[:, None])
+    return line_ctx(x)
 
 
 def knot_levels(n):
@@ -275,7 +331,8 @@ def test_cost_and_gradient_hold_no_n_sized_tables():
     rng = np.random.default_rng(21)
     model = random_gmm(2, 3, rng)
     samples = mx.sample_mixture(model, rng, 100_000).samples
-    ctx = tp.make_projection_context(tp.random_projections(2, 1, rng)[0], samples)
+    p = tp.random_projections(2, 1, rng)[0]
+    ctx = tp.make_projection_context(p, samples, cov=mx.sample_covariance(samples))
     tp.project_model(model, ctx)
     nbytes = ctx.projected_samples.nbytes
     gc.collect()
@@ -333,8 +390,8 @@ class TestSlicedCost:
         at_truth = tp.sliced_cost(truth, data, projections)
         at_detuned = tp.sliced_cost(detuned, data, projections)
         assert 0.0 < at_truth < at_detuned
-        oracle_truth = tp.mc_mixture_w2(truth, data, np.random.default_rng(0), n=1024)
-        oracle_detuned = tp.mc_mixture_w2(detuned, data, np.random.default_rng(0), n=1024)
+        oracle_truth = mc_mixture_w2(truth, data, np.random.default_rng(0), n=1024)
+        oracle_detuned = mc_mixture_w2(detuned, data, np.random.default_rng(0), n=1024)
         assert oracle_truth < oracle_detuned
 
 
@@ -342,11 +399,11 @@ class TestMcMixtureW2:
     def test_identical_sets(self):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(256, 2))
-        assert tp.mc_mixture_w2(x, x.copy(), rng, n=256) == pytest.approx(0.0, abs=1e-12)
+        assert mc_mixture_w2(x, x.copy(), rng, n=256) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_sets(self):
         rng = np.random.default_rng(17)
-        assert tp.mc_mixture_w2(
+        assert mc_mixture_w2(
             np.zeros((2, 1)), np.full((2, 1), 3.0), rng, n=2
         ) == pytest.approx(9.0, abs=1e-12)
 
@@ -357,19 +414,19 @@ class TestMcMixtureW2:
         closed = tp.w2_elliptical(c1, c2)
         m1 = mx.MixtureModel(c1.family, [1.0], [c1.mu], [c1.sigma])
         m2 = mx.MixtureModel(c2.family, [1.0], [c2.mu], [c2.sigma])
-        est = tp.mc_mixture_w2(m1, m2, rng, n=1024)
+        est = mc_mixture_w2(m1, m2, rng, n=1024)
         assert est == pytest.approx(closed, rel=0.05)
 
     def test_method_tags(self):
-        assert tp.w2_method(100, 1) == "sorted"
-        assert tp.w2_method(1024, 3) == "assignment"
-        assert tp.w2_method(5000, 3) == "sliced"
+        assert w2_method(100, 1) == "sorted"
+        assert w2_method(1024, 3) == "assignment"
+        assert w2_method(5000, 3) == "sliced"
 
     def test_sliced_fallback_close_to_assignment(self):
         rng = np.random.default_rng(19)
         model_a = random_gmm(2, 2, rng, mu_scale=1.0)
         model_b = random_gmm(2, 2, rng, mu_scale=1.0)
-        exact = tp.mc_mixture_w2(model_a, model_b, np.random.default_rng(1), n=2048)
-        sliced = tp.mc_mixture_w2(model_a, model_b, np.random.default_rng(1), n=4096)
+        exact = mc_mixture_w2(model_a, model_b, np.random.default_rng(1), n=2048)
+        sliced = mc_mixture_w2(model_a, model_b, np.random.default_rng(1), n=4096)
         # sliced 1-D averages underestimate the full coupling cost
         assert sliced < exact * 1.05
