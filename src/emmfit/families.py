@@ -6,6 +6,12 @@ s is uniform on the unit sphere and L is the Cholesky factor of the
 scatter matrix.  ``log_gen(t)`` returns the log of the *normalized*
 generator, i.e. the density of a standard (mu=0, Sigma=I) member is
 ``exp(log_gen(t))`` with t the squared Mahalanobis distance.
+
+The projected kernel c_m g(z^2) and its odd primitive, which the sliced
+objective integrates over grid cells, are evaluated in closed form where
+the family has one (Kotz with a = 1 and s = 1, the Gaussian among them,
+through erf); every other family reads them from a PCHIP table built on
+first use.
 """
 
 from __future__ import annotations
@@ -56,6 +62,26 @@ def check_spd(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
+class _ErfKernel(NamedTuple):
+    """The projected kernel c exp(-b z^2) and its primitive in closed form:
+    Phi(u) = c sqrt(pi) / (2 sqrt(b)) erf(sqrt(b) u) and Phi'(u) = c exp(-b u^2)."""
+
+    log_c: float
+    b: float
+    sqrt_b: float
+    phi_max: float  # Phi(inf) = c sqrt(pi) / (2 sqrt(b))
+
+    def primitive(self, u):
+        # sqrt(b) u overflows to inf only where erf is already 1
+        with np.errstate(over="ignore"):
+            return self.phi_max * special.erf(self.sqrt_b * u)
+
+    def slope(self, u):
+        # exp(log_gen(u^2)) bit for bit; u u overflows to inf, which exp takes to 0
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_c - self.b * (u * u))
+
+
 class _PrimitiveTable(NamedTuple):
     nodes: np.ndarray  # (N,)  u_j = 3 tan(j * dtheta)
     coef: np.ndarray  # (N-1, 4)  PCHIP coefficients, column r multiplies s^(3-r)
@@ -97,6 +123,12 @@ class EllipticalFamily:
         """d/dt log g(t) (the generator's log-derivative), elementwise."""
         raise NotImplementedError
 
+    # The projected kernel in closed form (primitive and slope), for the
+    # families that have one; None sends gen_primitive and
+    # gen_primitive_slope to the table.  Both stay defined here alone, so
+    # whatever wraps them on this class sees every family's calls.
+    _closed_kernel = None
+
     def gen_deriv(self, t) -> np.ndarray:
         """d/dt of the normalized generator; zero where the density vanishes."""
         lg = self.log_gen(t)
@@ -107,7 +139,8 @@ class EllipticalFamily:
     @cached_property
     def _primitive_table(self):
         # Odd primitive of the 1-D projected kernel, used for exact cell
-        # masses: Phi(u) = integral_0^u c_m g(z^2) dz, by the trapezoid rule
+        # masses by the families with no closed form (_closed_kernel is
+        # None): Phi(u) = integral_0^u c_m g(z^2) dz, by the trapezoid rule
         # on a tangent-warped grid so heavy tails are resolved.  A monotone
         # C^1 (PCHIP) interpolant keeps the encoded kernel continuous, so
         # parameter derivatives of cell masses stay consistent with finite
@@ -155,6 +188,8 @@ class EllipticalFamily:
     def gen_primitive(self, u) -> np.ndarray:
         """Phi(u) = integral_0^u of the projected kernel c_m g(z^2) dz, odd in u."""
         u = np.asarray(u, dtype=float)
+        if self._closed_kernel is not None:
+            return self._closed_kernel.primitive(u)
         saturated, s, (c0, c1, c2, c3) = self._primitive_cubic(u)
         ss = s * s
         # scipy's order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s)
@@ -162,8 +197,12 @@ class EllipticalFamily:
         return np.sign(u) * np.where(saturated, self._primitive_table.phi_max, value)
 
     def gen_primitive_slope(self, u) -> np.ndarray:
-        """Derivative of the interpolated primitive (the kernel it encodes)."""
-        saturated, s, (c0, c1, c2, _) = self._primitive_cubic(np.asarray(u, dtype=float))
+        """Derivative of the primitive: the kernel itself where it has a closed
+        form, else the kernel the interpolated primitive encodes."""
+        u = np.asarray(u, dtype=float)
+        if self._closed_kernel is not None:
+            return self._closed_kernel.slope(u)
+        saturated, s, (c0, c1, c2, _) = self._primitive_cubic(u)
         # the derivative PPoly's rows are (3 c0, 2 c1, c2), summed in that order
         value = (c2 + (2.0 * c1) * s) + (3.0 * c0) * (s * s)
         return np.where(saturated, 0.0, value)
@@ -206,6 +245,15 @@ class Kotz(EllipticalFamily):
     @cached_property
     def _shape(self) -> float:
         return (2.0 * self.a + self.m - 2.0) / (2.0 * self.s)
+
+    @cached_property
+    def _closed_kernel(self) -> _ErfKernel | None:
+        # a = 1, s = 1: the kernel c_m exp(-b z^2) integrates to an erf
+        if self.a != 1.0 or self.s != 1.0:
+            return None
+        sqrt_b = math.sqrt(self.b)
+        phi_max = math.exp(self._log_const) * math.sqrt(math.pi) / (2.0 * sqrt_b)
+        return _ErfKernel(self._log_const, self.b, sqrt_b, phi_max)
 
     @cached_property
     def _log_const(self) -> float:
@@ -590,7 +638,11 @@ def make_family(name: str, m: int, **params) -> EllipticalFamily:
 
 @dataclass(frozen=True)
 class EllipticalComponent:
-    """One elliptical law: location, SPD scatter, shared family."""
+    """One elliptical law: location, SPD scatter, shared family.
+
+    A component built from outside checks its scatter with ``check_spd``;
+    ``MixtureModel.component`` builds one with ``_trusted`` from a scatter
+    the model already validated."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -601,6 +653,13 @@ class EllipticalComponent:
         object.__setattr__(self, "sigma", check_spd(self.sigma))
         if self.mu.shape != (self.family.m,) or self.sigma.shape != (self.family.m, self.family.m):
             raise InvalidFamilyError("component shapes do not match the family dimension")
+
+    @classmethod
+    def _trusted(cls, mu, sigma, family) -> "EllipticalComponent":
+        """A component over a validated float (m,) mu and (m, m) sigma, unchecked."""
+        component = object.__new__(cls)
+        component.__dict__.update(mu=mu, sigma=sigma, family=family)
+        return component
 
     @cached_property
     def chol(self) -> np.ndarray:

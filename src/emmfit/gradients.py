@@ -77,10 +77,13 @@ def euclidean_grad(
     gain = (grid[:-1] - q_at) ** 2 - (grid[1:] - q_at) ** 2
 
     # d cost / d theta = sum_j gain_j * d a_j, with a_j the normalized
-    # cumulative mass at boundary j.
-    delta_total = cell_delta.sum(axis=1)
-    delta_cum = np.cumsum(cell_delta, axis=1)[:, :-1]
-    grads = (delta_cum @ gain - (bounds @ gain) * delta_total) / mass
+    # cumulative mass at boundary j: d a_j = (sum_{l<=j} delta_l - a_j *
+    # sum_l delta_l) / mass.  Summed by parts, delta_l is weighted by the
+    # suffix sum of the gains from l on (zero for the last cell) less
+    # sum_j a_j gain_j: one suffix sum of the gains, not one per row.
+    suffix = np.zeros(grid.size)
+    suffix[:-1] = np.cumsum(gain[::-1])[::-1]
+    grads = cell_delta @ (suffix - bounds @ gain) / mass
 
     g_sqrtpi = grads[:k]
     g_mu = grads[k : 2 * k, None] * ctx.p[None, :]

@@ -58,7 +58,8 @@ class MixtureModel:
         return self.family.m
 
     def component(self, i: int) -> EllipticalComponent:
-        return EllipticalComponent(self.mus[i], self.sigmas[i], self.family)
+        """Component i, over this model's already validated arrays."""
+        return EllipticalComponent._trusted(self.mus[i], self.sigmas[i], self.family)
 
     def component_logpdf(self, x: np.ndarray) -> np.ndarray:
         """(k, n) array of log(pi_i f_i(x)), the weighted component log

@@ -13,7 +13,9 @@ stack, capping and halving each step as it needs.  Each thing is decided
 once: the samples are validated at the ``fit`` boundary and their
 covariance, which sets every direction's grid margin, is taken once per
 fit; each step's model is built from the ``PdPoint`` the retraction
-admitted, so no scatter is checked again inside the loop.  An EM
+admitted, so no scatter is checked again inside the loop.  A fit ends,
+``failed``, at the first iteration whose projection fails or whose
+retraction leaves a scatter on the PD floor after every halving.  An EM
 baseline covers the Gaussian family: its E-step runs the batched density
 kernel of ``MixtureModel.component_logpdf`` on the samples in (m, n)
 layout, and its E- and M-steps reuse two (m, n) buffers allocated once
@@ -193,7 +195,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             # nothing to step along: the fit ends at this iteration
             events.append(f"iter {h}: projection failed ({exc})")
             failed, reason = True, f"projection failure at iteration {h}"
-            cost, grad = np.nan, None
+            cost, stop = np.nan, True
         else:
             if not np.isfinite(cost):
                 failed, reason = True, f"non-finite cost at iteration {h}"
@@ -226,12 +228,15 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 step = scatter.step(points, rgrad, grad.g_sigma, p, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, step)
-            for i in np.flatnonzero(halvings):
-                if halvings[i] > manifold.PD_RETRIES:
-                    events.append(f"iter {h}: pd safeguard exhausted for component {i}")
-                    failed, reason = True, f"pd safeguard exhausted at iteration {h}"
-                else:
-                    events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
+            exhausted = halvings > manifold.PD_RETRIES
+            for i in np.flatnonzero((halvings > 0) & ~exhausted):
+                events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
+            # a scatter that no halving lifts off the floor ends the fit at
+            # this iteration, with the model this step reached
+            for i in np.flatnonzero(exhausted):
+                events.append(f"iter {h}: pd safeguard exhausted for component {i}")
+                failed, reason = True, f"pd safeguard exhausted at iteration {h}"
+            stop = bool(exhausted.any())
 
             current = MixtureModel(family, sphere.weights, mus, points)
 
@@ -240,7 +245,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
         min_eig_ratio[h - 1] = np.min(points.lam[:, 0] / (np.trace(points.sigma, axis1=1, axis2=2) / m))
         wall[h - 1] = 1e3 * (time.perf_counter() - tic)
         done = h
-        if grad is None:
+        if stop:
             break
 
     return FitReport(

@@ -282,8 +282,9 @@ class ProjectedMixture:
     """Per-component pieces of the projected model density on the grid.
 
     Node values are exact cell averages: the weight-free kernel
-    (p' Sigma_i p)^(-1/2) c_m g(t_i) is integrated in closed form over
-    each trapezoid cell through the family's cached primitive, so thin
+    (p' Sigma_i p)^(-1/2) c_m g(t_i) is integrated over each trapezoid
+    cell as a difference of the family's primitive (``gen_primitive``: in
+    closed form for the Gaussian, from a PCHIP table otherwise), so thin
     projected components (eccentric scatters) keep their mass even when
     narrower than the grid spacing.  Edge evaluations of the kernel and
     of its scale flux carry the exact cell integrals of the location and
@@ -319,8 +320,8 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
     root_v = np.sqrt(proj_var)
     edges = cell_edges(ctx.grid)
     edge_u = (edges[None, :] - (mus @ ctx.p)[:, None]) / root_v[:, None]
-    # cell masses are mathematically nonnegative; the interpolated primitive
-    # can wiggle by an ulp in saturated tails
+    # cell masses are mathematically nonnegative; a rounded primitive, closed
+    # form or interpolated, can step down by an ulp in saturated tails
     kernels = np.maximum(np.diff(family.gen_primitive(edge_u), axis=1), 0.0) / ctx.grid_weights[None, :]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         gen_at_edges = family.gen_primitive_slope(edge_u)
@@ -339,7 +340,8 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
 def project_model(model: MixtureModel, ctx: ProjectionContext) -> ProjectedMixture:
     """Projected mixture density along ctx.p, per the manifold's projected form.
 
-    The m-dimensional generator and normalizer are used verbatim, so the
+    The kernel is the m-dimensional generator c_m g(z^2) read along the
+    line, normalizer included (not the family's 1-D marginal law), so the
     raw density carries a family-dependent constant mass; ``projected_w2``
     and the gradients renormalize by its mass on the grid.
     """

@@ -262,6 +262,33 @@ class TestNll:
         assert mx.nll(model, data) >= entropy - 0.05
 
 
+class TestValidatedComponents:
+    """A model's components come from its validated arrays unchecked (a
+    component built by hand keeps the check: TestComponentSampler)."""
+
+    def test_generate_synthetic_checks_its_scatters_once(self, monkeypatch):
+        calls = []
+        real = fam.check_spd
+
+        def counting(sigma):
+            calls.append(np.shape(sigma))
+            return real(sigma)
+
+        monkeypatch.setattr(fam, "check_spd", counting)
+        # the truth's stack, once; sampling reads each component unchecked
+        mx.generate_synthetic(3, 4, 500, 4.0, 3.0, np.random.default_rng(15))
+        assert calls == [(4, 3, 3)]
+
+    def test_component_matches_a_checked_one(self):
+        model = small_model(m=3, k=2, seed=16)
+        for i in range(model.k):
+            got, want = model.component(i), fam.EllipticalComponent(model.mus[i], model.sigmas[i], model.family)
+            assert got.family == want.family
+            assert got.mu.tobytes() == want.mu.tobytes()
+            assert got.sigma.tobytes() == want.sigma.tobytes()
+            assert got.chol.tobytes() == want.chol.tobytes()
+
+
 class TestSampleMixture:
     def test_degenerate_weights(self):
         rng = np.random.default_rng(6)
