@@ -16,11 +16,12 @@ fit; each step's model is built from the ``PdPoint`` the retraction
 admitted, so no scatter is checked again inside the loop.  A fit ends,
 ``failed``, at the first iteration whose projection fails or whose
 retraction leaves a scatter on the PD floor after every halving.  An EM
-baseline covers the Gaussian family: its E-step runs the batched density
-kernel of ``MixtureModel.component_logpdf`` on the samples in (m, n)
-layout, and its E- and M-steps reuse two (m, n) buffers allocated once
-per fit.  A fit has the seven settings of ``OptimizerConfig`` and no
-others.
+baseline covers the Gaussian family: each iteration is one pass over the
+samples in cache-sized column blocks, running the density kernel of
+``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
+coordinates per block, and each iterate is built from the eigenvalue
+floor's admitted (lam, q).  A fit has the seven settings of
+``OptimizerConfig`` and no others.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from . import families, manifold, transport
 from .errors import EmmfitError, MismatchError, UnsupportedGradientError
 from .gradients import euclidean_grad
 from .manifold import PdPoint, SpherePoint
-from .mixture import MixtureModel, as_samples, normalize_columns, sample_covariance
+from .mixture import (
+    BlockBuffers,
+    MixtureModel,
+    as_samples,
+    column_blocks,
+    normalize_columns,
+    sample_covariance,
+)
 
 METHODS = ("vanilla", "radam", "dadam", "em")
 
@@ -287,17 +295,22 @@ def _is_gaussian(family) -> bool:
 def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     """Standard EM with a covariance eigenvalue floor and collapse reseeding.
 
-    The samples are copied once into a contiguous (m, n) array x^T, and two
-    (m, n) work buffers are allocated once per fit.  The E-step runs the
-    batched kernel of ``MixtureModel.component_logpdf`` on them; the
-    responsibilities then overwrite the (k, n) log densities in place, from
-    the one ``exp`` that their log-sum-exp takes (``normalize_columns``).  In
-    the M-step each component's centred samples and their
-    responsibility-weighted copy reuse the two buffers, so its scatter is
-    one (m x n) @ (n x m) product, and one stacked ``eigh`` floors the
-    eigenvalues of all k scatters, whose smallest floored eigenvalue is
-    also the health record's; a reseeded component keeps its isotropic
-    scatter.
+    The samples are copied once per fit into contiguous (m, b) blocks of
+    ``mixture.BLOCK`` columns, and each iteration makes one pass over them.
+    Per block the kernel of ``MixtureModel.component_logpdf`` leaves the
+    whitened samples W_i = L_i^-1 (x - mu_i) in a (k, m, b) buffer and
+    returns the (k, b) log densities, which ``normalize_columns`` turns into
+    the responsibilities r in place while adding their log-sum-exp to the
+    NLL.  While the block is still in cache the M-step sums are taken in
+    whitened coordinates: N_i = sum r, s_i = W_i r and S_i = (W_i * r) W_i^T.
+    After the pass, with d = s_i / N_i, the location is mu_i + L_i d and the
+    scatter L_i (S_i / N_i - d d^T) L_i^T.  The sums are shifted by the
+    current mu_i, which is exact for any shift; d is small once the fit
+    settles, so the subtraction loses little to cancellation.  One stacked
+    ``eigh`` floors the eigenvalues of all k scatters, and the next model is
+    built from the admitted (lam, q) with no further check; its smallest
+    floored eigenvalue is also the health record's.  A reseeded component
+    takes an isotropic scatter.
     """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
@@ -310,15 +323,10 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     floor = 1e-6 * data_cov_trace / m
     iso = np.eye(m) * data_cov_trace / m
 
-    weights = model0.weights.copy()
-    mus = model0.mus.copy()
-    sigmas = model0.sigmas.copy()
-    # one contiguous (m, n) copy: centring a transposed view reads it
-    # across rows, about four times slower per pass
-    xt = np.ascontiguousarray(samples.T)
-    diff = np.empty((m, n))
-    wdiff = np.empty((m, n))
-    covs = np.empty((k, m, m))
+    # contiguous blocks: centring a transposed view reads it across rows,
+    # about four times slower per pass
+    blocks = [np.ascontiguousarray(xb) for xb in column_blocks(samples)]
+    buffers = BlockBuffers(k, m, blocks[0].shape[1])
 
     H = cfg.max_iters
     nll_trace = np.full(H, np.nan)
@@ -330,18 +338,32 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     prev_nll = np.inf
     done = 0
 
+    model = model0
     for h in range(1, H + 1):
         tic = time.perf_counter()
-        model = MixtureModel(model0.family, weights, mus, sigmas)
-        # E-step: the log densities become the responsibilities in place
-        resp = model._weighted_logdens(xt, diff, wdiff)
-        nll = float(-np.mean(normalize_columns(resp)))
+        chol, inv_chol, offset = model._kernel()
+        # N_i, s_i and S_i of the docstring
+        mass, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+        log_lik = 0.0
+        for xb in blocks:
+            diff, white = buffers.views(xb.shape[1])
+            # E-step: the log densities become the responsibilities in place
+            resp = model._block_logdens(xb, inv_chol, offset, diff, white)
+            log_lik += normalize_columns(resp).sum()
+            mass += resp.sum(axis=1)
+            for i in range(k):
+                first[i] += white[i] @ resp[i]
+                np.multiply(white[i], resp[i], out=diff)
+                second[i] += diff @ white[i].T
+        nll = -log_lik / n
         nll_trace[h - 1] = nll
         if reason is None and not np.isfinite(nll):
             reason = f"non-finite NLL at iteration {h}"
 
-        # M-step
-        mass = resp.sum(axis=1)
+        # M-step from the whitened sums
+        weights = mass / n
+        mus = np.empty((k, m))
+        covs = np.empty((k, m, m))
         collapsed = mass < 1e-8
         for i in range(k):
             if collapsed[i]:
@@ -350,20 +372,23 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
                 covs[i] = iso
                 weights[i] = 1.0 / k
                 continue
-            weights[i] = mass[i] / n
-            mus[i] = resp[i] @ samples / mass[i]
-            np.subtract(xt, mus[i][:, None], out=diff)
-            np.multiply(diff, resp[i], out=wdiff)
-            covs[i] = wdiff @ diff.T / mass[i]
-        # drop the (k, n) arrays before the next E-step allocates its own
-        del resp
+            d = first[i] / mass[i]
+            mus[i] = model.mus[i] + chol[i] @ d
+            covs[i] = chol[i] @ (second[i] / mass[i] - np.outer(d, d)) @ chol[i].T
         weights = weights / weights.sum()
         lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
         lam = np.maximum(lam, floor)
         sigmas = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         sigmas[collapsed] = iso
-        # the floored eigenvalues are the new scatters' (up to rounding)
         lam[collapsed] = iso[0, 0]
+        q[collapsed] = np.eye(m)
+        # Admitted without check_spd.  Every floored eigenvalue is at least
+        # 1e-6 D / m, D the data covariance trace, while PD_FLOOR asks for
+        # 1e-10 tr(Sigma_i) / m; the rebuild q diag(lam) q^T moves the
+        # eigenvalues by about m eps tr(Sigma_i).  So the rebuilt scatter
+        # clears the PD floor unless its trace exceeds D about 1e4-fold, and
+        # the final model below is still checked from plain arrays.
+        model = MixtureModel(model0.family, weights, mus, PdPoint._admitted(sigmas, lam, q))
 
         weight_gap[h - 1] = abs(float(weights.sum()) - 1.0)
         min_eig_ratio[h - 1] = np.min(lam[:, 0] / (np.trace(sigmas, axis1=1, axis2=2) / m))
@@ -373,7 +398,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
             break
         prev_nll = nll
 
-    final = MixtureModel(model0.family, weights, mus, sigmas)
+    final = MixtureModel(model0.family, model.weights, model.mus, model.sigmas)
     return FitReport(
         method="em",
         final_model=final,

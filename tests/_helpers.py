@@ -62,6 +62,63 @@ def component_logpdf_oracle(model, x):
     return parts
 
 
+def em_oracle(model0, data, cfg):
+    """EM as ``optim.fit_em_gmm`` ran before it went block by block: the
+    samples as one contiguous (m, n) array, the (k, n) responsibilities in
+    full, and per component an M-step of centred, weighted (m, n) passes
+    with one (m x n) @ (n x m) scatter product.  Returns (costs, events,
+    final model); the eigenvalue floor and reseeding are the fit's."""
+    samples = mx.as_samples(data, model0.m)
+    n, m = samples.shape
+    k = model0.k
+    rng = np.random.default_rng(cfg.seed)
+    data_cov_trace = float(np.trace(mx.sample_covariance(samples)))
+    floor = 1e-6 * data_cov_trace / m
+    iso = np.eye(m) * data_cov_trace / m
+    weights, mus, sigmas = model0.weights.copy(), model0.mus.copy(), model0.sigmas.copy()
+    xt = np.ascontiguousarray(samples.T)
+    diff, wdiff = np.empty((m, n)), np.empty((m, n))
+    covs = np.empty((k, m, m))
+    costs, events = [], []
+    prev_nll = np.inf
+    for h in range(1, cfg.max_iters + 1):
+        model = mx.MixtureModel(model0.family, weights, mus, sigmas)
+        chol = np.linalg.cholesky(model.sigmas)
+        inv_chol = np.linalg.solve(chol, np.broadcast_to(np.eye(m), chol.shape))
+        t = np.empty((k, n))
+        for i in range(k):
+            np.subtract(xt, mus[i][:, None], out=diff)
+            np.matmul(inv_chol[i], diff, out=wdiff)
+            np.einsum("ij,ij->j", wdiff, wdiff, out=t[i])
+        resp = model.family.log_gen(t)
+        with np.errstate(divide="ignore"):
+            resp += (np.log(weights) - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
+        nll = float(-np.mean(mx.normalize_columns(resp)))
+        costs.append(nll)
+        mass = resp.sum(axis=1)
+        collapsed = mass < 1e-8
+        for i in range(k):
+            if collapsed[i]:
+                events.append(f"iter {h}: component {i} collapsed, reseeded")
+                mus[i] = samples[rng.integers(n)]
+                covs[i] = iso
+                weights[i] = 1.0 / k
+                continue
+            weights[i] = mass[i] / n
+            mus[i] = resp[i] @ samples / mass[i]
+            np.subtract(xt, mus[i][:, None], out=diff)
+            np.multiply(diff, resp[i], out=wdiff)
+            covs[i] = wdiff @ diff.T / mass[i]
+        weights = weights / weights.sum()
+        lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
+        sigmas = (q * np.maximum(lam, floor)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        sigmas[collapsed] = iso
+        if abs(prev_nll - nll) < cfg.em_tol:
+            break
+        prev_nll = nll
+    return np.array(costs), events, mx.MixtureModel(model0.family, weights, mus, sigmas)
+
+
 def golden_case():
     """The seeded m=2, k=3 data set and start of the golden fits."""
     data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))

@@ -166,6 +166,19 @@ class TestComponentLogpdf:
             # near zero still carries the rounding of its O(1) terms
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["gaussian", "pearson2"])
+    def test_several_blocks_match_per_component_oracle(self, name, monkeypatch):
+        # 2 full blocks and a ragged one, and a single block of every row
+        model, _ = kernel_case(DENSITY_FAMILIES[name](3), 4, np.random.default_rng(5))
+        x = model.mus[np.arange(2137) % 4] + np.random.default_rng(6).normal(size=(2137, 3))
+        want = component_logpdf_oracle(model, x)
+        monkeypatch.setattr(mx, "BLOCK", 1000)
+        assert [b.shape for b in mx.column_blocks(x)] == [(3, 1000), (3, 1000), (3, 137)]
+        blocked = model.component_logpdf(x)
+        np.testing.assert_allclose(blocked, want, rtol=1e-12, atol=1e-12)
+        monkeypatch.setattr(mx, "BLOCK", 8192)
+        np.testing.assert_allclose(blocked, model.component_logpdf(x), rtol=1e-14, atol=1e-14)
+
     @pytest.mark.parametrize("m", [1, 2, 8, 16])
     def test_gaussian_matches_scipy(self, m):
         rng = np.random.default_rng(m)
@@ -205,7 +218,19 @@ class TestComponentLogpdf:
         total = mx.logsumexp_columns(a)
         resp = a.copy()
         assert mx.normalize_columns(resp).tobytes() == total.tobytes()
-        np.testing.assert_allclose(resp, np.exp(a - total), rtol=1e-13, atol=1e-300)
+        # the one exp is shared: resp is exactly the shifted exponentials over
+        # their column sums
+        shifted = np.exp(a - mx._column_shift(a))
+        assert resp.tobytes() == (shifted / shifted.sum(axis=0)).tobytes()
+        # against exp(a - total) the exponent's rounding shows: total is
+        # rounded to half an ulp of |total| and a - total to half an ulp of
+        # itself, and exp turns an absolute exponent error into a relative one;
+        # with c = 4 for the exp, sum and division roundings on top
+        dead = np.isneginf(a)
+        total = np.broadcast_to(total, a.shape)[~dead]
+        want = np.exp(a[~dead] - total)
+        bound = 4 * np.finfo(float).eps * (1.0 + np.abs(total) + np.abs(a[~dead] - total))
+        assert np.all(np.abs(resp[~dead] - want) <= bound * want + 1e-300)
         np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=1e-14)
 
 

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import golden_case, golden_fit
+from _helpers import em_oracle, golden_case, golden_fit
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -154,9 +154,12 @@ def test_scatter_step_work_per_iteration(case, monkeypatch):
 
 def test_em_eigen_work_per_iteration(case, monkeypatch):
     # Per iteration: one stacked eigh flooring the k scatters, whose floored
-    # eigenvalues also give the health record, and one eigh validating the
-    # new model.
-    assert calls_per_iteration(case, monkeypatch, "em", {"eig": EIGEN_ROUTINES})["eig"] <= 2
+    # eigenvalues also give the health record; the next model is built from
+    # its (lam, q), so nothing validates the scatters again.
+    routines = {"eig": EIGEN_ROUTINES, "check_spd": [(fam, "check_spd"), (optim.manifold, "check_spd")]}
+    per_iteration = calls_per_iteration(case, monkeypatch, "em", routines)
+    assert per_iteration["eig"] == 1
+    assert per_iteration["check_spd"] == 0
 
 
 # (method, alpha, seed, iteration) of m = 8 fits that drive a scatter onto
@@ -171,6 +174,22 @@ FLOOR_SITTING_FITS = [
 ]
 
 
+def revalidate_iterates(monkeypatch) -> list:
+    """Make every model the fitting loops build pass check_spd from plain
+    arrays too; returns the list the built models are appended to."""
+    real_model = optim.MixtureModel
+    built = []
+
+    def revalidating_model(family, weights, mus, sigmas):
+        model = real_model(family, weights, mus, sigmas)
+        mx.MixtureModel(family, model.weights, model.mus, np.array(model.sigmas))
+        built.append(model)
+        return model
+
+    monkeypatch.setattr(optim, "MixtureModel", revalidating_model)
+    return built
+
+
 @pytest.mark.parametrize("method, alpha, seed, raised_at", FLOOR_SITTING_FITS)
 def test_floor_sitting_fit_returns_models_that_validate(method, alpha, seed, raised_at, monkeypatch):
     # The retraction admits a scatter just above the PD floor by its eigh,
@@ -178,14 +197,7 @@ def test_floor_sitting_fit_returns_models_that_validate(method, alpha, seed, rai
     # step's model, and the final one, must pass check_spd from plain arrays.
     # Each fit exhausts a scatter's PD safeguard well before max_iters, and
     # must end at the first iteration that does.
-    real_model = optim.MixtureModel
-
-    def revalidating_model(family, weights, mus, sigmas):
-        model = real_model(family, weights, mus, sigmas)
-        mx.MixtureModel(family, model.weights, model.mus, np.array(model.sigmas))
-        return model
-
-    monkeypatch.setattr(optim, "MixtureModel", revalidating_model)
+    revalidate_iterates(monkeypatch)
     data = mx.generate_synthetic(8, 4, 5000, 4.0, 3.0, np.random.default_rng(seed))
     model0 = optim.initialize(data, 4, fam.gaussian(8), "kmeanspp-lite", np.random.default_rng(seed))
     cfg = optim.OptimizerConfig(method=method, alpha=alpha, max_iters=10 * raised_at, seed=seed)
@@ -201,6 +213,77 @@ def test_floor_sitting_fit_returns_models_that_validate(method, alpha, seed, rai
     final = report.final_model
     again = mx.MixtureModel(final.family, final.weights, final.mus, final.sigmas)
     assert again.sigmas.tobytes() == final.sigmas.tobytes()
+
+
+def test_em_floored_iterates_validate(monkeypatch):
+    # Three far points pull one k-means++ start onto them: their scatter has
+    # rank 2, so the EM floor holds six of its eight eigenvalues.  The loop
+    # builds each iterate from the floor's (lam, q) unchecked; every one, and
+    # the final model, must pass check_spd from plain arrays.
+    data = mx.generate_synthetic(8, 3, 3000, 4.0, 3.0, np.random.default_rng(2))
+    samples = np.vstack([data.samples, np.full((3, 8), 40.0) + np.eye(3, 8)])
+    model0 = optim.initialize(samples, 4, fam.gaussian(8), "kmeanspp-lite", np.random.default_rng(0))
+    built = revalidate_iterates(monkeypatch)
+    report = optim.fit(model0, samples, optim.OptimizerConfig(method="em", max_iters=30, em_tol=0.0))
+    assert not report.failed and report.iterations == 30
+    assert len(built) == report.iterations + 1
+    floor = 1e-6 * np.trace(mx.sample_covariance(samples)) / 8
+    for model in built:
+        np.testing.assert_allclose(np.linalg.eigvalsh(model.sigmas[1])[:6], floor, rtol=1e-9)
+
+
+def em_oracle_agrees(report, oracle, rtol=1e-10):
+    costs, events, final = oracle
+    assert report.events == events
+    np.testing.assert_allclose(report.costs, costs, rtol=rtol, atol=0.0)
+    for got, want in zip(
+        (report.final_model.weights, report.final_model.mus, report.final_model.sigmas),
+        (final.weights, final.mus, final.sigmas),
+    ):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def em_case(n, seed):
+    data = mx.generate_synthetic(3, 3, n, 4.0, 2.0, np.random.default_rng(seed))
+    model0 = optim.initialize(data, 3, fam.gaussian(3), "kmeanspp-lite", np.random.default_rng(seed))
+    return data, model0
+
+
+EM_ORACLE_CFG = optim.OptimizerConfig(method="em", max_iters=25, em_tol=0.0, seed=3)
+
+
+def test_em_matches_unblocked_oracle_on_golden_case(case):
+    data, model0 = case
+    cfg = optim.OptimizerConfig(method="em", alpha=0.03, max_iters=40, em_tol=0.0, seed=5)
+    em_oracle_agrees(golden_fit("em", *case), em_oracle(model0, data, cfg))
+
+
+def test_em_matches_unblocked_oracle_with_ragged_block():
+    data, model0 = em_case(2 * mx.BLOCK + 37, 4)
+    assert [b.shape[1] for b in mx.column_blocks(data.samples)] == [mx.BLOCK, mx.BLOCK, 37]
+    report = optim.fit(model0, data, EM_ORACLE_CFG)
+    em_oracle_agrees(report, em_oracle(model0, data, EM_ORACLE_CFG))
+
+
+def test_em_matches_unblocked_oracle_through_a_reseed():
+    # one start placed far from every sample: its responsibilities
+    # underflow to zero, so it collapses at once and is reseeded
+    data, model0 = em_case(5000, 6)
+    mus = model0.mus.copy()
+    mus[1] = 1e3
+    far = mx.MixtureModel(model0.family, model0.weights, mus, model0.sigmas)
+    report = optim.fit(far, data, EM_ORACLE_CFG)
+    assert report.events[0] == "iter 1: component 1 collapsed, reseeded"
+    em_oracle_agrees(report, em_oracle(far, data, EM_ORACLE_CFG))
+
+
+def test_em_does_not_depend_on_the_block_size(monkeypatch):
+    data, model0 = em_case(5000, 8)
+    default = optim.fit(model0, data, EM_ORACLE_CFG)
+    monkeypatch.setattr(mx, "BLOCK", 1000)
+    assert len(mx.column_blocks(data.samples)) == 5
+    small = optim.fit(model0, data, EM_ORACLE_CFG)
+    em_oracle_agrees(small, (default.costs, default.events, default.final_model))
 
 
 def test_em_takes_no_triangular_solve_or_scipy_logsumexp(case, monkeypatch):
@@ -237,12 +320,14 @@ def test_em_and_nll_hold_few_sample_sized_buffers():
             peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
         finally:
             tracemalloc.stop()
-    # EM: the (m, n) copy of the samples, two (m, n) buffers and the (k, n)
-    # densities with their temporaries, 4.75 units (fresh per-component
-    # temporaries in (n, m) layout peak at 5.75); nll reads x^T as a view
-    # and peaks at 3.50 units.
-    assert peaks[0] < 5.0
-    assert peaks[1] < 3.6
+    # EM: the blocked copy of the samples (1 unit) and one block's buffers,
+    # the (k, m, BLOCK) whitened samples (0.33 units at this n) and (m,
+    # BLOCK) and (k, BLOCK) scratch, 1.58 units measured.  nll reads x as
+    # (m, BLOCK) views: the (k, n) densities (0.5 units), the two (k, n)
+    # temporaries of their log-sum-exp and the block buffers, 1.63 units
+    # measured.  Each bound is its peak plus 0.12 units (0.8 MB).
+    assert peaks[0] < 1.7
+    assert peaks[1] < 1.75
 
 
 def test_weight_floor_is_reported(case):
