@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -141,20 +142,29 @@ class MixtureModel:
         return MixtureModel.from_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Samples plus optional ground truth and the seed that produced them."""
+    """Samples plus optional ground truth and the seed that produced them.
+
+    Frozen, so its derived statistics are computed once per Dataset:
+    ``covariance`` is taken on first use and kept, read-only.  ``samples``
+    is a read-only view of the array given, not a copy; writing into that
+    array afterwards would leave the kept covariance stale.
+    """
 
     samples: np.ndarray
     truth: MixtureModel | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[0] < 1:
             raise InvalidFamilyError("dataset needs at least one sample row")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise InvalidFamilyError("dataset entries must be finite")
+        samples = samples.view()
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @property
     def n(self) -> int:
@@ -164,14 +174,27 @@ class Dataset:
     def m(self) -> int:
         return self.samples.shape[1]
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """``sample_covariance(samples)``, computed once per Dataset."""
+        cov = sample_covariance(self.samples)
+        cov.flags.writeable = False
+        return cov
+
+
+def as_dataset(data, m: int) -> Dataset:
+    """data itself if it is a Dataset, else a Dataset over the raw array,
+    which must pass the Dataset checks; either way it must have m columns."""
+    dataset = data if isinstance(data, Dataset) else Dataset(data)
+    if dataset.m != m:
+        raise MismatchError(f"data has {dataset.m} columns, the model has dimension {m}")
+    return dataset
+
 
 def as_samples(data, m: int) -> np.ndarray:
     """The (n, m) samples of a Dataset, or of a raw array given the Dataset
     checks (a 2-D array with at least one row, every entry finite)."""
-    samples = (data if isinstance(data, Dataset) else Dataset(data)).samples
-    if samples.shape[1] != m:
-        raise MismatchError(f"data has {samples.shape[1]} columns, the model has dimension {m}")
-    return samples
+    return as_dataset(data, m).samples
 
 
 def sample_covariance(samples: np.ndarray) -> np.ndarray:
@@ -252,6 +275,10 @@ def nll(model: MixtureModel, data) -> float:
 
 def sample_mixture(model: MixtureModel, rng: np.random.Generator, n: int) -> Dataset:
     """Draw n samples: categorical component choice, then the elliptical law."""
+    return Dataset(_draw_rows(model, rng, n), truth=model)
+
+
+def _draw_rows(model: MixtureModel, rng: np.random.Generator, n: int) -> np.ndarray:
     n = int(n)
     labels = rng.choice(model.k, size=n, p=model.weights)
     out = np.empty((n, model.m))
@@ -259,7 +286,7 @@ def sample_mixture(model: MixtureModel, rng: np.random.Generator, n: int) -> Dat
         idx = np.flatnonzero(labels == i)
         if idx.size:
             out[idx] = families.sample(model.component(i), rng, idx.size)
-    return Dataset(out, truth=model)
+    return out
 
 
 def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -334,9 +361,7 @@ def generate_synthetic(
     sigmas = sigmas / level**2
 
     truth = MixtureModel(families.gaussian(m), pi, mus, sigmas)
-    data = sample_mixture(truth, rng, n)
-    data.seed = seed
-    return data
+    return Dataset(_draw_rows(truth, rng, n), truth=truth, seed=seed)
 
 
 def save_dataset_csv(path, data: Dataset | np.ndarray) -> None:

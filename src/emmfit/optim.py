@@ -12,11 +12,12 @@ direction-wise method improves on), or the direction-wise accumulator
 stack, capping and halving each step as it needs.  Each thing is decided
 once: the samples are validated at the ``fit`` boundary and their
 covariance, which sets every direction's grid margin, is taken once per
-fit; each step's model is built from the ``PdPoint`` the retraction
-admitted, so no scatter is checked again inside the loop.  A fit ends,
-``failed``, at the first iteration whose projection fails or whose
-retraction leaves a scatter on the PD floor after every halving.  An EM
-baseline covers the Gaussian family: each iteration is one pass over the
+``Dataset`` (``Dataset.covariance``), so the starts and fits of one data
+set share it; each step's model is built from the ``PdPoint`` the
+retraction admitted, so no scatter is checked again inside the loop.  A
+fit ends, ``failed``, at the first iteration whose projection fails or
+whose retraction leaves a scatter on the PD floor after every halving.  An
+EM baseline covers the Gaussian family: each iteration is one pass over the
 samples in cache-sized column blocks, running the density kernel of
 ``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
 coordinates per block, and each iterate is built from the eigenvalue
@@ -38,10 +39,9 @@ from .manifold import PdPoint, SpherePoint
 from .mixture import (
     BlockBuffers,
     MixtureModel,
-    as_samples,
+    as_dataset,
     column_blocks,
     normalize_columns,
-    sample_covariance,
 )
 
 METHODS = ("vanilla", "radam", "dadam", "em")
@@ -164,8 +164,8 @@ class _ScatterMoments:
 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
-    samples = as_samples(data, model0.m)
-    cov = sample_covariance(samples)
+    dataset = as_dataset(data, model0.m)
+    samples, cov = dataset.samples, dataset.covariance
     family = model0.family
     k, m = model0.k, model0.m
     method = cfg.method
@@ -314,12 +314,13 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
-    samples = as_samples(data, model0.m)
+    dataset = as_dataset(data, model0.m)
+    samples = dataset.samples
     n, m = samples.shape
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
 
-    data_cov_trace = float(np.trace(sample_covariance(samples)))
+    data_cov_trace = float(np.trace(dataset.covariance))
     floor = 1e-6 * data_cov_trace / m
     iso = np.eye(m) * data_cov_trace / m
 
@@ -416,27 +417,45 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
 
 def initialize(data, k: int, family, strategy: str = "random", rng=None) -> MixtureModel:
     """Random starting point: simplex weights, box-uniform or D^2-weighted
-    locations, isotropic scatters carrying the data covariance trace."""
-    samples = as_samples(data, family.m)
+    locations, isotropic scatters carrying the data covariance trace.
+
+    ``kmeanspp-lite`` is the D^2 seeding of k-means++: the first location
+    is a uniformly drawn row, and each next one a row drawn with
+    probability proportional to its squared distance d2 to the nearest
+    location so far.  d2 is kept as a running minimum, so the k - 1 draws
+    cost k - 1 passes over the samples, each written into one reused
+    (n, m) buffer.  Data with fewer than k distinct rows leave no mass to
+    draw from and raise ``MismatchError``.
+    """
+    dataset = as_dataset(data, family.m)
+    samples = dataset.samples
     n, m = samples.shape
     if n < k:
         raise MismatchError(f"need at least k={k} samples, got {n}")
     rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))
-    iso = np.eye(m) * float(np.trace(sample_covariance(samples))) / m
+    iso = np.eye(m) * float(np.trace(dataset.covariance)) / m
     if strategy == "random":
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         mus = rng.uniform(lo, hi, size=(k, m))
     elif strategy == "kmeanspp-lite":
-        chosen = [samples[rng.integers(n)]]
+        rows = [rng.integers(n)]
+        d2 = np.full(n, np.inf)
+        near = np.empty(n)
+        diff = np.empty_like(samples)
         for _ in range(k - 1):
-            d2 = np.min(
-                [np.sum((samples - c) ** 2, axis=1) for c in chosen], axis=0
-            )
-            probs = d2 / d2.sum()
-            chosen.append(samples[rng.choice(n, p=probs)])
-        mus = np.array(chosen)
+            np.subtract(samples, samples[rows[-1]], out=diff)
+            np.square(diff, out=diff)
+            np.minimum(d2, diff.sum(axis=1, out=near), out=d2)
+            total = d2.sum()
+            if total == 0.0:
+                distinct = len(np.unique(samples, axis=0))
+                raise MismatchError(
+                    f"kmeanspp-lite needs k={k} distinct rows; the data has {distinct}"
+                )
+            rows.append(rng.choice(n, p=d2 / total))
+        mus = samples[rows]
     else:
         raise MismatchError(f"unknown initialization strategy {strategy!r}")
     return MixtureModel(family, pi, mus, np.stack([iso.copy() for _ in range(k)]))

@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
 from .families import EllipticalComponent
-from .mixture import MixtureModel, as_samples, sample_covariance
+from .mixture import MixtureModel, as_dataset
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
 
@@ -255,10 +255,11 @@ def make_projection_context(
 
     The spread is the projections' standard deviation, read as
     sqrt(p' cov p) from the samples' biased covariance ``cov``
-    (``mixture.sample_covariance``), which a caller projecting the same
-    samples many times computes once.  Constant projections fall back to a
-    spread of max(1, |x|).  The context is built trusted: p is checked here
-    and the projections are sorted here, so nothing is re-scanned.
+    (``mixture.sample_covariance``).  A caller projecting the same samples
+    many times passes ``Dataset.covariance``, which each ``mixture.Dataset``
+    computes once.  Constant projections fall back to a spread of
+    max(1, |x|).  The context is built trusted: p is checked here and the
+    projections are sorted here, so nothing is re-scanned.
     """
     p = np.asarray(p, dtype=float)
     _check_unit(p)
@@ -379,8 +380,8 @@ def sliced_cost(
 ) -> float:
     """Average semi-discrete 1-D cost over the given unit projections, on the
     rows of a Dataset or of a raw (n, m) array given the Dataset checks."""
-    samples = as_samples(data, model.m)
-    cov = sample_covariance(samples)
+    dataset = as_dataset(data, model.m)
+    samples, cov = dataset.samples, dataset.covariance
     total = 0.0
     count = 0
     for p in projections:

@@ -119,6 +119,23 @@ def em_oracle(model0, data, cfg):
     return np.array(costs), events, mx.MixtureModel(model0.family, weights, mus, sigmas)
 
 
+def initialize_oracle(data, k, family, rng):
+    """``optim.initialize(data, k, family, "kmeanspp-lite", rng)`` as it
+    seeded before d2 became a running minimum: every round recomputes the
+    squared distances to every location chosen so far, k(k-1)/2 passes in
+    all, and the covariance is taken from the samples on each call."""
+    samples = mx.as_samples(data, family.m)
+    n, m = samples.shape
+    pi = rng.dirichlet(np.ones(k))
+    iso = np.eye(m) * float(np.trace(mx.sample_covariance(samples))) / m
+    chosen = [samples[rng.integers(n)]]
+    for _ in range(k - 1):
+        d2 = np.min([np.sum((samples - c) ** 2, axis=1) for c in chosen], axis=0)
+        probs = d2 / d2.sum()
+        chosen.append(samples[rng.choice(n, p=probs)])
+    return mx.MixtureModel(family, pi, np.array(chosen), np.stack([iso.copy() for _ in range(k)]))
+
+
 def golden_case():
     """The seeded m=2, k=3 data set and start of the golden fits."""
     data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import logsumexp
 from _helpers import DENSITY_FAMILIES, component_logpdf_oracle, golden_case, random_gmm
 from emmfit import families as fam
 from emmfit import mixture as mx
+from emmfit import optim
 from emmfit import transport as tp
 from emmfit.errors import (
     DensityUnavailableError,
@@ -395,6 +397,64 @@ class TestGenerateSynthetic:
             mx.generate_synthetic(2, 0, 10, 10.0, 10.0, rng)
         with pytest.raises(GenerationError):
             mx.generate_synthetic(2, 2, 10, 0.5, 10.0, rng)
+
+
+class TestDataset:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return golden_case()[0]
+
+    @pytest.mark.parametrize("name", ["samples", "truth", "seed"])
+    def test_fields_cannot_be_assigned(self, data, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, None)
+
+    def test_samples_are_a_read_only_view(self):
+        raw = np.random.default_rng(0).normal(size=(20, 2))
+        data = mx.Dataset(raw)
+        assert np.shares_memory(data.samples, raw) and raw.flags.writeable
+        with pytest.raises(ValueError):
+            data.samples[0, 0] = 1.0
+
+    def test_generate_synthetic_keeps_the_seed(self):
+        assert mx.generate_synthetic(2, 2, 10, 4.0, 3.0, np.random.default_rng(0), seed=9).seed == 9
+
+    def test_covariance_is_the_sample_covariance_built_once(self, monkeypatch):
+        data = mx.Dataset(golden_case()[0].samples, seed=7)
+        calls = []
+        original = mx.sample_covariance
+
+        def counting(samples):
+            calls.append(samples)
+            return original(samples)
+
+        monkeypatch.setattr(mx, "sample_covariance", counting)
+        model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(1))
+        for method in ("dadam", "em"):
+            optim.fit(model0, data, optim.OptimizerConfig(method=method, max_iters=3, em_tol=0.0))
+        tp.sliced_cost(model0, data, tp.random_projections(2, 3, np.random.default_rng(2)))
+        assert len(calls) == 1 and calls[0] is data.samples
+        assert data.covariance.tobytes() == original(data.samples).tobytes()
+        assert not data.covariance.flags.writeable
+
+    def test_readers_agree_bitwise_on_a_dataset_and_its_array(self, data):
+        raw = np.array(data.samples)
+        family = fam.gaussian(2)
+        start = [
+            optim.initialize(side, 3, family, "kmeanspp-lite", np.random.default_rng(3)) for side in (data, raw)
+        ]
+        assert mx.nll(start[0], data) == mx.nll(start[0], raw)
+        p = tp.random_projections(2, 4, np.random.default_rng(4))
+        assert tp.sliced_cost(start[0], data, p) == tp.sliced_cost(start[0], raw, p)
+        models = [start[0], start[1]]
+        for method in ("dadam", "em"):
+            cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=10, em_tol=0.0, seed=5)
+            reports = [optim.fit(start[0], side, cfg) for side in (data, raw)]
+            assert reports[0].costs.tobytes() == reports[1].costs.tobytes()
+            models += [report.final_model for report in reports]
+        for a, b in zip(models[::2], models[1::2]):
+            for x, y in ((a.weights, b.weights), (a.mus, b.mus), (a.sigmas, b.sigmas)):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestIO:

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import em_oracle, golden_case, golden_fit
+from _helpers import em_oracle, golden_case, golden_fit, initialize_oracle
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -412,6 +412,51 @@ def test_initialize_checks_raw_samples(case, kind):
     samples, error = bad_samples(case, kind)
     with pytest.raises(error):
         optim.initialize(samples, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(0))
+
+
+def seeding_samples(m, seed):
+    """At most 2000 rows with repeats: rows drawn with replacement from a
+    smaller set of distinct ones, on scales that differ per column."""
+    rng = np.random.default_rng([m, seed])
+    distinct = rng.normal(size=(100 + 300 * seed, m)) * rng.uniform(0.1, 10.0, size=m)
+    return distinct[rng.integers(len(distinct), size=500 + 700 * seed)]
+
+
+class DrawRecorder:
+    """A seeded generator that keeps the probabilities of every ``choice``."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.probs = []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def choice(self, n, p):
+        self.probs.append(p.tobytes())
+        return self.rng.choice(n, p=p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", (1, 2, 4, 8))
+@pytest.mark.parametrize("m", (1, 2, 8, 16))
+def test_kmeanspp_matches_the_quadratic_oracle_bitwise(m, k, seed):
+    samples = seeding_samples(m, seed)
+    family = fam.gaussian(m)
+    draws = DrawRecorder(seed), DrawRecorder(seed)
+    got = optim.initialize(samples, k, family, "kmeanspp-lite", draws[0])
+    want = initialize_oracle(samples, k, family, draws[1])
+    for x, y in ((got.weights, want.weights), (got.mus, want.mus), (got.sigmas, want.sigmas)):
+        assert x.tobytes() == y.tobytes()
+    assert len(draws[0].probs) == k - 1 and draws[0].probs == draws[1].probs
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, rows", [(2, [[1.5, -2.0]] * 6), (3, [[0.0, 1.0], [2.0, 3.0]] * 5)])
+def test_kmeanspp_refuses_fewer_distinct_rows_than_k(k, rows):
+    distinct = len({tuple(r) for r in rows})
+    with pytest.raises(MismatchError, match=f"k={k} distinct rows; the data has {distinct}"):
+        optim.initialize(np.array(rows), k, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("args", ([], ["adam"]))
