@@ -22,8 +22,8 @@ class DensityUnavailableError(EmmfitError):
 
 
 class UnsupportedGradientError(EmmfitError):
-    """No sliced-cost gradient for this family: no closed-form generator
-    derivative, or no integrable 1-D projected kernel."""
+    """No sliced-cost gradient for this family: no 1-D projected kernel
+    with an integrable primitive."""
 
 
 class UndefinedSecondMomentError(EmmfitError):

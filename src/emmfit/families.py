@@ -7,11 +7,11 @@ scatter matrix.  ``log_gen(t)`` returns the log of the *normalized*
 generator, i.e. the density of a standard (mu=0, Sigma=I) member is
 ``exp(log_gen(t))`` with t the squared Mahalanobis distance.
 
-The projected kernel c_m g(z^2) and its odd primitive, which the sliced
-objective integrates over grid cells, are evaluated in closed form where
-the family has one (Kotz with a = 1 and s = 1, the Gaussian among them,
-through erf); every other family reads them from a PCHIP table built on
-first use.
+The sliced objective needs one thing from a family: its projected kernel
+c_m g(z^2), as an odd primitive and its slope, which each family holds as
+one cached ``_projected_kernel`` object.  Kotz with a = 1 and s = 1, the
+Gaussian among them, has it in closed form through erf; every other
+family reads it from a PCHIP table built on first use.
 """
 
 from __future__ import annotations
@@ -82,12 +82,72 @@ class _ErfKernel(NamedTuple):
             return np.exp(self.log_c - self.b * (u * u))
 
 
-class _PrimitiveTable(NamedTuple):
+class _TableKernel(NamedTuple):
+    """The projected kernel of a family with no closed form, read from a
+    PCHIP table of its odd primitive Phi(u) = integral_0^u c_m g(z^2) dz.
+
+    Layout: N = 65 536 nodes u_j = 3 tan(theta_j), theta_j = j * dtheta
+    uniform on [0, pi/2 - 1e-7]; coef is scipy's (4, N-1) PCHIP coefficient
+    array transposed, so one gather fetches an interval's four
+    coefficients, column r multiplying s^(3-r), s = u - u_i.  Because theta
+    is uniform, arctan(u/3) / dtheta is the interval up to rounding, which
+    can put it one interval off; one fix-up step makes it the interval
+    scipy's binary search picks (u_i <= u < u_{i+1}, the last interval
+    closed on the right).  ``primitive`` and ``slope`` then sum the cubic
+    in scipy's own operation order, so they return scipy's bits without its
+    search."""
+
     nodes: np.ndarray  # (N,)  u_j = 3 tan(j * dtheta)
     coef: np.ndarray  # (N-1, 4)  PCHIP coefficients, column r multiplies s^(3-r)
     dtheta: float
     u_max: float  # nodes[-1]
     phi_max: float  # Phi(u_max)
+
+    @classmethod
+    def build(cls, log_gen) -> "_TableKernel":
+        # The trapezoid rule on the tangent-warped grid resolves heavy
+        # tails.  A monotone C^1 (PCHIP) interpolant keeps the encoded
+        # kernel continuous, so parameter derivatives of cell masses stay
+        # consistent with finite differences of the masses themselves.
+        from scipy.interpolate import PchipInterpolator
+
+        theta, dtheta = np.linspace(0.0, np.pi / 2.0 - 1e-7, 65_536, retstep=True)
+        scale = 3.0
+        u = scale * np.tan(theta)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            integrand = np.exp(log_gen(u * u)) * scale / np.cos(theta) ** 2
+        integrand = np.where(np.isfinite(integrand), integrand, 0.0)
+        phi = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) * 0.5 * np.diff(theta))])
+        coef = np.ascontiguousarray(PchipInterpolator(u, phi, extrapolate=False).c.T)
+        return cls(u, coef, dtheta, float(u[-1]), float(phi[-1]))
+
+    def _cubic(self, u):
+        """Locate |u| in the table: (saturated, s, (c0, c1, c2, c3)), where
+        |u| >= u_max is saturated and elsewhere the primitive is
+        c3 + c2 s + c1 s^2 + c0 s^3 with s = |u| - u_i on its interval i."""
+        nodes = self.nodes
+        mag = np.minimum(np.abs(u), self.u_max)
+        last = len(nodes) - 2
+        # NaN casts to the most negative integer, so clip on both sides
+        with np.errstate(invalid="ignore"):
+            i = np.clip((np.arctan(mag / 3.0) / self.dtheta).astype(np.intp), 0, last)
+        i -= nodes.take(i) > mag
+        i += (nodes.take(i + 1) <= mag) & (i < last)
+        return mag >= self.u_max, mag - nodes.take(i), np.moveaxis(self.coef.take(i, axis=0), -1, 0)
+
+    def primitive(self, u):
+        saturated, s, (c0, c1, c2, c3) = self._cubic(u)
+        ss = s * s
+        # scipy's order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s)
+        value = (c3 + c2 * s) + c1 * ss + c0 * (ss * s)
+        return np.sign(u) * np.where(saturated, self.phi_max, value)
+
+    def slope(self, u):
+        # the kernel the interpolated primitive encodes: the derivative
+        # PPoly's rows are (3 c0, 2 c1, c2), summed in that order
+        saturated, s, (c0, c1, c2, _) = self._cubic(u)
+        value = (c2 + (2.0 * c1) * s) + (3.0 * c0) * (s * s)
+        return np.where(saturated, 0.0, value)
 
 
 def _as_t(t) -> np.ndarray:
@@ -104,11 +164,8 @@ class EllipticalFamily:
     m: int
 
     name = "elliptical"
-    # Families without a normalized density cannot enter likelihoods.
-    has_density = True
-    # Families without a closed-form generator derivative, or whose projected
-    # kernel has no 1-D primitive, cannot be used with the analytic
-    # sliced-Wasserstein gradients.
+    # Families whose projected kernel has no 1-D primitive cannot be used
+    # with the analytic sliced-Wasserstein gradients.
     has_gradient = True
 
     def __post_init__(self):
@@ -119,93 +176,25 @@ class EllipticalFamily:
         """log of the normalized generator c_m*g(t), elementwise in t >= 0."""
         raise NotImplementedError
 
-    def dlog_gen(self, t) -> np.ndarray:
-        """d/dt log g(t) (the generator's log-derivative), elementwise."""
-        raise NotImplementedError
-
-    # The projected kernel in closed form (primitive and slope), for the
-    # families that have one; None sends gen_primitive and
-    # gen_primitive_slope to the table.  Both stay defined here alone, so
-    # whatever wraps them on this class sees every family's calls.
-    _closed_kernel = None
-
-    def gen_deriv(self, t) -> np.ndarray:
-        """d/dt of the normalized generator; zero where the density vanishes."""
-        lg = self.log_gen(t)
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.exp(lg) * self.dlog_gen(t)
-        return np.where(np.isneginf(lg), 0.0, out)
-
     @cached_property
-    def _primitive_table(self):
-        # Odd primitive of the 1-D projected kernel, used for exact cell
-        # masses by the families with no closed form (_closed_kernel is
-        # None): Phi(u) = integral_0^u c_m g(z^2) dz, by the trapezoid rule
-        # on a tangent-warped grid so heavy tails are resolved.  A monotone
-        # C^1 (PCHIP) interpolant keeps the encoded kernel continuous, so
-        # parameter derivatives of cell masses stay consistent with finite
-        # differences of the masses themselves.
-        #
-        # Layout: N = 65 536 nodes u_j = 3 tan(theta_j), theta_j = j * dtheta
-        # uniform on [0, pi/2 - 1e-7]; coef is scipy's (4, N-1) PCHIP
-        # coefficient array transposed, so one gather fetches an interval's
-        # four coefficients, column r multiplying s^(3-r), s = u - u_i.
-        # Because theta is uniform, arctan(u/3) / dtheta is the interval up
-        # to rounding, which can put it one interval off; one fix-up step
-        # makes it the interval scipy's binary search picks (u_i <= u <
-        # u_{i+1}, the last interval closed on the right).  gen_primitive
-        # and gen_primitive_slope then sum the cubic in scipy's own
-        # operation order, so they return scipy's bits without its search.
-        from scipy.interpolate import PchipInterpolator
-
+    def _projected_kernel(self) -> _ErfKernel | _TableKernel:
+        """The projected kernel c_m g(z^2), as ``primitive`` and ``slope``:
+        a PCHIP table of its primitive, built on first use, unless a family
+        overrides this with a closed form."""
         if not self.has_gradient:
             raise UnsupportedGradientError(f"{self.name} {self.params()} has no usable 1-D projected kernel")
-        theta, dtheta = np.linspace(0.0, np.pi / 2.0 - 1e-7, 65_536, retstep=True)
-        scale = 3.0
-        u = scale * np.tan(theta)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            integrand = np.exp(self.log_gen(u * u)) * scale / np.cos(theta) ** 2
-        integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-        phi = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) * 0.5 * np.diff(theta))])
-        coef = np.ascontiguousarray(PchipInterpolator(u, phi, extrapolate=False).c.T)
-        return _PrimitiveTable(u, coef, dtheta, float(u[-1]), float(phi[-1]))
+        return _TableKernel.build(self.log_gen)
 
-    def _primitive_cubic(self, u):
-        """Locate |u| in the primitive table: (saturated, s, (c0, c1, c2, c3)),
-        where |u| >= u_max is saturated and elsewhere the primitive is
-        c3 + c2 s + c1 s^2 + c0 s^3 with s = |u| - u_i on its interval i."""
-        table = self._primitive_table
-        nodes = table.nodes
-        mag = np.minimum(np.abs(u), table.u_max)
-        last = len(nodes) - 2
-        # NaN casts to the most negative integer, so clip on both sides
-        with np.errstate(invalid="ignore"):
-            i = np.clip((np.arctan(mag / 3.0) / table.dtheta).astype(np.intp), 0, last)
-        i -= nodes.take(i) > mag
-        i += (nodes.take(i + 1) <= mag) & (i < last)
-        return mag >= table.u_max, mag - nodes.take(i), np.moveaxis(table.coef.take(i, axis=0), -1, 0)
-
+    # gen_primitive and gen_primitive_slope stay defined here alone, so
+    # whatever wraps them on this class sees every family's calls.
     def gen_primitive(self, u) -> np.ndarray:
         """Phi(u) = integral_0^u of the projected kernel c_m g(z^2) dz, odd in u."""
-        u = np.asarray(u, dtype=float)
-        if self._closed_kernel is not None:
-            return self._closed_kernel.primitive(u)
-        saturated, s, (c0, c1, c2, c3) = self._primitive_cubic(u)
-        ss = s * s
-        # scipy's order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s)
-        value = (c3 + c2 * s) + c1 * ss + c0 * (ss * s)
-        return np.sign(u) * np.where(saturated, self._primitive_table.phi_max, value)
+        return self._projected_kernel.primitive(np.asarray(u, dtype=float))
 
     def gen_primitive_slope(self, u) -> np.ndarray:
         """Derivative of the primitive: the kernel itself where it has a closed
         form, else the kernel the interpolated primitive encodes."""
-        u = np.asarray(u, dtype=float)
-        if self._closed_kernel is not None:
-            return self._closed_kernel.slope(u)
-        saturated, s, (c0, c1, c2, _) = self._primitive_cubic(u)
-        # the derivative PPoly's rows are (3 c0, 2 c1, c2), summed in that order
-        value = (c2 + (2.0 * c1) * s) + (3.0 * c0) * (s * s)
-        return np.where(saturated, 0.0, value)
+        return self._projected_kernel.slope(np.asarray(u, dtype=float))
 
     def sample_r2(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws of R^2."""
@@ -247,10 +236,10 @@ class Kotz(EllipticalFamily):
         return (2.0 * self.a + self.m - 2.0) / (2.0 * self.s)
 
     @cached_property
-    def _closed_kernel(self) -> _ErfKernel | None:
+    def _projected_kernel(self) -> _ErfKernel | _TableKernel:
         # a = 1, s = 1: the kernel c_m exp(-b z^2) integrates to an erf
         if self.a != 1.0 or self.s != 1.0:
-            return None
+            return super()._projected_kernel
         sqrt_b = math.sqrt(self.b)
         phi_max = math.exp(self._log_const) * math.sqrt(math.pi) / (2.0 * sqrt_b)
         return _ErfKernel(self._log_const, self.b, sqrt_b, phi_max)
@@ -273,14 +262,6 @@ class Kotz(EllipticalFamily):
             else:
                 body = (self.a - 1.0) * np.log(t) - self.b * t**self.s
         return self._log_const + body
-
-    def dlog_gen(self, t):
-        t = _as_t(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = -self.b * self.s * t ** (self.s - 1.0)
-            if self.a == 1.0:
-                return np.broadcast_to(tail, t.shape).copy() if np.ndim(tail) else tail * np.ones_like(t)
-            return (self.a - 1.0) / t + tail
 
     def sample_r2(self, rng, n):
         g = rng.gamma(self._shape, scale=1.0 / self.b, size=n)
@@ -325,10 +306,6 @@ class PearsonVII(EllipticalFamily):
     def log_gen(self, t):
         t = _as_t(t)
         return self._log_const - self.s * np.log1p(t / self.v)
-
-    def dlog_gen(self, t):
-        t = _as_t(t)
-        return -self.s / (self.v + t)
 
     def sample_r2(self, rng, n):
         g = rng.chisquare(self.m, size=n)
@@ -404,17 +381,6 @@ class Hyperbolic(EllipticalFamily):
             body = np.where(t == 0.0, at_zero, body)
         return self._log_const + body
 
-    def dlog_gen(self, t):
-        t = _as_t(t)
-        nu = self._nu
-        shifted = self.a + t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.sqrt(self.v * shifted)
-            # K'_nu(z)/K_nu(z) = -(K_{nu-1} + K_{nu+1}) / (2 K_nu); the
-            # exponential scalings of kve cancel in the ratio.
-            ratio = -(special.kve(nu - 1.0, z) + special.kve(nu + 1.0, z)) / (2.0 * special.kve(nu, z))
-            return nu / (2.0 * shifted) + ratio * self.v / (2.0 * z)
-
     def sample_r2(self, rng, n):
         g = rng.chisquare(self.m, size=n)
         if self.a == 0.0:
@@ -465,10 +431,6 @@ class Logistic(EllipticalFamily):
         t = _as_t(t)
         return self._log_const - t - 2.0 * np.logaddexp(0.0, -t)
 
-    def dlog_gen(self, t):
-        t = _as_t(t)
-        return -np.tanh(t / 2.0)
-
     @cached_property
     def _radial_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         # Inverse-CDF table for R (not R^2): p_R(r) ~ g(r^2) r^(m-1),
@@ -508,7 +470,6 @@ class AlphaStable(EllipticalFamily):
     alpha: float = 1.5
 
     name = "alphastable"
-    has_density = False
     has_gradient = False
 
     def __post_init__(self):
@@ -518,9 +479,6 @@ class AlphaStable(EllipticalFamily):
 
     def log_gen(self, t):
         raise DensityUnavailableError("alpha-stable density is defined only up to proportionality")
-
-    def dlog_gen(self, t):
-        raise UnsupportedGradientError("alpha-stable has no closed-form generator derivative")
 
     def sample_r2(self, rng, n):
         g = rng.chisquare(self.m, size=n)
@@ -561,11 +519,6 @@ class PearsonII(EllipticalFamily):
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = self._log_const + (self.s - 1.0) * np.log1p(-np.minimum(t, 1.0))
         return np.where(t > 1.0, -np.inf, inside)
-
-    def dlog_gen(self, t):
-        t = _as_t(t)
-        with np.errstate(divide="ignore"):
-            return np.where(t < 1.0, -(self.s - 1.0) / (1.0 - t), -np.inf)
 
     def sample_r2(self, rng, n):
         return rng.beta(self.m / 2.0, self.s, size=n)

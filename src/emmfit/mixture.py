@@ -15,6 +15,8 @@ from .families import EllipticalComponent, EllipticalFamily
 from .manifold import PdPoint
 
 WEIGHT_TOL = 1e-12
+# Draws of the synthetic means before their separation is given up.
+MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -191,12 +193,6 @@ def as_dataset(data, m: int) -> Dataset:
     return dataset
 
 
-def as_samples(data, m: int) -> np.ndarray:
-    """The (n, m) samples of a Dataset, or of a raw array given the Dataset
-    checks (a 2-D array with at least one row, every entry finite)."""
-    return as_dataset(data, m).samples
-
-
 def sample_covariance(samples: np.ndarray) -> np.ndarray:
     """The biased (m, m) covariance of the rows of an (n, m) array."""
     m = samples.shape[1]
@@ -270,7 +266,7 @@ def pdf(model: MixtureModel, x) -> float:
 def nll(model: MixtureModel, data) -> float:
     """Averaged negative log-likelihood over the rows of a Dataset, or of a
     raw (n, m) array given the Dataset checks."""
-    return float(-np.mean(model.logpdf(as_samples(data, model.m))))
+    return float(-np.mean(model.logpdf(as_dataset(data, model.m).samples)))
 
 
 def sample_mixture(model: MixtureModel, rng: np.random.Generator, n: int) -> Dataset:
@@ -301,11 +297,10 @@ def generate_synthetic(
     eccentricity: float,
     separation: float,
     rng: np.random.Generator,
-    weights: str = "balanced",
     seed: int | None = None,
-    max_retries: int = 20,
 ) -> Dataset:
-    """Random Gaussian mixture in the style of well-separated benchmarks.
+    """Random balanced Gaussian mixture in the style of well-separated
+    benchmarks.
 
     Covariances are Q diag(lambda) Q^T with random orthogonal Q and
     eigenvalues log-uniform over a band of ratio ecc^2 (condition number
@@ -328,7 +323,7 @@ def generate_synthetic(
     min_sep = separation * np.sqrt(max(np.trace(s) for s in sigmas))
 
     mus = None
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         direction = rng.standard_normal((k, m))
         direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
         radius = min_sep * rng.random(k) ** (1.0 / m)
@@ -344,12 +339,7 @@ def generate_synthetic(
     if mus is None:
         raise GenerationError("could not place separated means")
 
-    if weights == "balanced":
-        pi = np.full(k, 1.0 / k)
-    elif weights == "dirichlet":
-        pi = rng.dirichlet(np.ones(k))
-    else:
-        raise GenerationError(f"unknown weight scheme {weights!r}")
+    pi = np.full(k, 1.0 / k)
 
     # standardize: unit average variance per dimension
     mean = pi @ mus

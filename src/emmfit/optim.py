@@ -98,8 +98,8 @@ class FitReport:
     def iterations(self) -> int:
         return len(self.costs)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": 1,
             "method": self.method,
             "iterations": self.iterations,
@@ -110,10 +110,8 @@ class FitReport:
             "config": self.config,
             "final_cost": None if self.iterations == 0 else float(self.costs[-1]),
             "final_model": self.final_model.to_dict(),
+            "wall_ms_total": float(np.sum(self.wall_ms)),
         }
-        if include_timing:
-            doc["wall_ms_total"] = float(np.sum(self.wall_ms))
-        return doc
 
 
 class _VectorAdamState:
@@ -425,7 +423,8 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     location so far.  d2 is kept as a running minimum, so the k - 1 draws
     cost k - 1 passes over the samples, each written into one reused
     (n, m) buffer.  Data with fewer than k distinct rows leave no mass to
-    draw from and raise ``MismatchError``.
+    draw from, and data whose covariance trace is 0 leave the isotropic
+    scatters singular; both raise ``MismatchError``.
     """
     dataset = as_dataset(data, family.m)
     samples = dataset.samples
@@ -435,7 +434,7 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))
-    iso = np.eye(m) * float(np.trace(dataset.covariance)) / m
+    trace = float(np.trace(dataset.covariance))
     if strategy == "random":
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         mus = rng.uniform(lo, hi, size=(k, m))
@@ -458,4 +457,10 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
         mus = samples[rows]
     else:
         raise MismatchError(f"unknown initialization strategy {strategy!r}")
+    # after the draws, so the distinct-row refusal above keeps its message
+    if not trace > 0.0:
+        raise MismatchError(
+            f"{strategy} start needs data with spread; the covariance trace of the {n} rows is {trace}"
+        )
+    iso = np.eye(m) * trace / m
     return MixtureModel(family, pi, mus, np.stack([iso.copy() for _ in range(k)]))

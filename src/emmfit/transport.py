@@ -292,7 +292,6 @@ class ProjectedMixture:
     scatter derivatives.
     """
 
-    proj_var: np.ndarray  # (k,)  p' Sigma_i p
     kernels: np.ndarray  # (k, G)  cell-averaged weight-free kernel
     edge_kernel: np.ndarray  # (k, G+1)  kernel at cell edges
     edge_scale_flux: np.ndarray  # (k, G+1)  c_m g(u^2) u / (2 v) at cell edges
@@ -335,7 +334,7 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
     mass = float(ctx.grid_weights @ rho)
     if not np.isfinite(mass) or mass <= 1e-300:
         raise DegenerateGridError("projected model density has no mass on the grid")
-    return ProjectedMixture(proj_var, kernels, edge_kernel, edge_scale_flux, rho, mass)
+    return ProjectedMixture(kernels, edge_kernel, edge_scale_flux, rho, mass)
 
 
 def project_model(model: MixtureModel, ctx: ProjectionContext) -> ProjectedMixture:
@@ -371,13 +370,7 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     return float(np.sum(y * y * masses - 2.0 * y * np.diff(s1))) + ctx.quantile_second_moment
 
 
-def sliced_cost(
-    model: MixtureModel,
-    data,
-    projections,
-    n_grid: int = 1024,
-    margin_sigmas: float = 4.0,
-) -> float:
+def sliced_cost(model: MixtureModel, data, projections) -> float:
     """Average semi-discrete 1-D cost over the given unit projections, on the
     rows of a Dataset or of a raw (n, m) array given the Dataset checks."""
     dataset = as_dataset(data, model.m)
@@ -385,7 +378,7 @@ def sliced_cost(
     total = 0.0
     count = 0
     for p in projections:
-        ctx = make_projection_context(p, samples, n_grid=n_grid, margin_sigmas=margin_sigmas, cov=cov)
+        ctx = make_projection_context(p, samples, cov=cov)
         total += projected_w2(ctx, project_model(model, ctx))
         count += 1
     if count == 0:

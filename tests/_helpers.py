@@ -68,7 +68,7 @@ def em_oracle(model0, data, cfg):
     full, and per component an M-step of centred, weighted (m, n) passes
     with one (m x n) @ (n x m) scatter product.  Returns (costs, events,
     final model); the eigenvalue floor and reseeding are the fit's."""
-    samples = mx.as_samples(data, model0.m)
+    samples = mx.as_dataset(data, model0.m).samples
     n, m = samples.shape
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
@@ -124,7 +124,7 @@ def initialize_oracle(data, k, family, rng):
     seeded before d2 became a running minimum: every round recomputes the
     squared distances to every location chosen so far, k(k-1)/2 passes in
     all, and the covariance is taken from the samples on each call."""
-    samples = mx.as_samples(data, family.m)
+    samples = mx.as_dataset(data, family.m).samples
     n, m = samples.shape
     pi = rng.dirichlet(np.ones(k))
     iso = np.eye(m) * float(np.trace(mx.sample_covariance(samples))) / m
@@ -143,9 +143,12 @@ def golden_case():
     return data, model0
 
 
+def golden_config(method: str) -> optim.OptimizerConfig:
+    return optim.OptimizerConfig(method=method, alpha=0.03, max_iters=40, em_tol=0.0, seed=5)
+
+
 def golden_fit(method: str, data, model0):
-    cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=40, em_tol=0.0, seed=5)
-    return optim.fit(model0, data, cfg)
+    return optim.fit(model0, data, golden_config(method))
 
 
 def pchip_primitive_oracle(family):
@@ -154,7 +157,7 @@ def pchip_primitive_oracle(family):
     PPoly, each binary-searching the nodes for every point."""
     from scipy.interpolate import PchipInterpolator
 
-    table = family._primitive_table
+    table = family._projected_kernel
     # the table's constant coefficients are the node values Phi(u_j)
     interp = PchipInterpolator(table.nodes, np.append(table.coef[:, 3], table.phi_max), extrapolate=False)
     deriv = interp.derivative()

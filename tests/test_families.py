@@ -301,41 +301,6 @@ class TestNormalization:
             assert mass == pytest.approx(1.0, abs=1e-3)
 
 
-class TestGeneratorDerivative:
-    def test_gaussian_ratio(self):
-        family = fam.gaussian(3)
-        for t in (0.0, 0.9, 4.2):
-            ratio = float(family.gen_deriv(t)) / math.exp(family.log_gen(t))
-            assert ratio == pytest.approx(-0.5, abs=1e-12)
-
-    def test_cauchy_ratio_at_zero(self):
-        family = fam.cauchy(1)
-        ratio = float(family.gen_deriv(0.0)) / math.exp(family.log_gen(0.0))
-        assert ratio == pytest.approx(-1.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            fam.gaussian(2),
-            fam.Kotz(m=2, a=2.0, b=1.0, s=1.5),
-            fam.PearsonVII(m=2, v=5.0, s=3.5),
-            fam.Hyperbolic(m=2, v=2.0, a=1.0, lam=-0.5),
-            fam.laplace(2),
-            fam.Logistic(m=2),
-            fam.PearsonII(m=2, s=3.0),
-        ],
-        ids=lambda f: f"{f.name}-{f.params()}",
-    )
-    def test_central_difference_agreement(self, family):
-        rng = np.random.default_rng(14)
-        lo, hi = (0.02, 0.95) if family.name == "pearson2" else (0.05, 6.0)
-        ts = rng.uniform(lo, hi, size=20)
-        h = 1e-6
-        fd = (np.exp(family.log_gen(ts + h)) - np.exp(family.log_gen(ts - h))) / (2.0 * h)
-        an = family.gen_deriv(ts)
-        assert np.max(np.abs((an - fd) / fd)) < 1e-6
-
-
 def test_make_family_and_aliases():
     f = fam.make_family("kotz", 2, a=1.0, b=0.5, s=1.0)
     assert f == fam.gaussian(2)
@@ -369,7 +334,9 @@ def assert_same_bits(got, want):
 
 
 # families whose projected kernel is read from the PCHIP table
-TABLED_FAMILIES = sorted(name for name, make in DENSITY_FAMILIES.items() if make(1)._closed_kernel is None)
+TABLED_FAMILIES = sorted(
+    name for name, make in DENSITY_FAMILIES.items() if isinstance(make(1)._projected_kernel, fam._TableKernel)
+)
 
 
 class TestPrimitiveLookup:
@@ -380,7 +347,7 @@ class TestPrimitiveLookup:
     @pytest.mark.parametrize("name", TABLED_FAMILIES)
     def test_matches_pchip_bitwise_at_every_node(self, name, m):
         family, (primitive, slope) = family_and_oracle(name, m)
-        table = family._primitive_table
+        table = family._projected_kernel
         nodes, u_max = table.nodes, table.u_max
         near = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
         ends = [0.0, u_max, np.nextafter(u_max, np.inf), 2.0 * u_max, 1e300, np.inf, np.nan]
@@ -436,7 +403,7 @@ def test_primitive_hooks_are_defined_on_the_base_class_alone():
     # The benchmark harness wraps gen_primitive and gen_primitive_slope on
     # EllipticalFamily and counts their points there; a family overriding
     # either would hide its calls.  The Gaussian takes its closed form
-    # through the base methods and never builds the table.
+    # through the base methods and never builds a table.
     for cls in fam.FAMILY_KINDS.values():
         assert "gen_primitive" not in vars(cls), cls
         assert "gen_primitive_slope" not in vars(cls), cls
@@ -444,7 +411,7 @@ def test_primitive_hooks_are_defined_on_the_base_class_alone():
     report = golden_fit("dadam", data, model0)
     assert report.iterations == 40
     assert report.final_model.family is model0.family
-    assert "_primitive_table" not in model0.family.__dict__
+    assert isinstance(model0.family.__dict__["_projected_kernel"], fam._ErfKernel)
 
 
 ERF_KERNELS = pytest.mark.parametrize("b", [0.5, 2.0], ids=["gaussian", "b2"])
@@ -454,7 +421,7 @@ ERF_DIMENSIONS = pytest.mark.parametrize("m", [1, 2, 8, 16])
 def erf_family(m, b):
     """A Kotz member with a = 1 and s = 1, whose kernel is c exp(-b z^2)."""
     family = fam.Kotz(m=m, a=1.0, b=b, s=1.0)
-    assert family._closed_kernel is not None
+    assert isinstance(family._projected_kernel, fam._ErfKernel)
     return family
 
 
@@ -470,7 +437,7 @@ class TestClosedFormKernel:
         kernel = lambda z: float(np.exp(family.log_gen(z * z)))  # noqa: E731
         want = [integrate.quad(kernel, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in u]
         np.testing.assert_allclose(family.gen_primitive(u), want, rtol=1e-12, atol=0.0)
-        assert "_primitive_table" not in family.__dict__
+        assert isinstance(family.__dict__["_projected_kernel"], fam._ErfKernel)
 
     @ERF_DIMENSIONS
     @ERF_KERNELS

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import em_oracle, golden_case, golden_fit, initialize_oracle
+from _helpers import em_oracle, golden_case, golden_config, golden_fit, initialize_oracle
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -330,6 +330,17 @@ def test_em_and_nll_hold_few_sample_sized_buffers():
     assert peaks[1] < 1.75
 
 
+@pytest.mark.parametrize("method", ("dadam", "em"))
+def test_report_to_dict_is_json_and_keeps_the_final_model(case, method):
+    report = golden_fit(method, *case)
+    doc = json.loads(json.dumps(report.to_dict()))
+    final, loaded = report.final_model, mx.MixtureModel.from_dict(doc["final_model"])
+    for x, y in ((final.weights, loaded.weights), (final.mus, loaded.mus), (final.sigmas, loaded.sigmas)):
+        assert x.tobytes() == y.tobytes()
+    assert loaded.family == final.family
+    assert doc["config"] == golden_config(method).to_dict()
+
+
 def test_weight_floor_is_reported(case):
     report = golden_fit("radam", *case)
     assert report.final_model.weights[0] < 1e-11
@@ -457,6 +468,16 @@ def test_kmeanspp_refuses_fewer_distinct_rows_than_k(k, rows):
     distinct = len({tuple(r) for r in rows})
     with pytest.raises(MismatchError, match=f"k={k} distinct rows; the data has {distinct}"):
         optim.initialize(np.array(rows), k, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "rows, k, strategy",
+    [(np.ones((6, 2)), 2, "random"), (np.ones((1, 2)), 1, "random"), (np.ones((6, 2)), 1, "kmeanspp-lite")],
+)
+def test_initialize_refuses_data_without_spread(rows, k, strategy):
+    with pytest.raises(MismatchError, match=f"{strategy} start needs data with spread"):
+        optim.initialize(rows, k, fam.gaussian(2), strategy, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("args", ([], ["adam"]))
