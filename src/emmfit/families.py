@@ -173,7 +173,15 @@ class EllipticalFamily:
             raise InvalidFamilyError("dimension m must be a positive integer")
 
     def log_gen(self, t) -> np.ndarray:
-        """log of the normalized generator c_m*g(t), elementwise in t >= 0."""
+        """log of the normalized generator c_m*g(t), elementwise in t >= 0.
+
+        t is checked here, once, and a copy of it handed to ``_log_gen``."""
+        return self._log_gen(np.array(_as_t(t)))
+
+    def _log_gen(self, t: np.ndarray) -> np.ndarray:
+        """``log_gen`` on a float array t >= 0, unchecked, which it may
+        overwrite with its result: the density kernel calls it on squared
+        norms, nonnegative by construction, in a buffer of its own."""
         raise NotImplementedError
 
     @cached_property
@@ -254,14 +262,18 @@ class Kotz(EllipticalFamily):
             - (self.m / 2.0) * math.log(math.pi)
         )
 
-    def log_gen(self, t):
-        t = _as_t(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.a == 1.0:
+    def _log_gen(self, t):
+        if self.a == 1.0 and self.s == 1.0:
+            # two passes over t, in place; t**1.0 == t, so the bits are those
+            # of the general form
+            body = np.multiply(t, -self.b, out=t)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
                 body = -self.b * t**self.s
-            else:
-                body = (self.a - 1.0) * np.log(t) - self.b * t**self.s
-        return self._log_const + body
+                if self.a != 1.0:
+                    body += (self.a - 1.0) * np.log(t)
+        body += self._log_const
+        return body
 
     def sample_r2(self, rng, n):
         g = rng.gamma(self._shape, scale=1.0 / self.b, size=n)
@@ -303,8 +315,7 @@ class PearsonVII(EllipticalFamily):
             - special.gammaln(self.s - self.m / 2.0)
         )
 
-    def log_gen(self, t):
-        t = _as_t(t)
+    def _log_gen(self, t):
         return self._log_const - self.s * np.log1p(t / self.v)
 
     def sample_r2(self, rng, n):
@@ -364,8 +375,7 @@ class Hyperbolic(EllipticalFamily):
             - log_bessel
         )
 
-    def log_gen(self, t):
-        t = _as_t(t)
+    def _log_gen(self, t):
         nu = self._nu
         shifted = self.a + t
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -427,8 +437,7 @@ class Logistic(EllipticalFamily):
         j_m, _ = integrate.quad(lambda r: float(self._kernel(r * r)) * r ** (self.m - 1), 0.0, np.inf)
         return special.gammaln(self.m / 2.0) - (self.m / 2.0) * math.log(math.pi) - math.log(2.0 * j_m)
 
-    def log_gen(self, t):
-        t = _as_t(t)
+    def _log_gen(self, t):
         return self._log_const - t - 2.0 * np.logaddexp(0.0, -t)
 
     @cached_property
@@ -477,7 +486,7 @@ class AlphaStable(EllipticalFamily):
         if not (0.0 < self.alpha < 2.0):
             raise InvalidFamilyError(f"AlphaStable requires alpha in (0, 2); got {self.alpha}")
 
-    def log_gen(self, t):
+    def _log_gen(self, t):
         raise DensityUnavailableError("alpha-stable density is defined only up to proportionality")
 
     def sample_r2(self, rng, n):
@@ -514,8 +523,7 @@ class PearsonII(EllipticalFamily):
             - special.gammaln(self.s)
         )
 
-    def log_gen(self, t):
-        t = _as_t(t)
+    def _log_gen(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = self._log_const + (self.s - 1.0) * np.log1p(-np.minimum(t, 1.0))
         return np.where(t > 1.0, -np.inf, inside)

@@ -69,8 +69,12 @@ class MixtureModel:
         densities at the n rows of x ((n, m), or one point as an m-vector).
 
         The rows are read as the (m, b) views of ``column_blocks``, without a
-        copy, and each block goes through the kernel that EM runs
-        (``_block_logdens``), its result written into the (k, n) output.
+        copy.  Per block and component the centred samples go into an (m, b)
+        scratch buffer and one (m x m) @ (m x b) product whitens them into
+        white[i]; the density kernel that EM runs (``_block_logdens``) turns
+        the whitened block into log densities, written into the (k, n)
+        output.  Centring before whitening keeps L_i^-1 (x - mu_i) exactly 0
+        at x = mu_i, where the generator of a Kotz law with a > 1 is 0.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         blocks = column_blocks(x)
@@ -78,11 +82,16 @@ class MixtureModel:
         if not blocks:
             return out
         _, inv_chol, offset = self._kernel()
-        buffers = BlockBuffers(self.k, self.m, blocks[0].shape[1])
+        m = self.m
+        buffers = BlockBuffers(self.k, m, blocks[0].shape[1])
         lo = 0
         for xb in blocks:
             b = xb.shape[1]
-            out[:, lo : lo + b] = self._block_logdens(xb, inv_chol, offset, *buffers.views(b))
+            diff, white, t = buffers.views(b)
+            for i in range(self.k):
+                np.subtract(xb, self.mus[i][:, None], out=diff)
+                np.matmul(inv_chol[i], diff, out=white[i, :m])
+            out[:, lo : lo + b] = self._block_logdens(white, offset, t)
             lo += b
         return out
 
@@ -98,20 +107,18 @@ class MixtureModel:
             offset = np.log(self.weights) - half_logdet
         return chol, inv_chol, offset
 
-    def _block_logdens(self, xb, inv_chol, offset, diff, white) -> np.ndarray:
-        """The (k, b) weighted component log densities at the columns of the
-        (m, b) block xb, from the inv_chol and offset of ``_kernel``.
+    def _block_logdens(self, white, offset, t) -> np.ndarray:
+        """The (k, b) weighted component log densities of a block whose
+        whitened samples L_i^-1 (x - mu_i) fill the first m rows of each
+        white[i] ((k, m + 1, b), from ``BlockBuffers``), with the offset of
+        ``_kernel``.
 
-        Per component the centred samples go into the (m, b) buffer diff and
-        one (m x m) @ (m x b) product whitens them into white[i], so the
-        (k, m, b) buffer white holds the whitened samples L_i^-1 (x - mu_i)
-        afterwards; their squared column norms make t, one ``log_gen`` call
-        on t follows, and the offsets are added in place.
+        Their squared column norms go into the (k, b) buffer t, nonnegative
+        by construction, so the family's unchecked ``_log_gen`` takes it (the
+        Gaussian's overwrites it), and the offsets are added in place.
         """
-        for i in range(self.k):
-            np.subtract(xb, self.mus[i][:, None], out=diff)
-            np.matmul(inv_chol[i], diff, out=white[i])
-        parts = self.family.log_gen(np.einsum("kij,kij->kj", white, white))
+        w = white[:, : self.m]
+        parts = self.family._log_gen(np.einsum("kij,kij->kj", w, w, out=t))
         parts += offset[:, None]
         return parts
 
@@ -194,15 +201,29 @@ def as_dataset(data, m: int) -> Dataset:
 
 
 def sample_covariance(samples: np.ndarray) -> np.ndarray:
-    """The biased (m, m) covariance of the rows of an (n, m) array."""
+    """The biased (m, m) covariance of the rows of an (n, m) array.
+
+    Rows whose largest |entry| reaches 2^255, where the sum of squares
+    inside ``np.cov`` could overflow, or stays below 2^-255 are scaled by
+    2^-e first, e the binary exponent of that entry, and the covariance by
+    2^2e after.  Scaling by a power of two is exact, so the scaled rows give
+    the bits the plain ones would wherever those stay in range, and finite
+    rows never overflow inside ``np.cov``; a covariance beyond the float
+    range comes back as inf, which the fits refuse at their boundary."""
     m = samples.shape[1]
-    return np.cov(samples.T, bias=True).reshape(m, m)
+    e = int(np.frexp(max(-samples.min(), samples.max()))[1])
+    if abs(e) <= 255:
+        return np.cov(samples.T, bias=True).reshape(m, m)
+    cov = np.cov(np.ldexp(samples, -e).T, bias=True).reshape(m, m)
+    with np.errstate(over="ignore"):
+        return np.ldexp(cov, 2 * e)
 
 
 # Columns per block of the density kernel.  A block's whitened samples,
-# k * m * BLOCK doubles, take 2 MiB at k * m = 32 (the EM benchmark shape),
-# so the EM M-step sums read them from cache; of 2048 to 16384 columns,
-# timed on a 2-core Xeon with 2 MiB of L2 per core, 8192 was the fastest.
+# k * (m + 1) * BLOCK doubles, take 2.25 MiB at k = 4, m = 8 (the EM
+# benchmark shape), so the EM M-step sums read them from cache.  Timed on a
+# 2-core Xeon with 2 MiB of L2 per core, one BLAS thread, an EM benchmark
+# fit took 0.21 s at 8192 columns against 0.25 s at 4096 and 0.35 s at 16384.
 BLOCK = 8192
 
 
@@ -214,16 +235,25 @@ def column_blocks(x: np.ndarray) -> list[np.ndarray]:
 
 class BlockBuffers:
     """Work buffers of the density kernel for blocks of at most width
-    columns, handed out as contiguous (m, b) and (k, m, b) views."""
+    columns, handed out as contiguous views: an (m, b) scratch, the
+    (k, m + 1, b) whitened samples, whose last rows are ones, and the (k, b)
+    log densities.  The ones are written when the width changes, not per
+    block."""
 
     def __init__(self, k: int, m: int, width: int):
         self.k, self.m = k, m
-        self._diff = np.empty(m * width)
-        self._white = np.empty(k * m * width)
+        self._scratch = np.empty(m * width)
+        self._white = np.empty(k * (m + 1) * width)
+        self._t = np.empty(k * width)
+        self._width = None
 
-    def views(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+    def views(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k, m = self.k, self.m
-        return self._diff[: m * b].reshape(m, b), self._white[: k * m * b].reshape(k, m, b)
+        white = self._white[: k * (m + 1) * b].reshape(k, m + 1, b)
+        if b != self._width:
+            white[:, m] = 1.0
+            self._width = b
+        return self._scratch[: m * b].reshape(m, b), white, self._t[: k * b].reshape(k, b)
 
 
 def _column_shift(a: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ set share it; each step's model is built from the ``PdPoint`` the
 retraction admitted, so no scatter is checked again inside the loop.  A
 fit ends, ``failed``, at the first iteration whose projection fails or
 whose retraction leaves a scatter on the PD floor after every halving.  An
-EM baseline covers the Gaussian family: each iteration is one pass over the
-samples in cache-sized column blocks, running the density kernel of
-``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
-coordinates per block, and each iterate is built from the eigenvalue
-floor's admitted (lam, q).  A fit has the seven settings of
+EM baseline covers the Gaussian family: each iteration is one pass over a
+centred copy of the samples in cache-sized column blocks, running the
+density kernel of ``MixtureModel.component_logpdf`` and taking the M-step
+sums in whitened coordinates per block, and each iterate is built from the
+eigenvalue floor's admitted (lam, q).  A fit has the seven settings of
 ``OptimizerConfig`` and no others.
 """
 
@@ -163,6 +163,7 @@ class _ScatterMoments:
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
     dataset = as_dataset(data, model0.m)
+    _covariance_trace(dataset)  # refuses a covariance that overflows
     samples, cov = dataset.samples, dataset.covariance
     family = model0.family
     k, m = model0.k, model0.m
@@ -290,25 +291,47 @@ def _is_gaussian(family) -> bool:
     )
 
 
+def _covariance_trace(dataset) -> float:
+    """The trace of the data covariance, refused with ``MismatchError`` where
+    it overflows the float range."""
+    trace = float(np.trace(dataset.covariance))
+    if not np.isfinite(trace):
+        scale = float(np.max(np.abs(dataset.samples)))
+        raise MismatchError(
+            f"the data covariance overflows at the scale of the data (largest |entry| {scale:.3g}); rescale it"
+        )
+    return trace
+
+
 def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     """Standard EM with a covariance eigenvalue floor and collapse reseeding.
 
-    The samples are copied once per fit into contiguous (m, b) blocks of
-    ``mixture.BLOCK`` columns, and each iteration makes one pass over them.
-    Per block the kernel of ``MixtureModel.component_logpdf`` leaves the
-    whitened samples W_i = L_i^-1 (x - mu_i) in a (k, m, b) buffer and
-    returns the (k, b) log densities, which ``normalize_columns`` turns into
-    the responsibilities r in place while adding their log-sum-exp to the
-    NLL.  While the block is still in cache the M-step sums are taken in
-    whitened coordinates: N_i = sum r, s_i = W_i r and S_i = (W_i * r) W_i^T.
-    After the pass, with d = s_i / N_i, the location is mu_i + L_i d and the
-    scatter L_i (S_i / N_i - d d^T) L_i^T.  The sums are shifted by the
-    current mu_i, which is exact for any shift; d is small once the fit
-    settles, so the subtraction loses little to cancellation.  One stacked
-    ``eigh`` floors the eigenvalues of all k scatters, and the next model is
-    built from the admitted (lam, q) with no further check; its smallest
-    floored eigenvalue is also the health record's.  A reseeded component
-    takes an isotropic scatter.
+    The samples are copied once per fit into contiguous (m + 1, b) blocks of
+    ``mixture.BLOCK`` columns: the samples less their mean c, over a row of
+    ones.  Each iteration makes one pass over them.  Per block and
+    component one (m x (m + 1)) @ ((m + 1) x b) product with
+    [L_i^-1 | -L_i^-1 (mu_i - c)] centres and whitens at once, giving
+    W_i = L_i^-1 (x - mu_i) in the first m rows of a (k, m + 1, b) buffer
+    whose last row stays ones.  The density kernel of
+    ``MixtureModel.component_logpdf`` turns W into the (k, b) log
+    densities; their squared norms are nonnegative by construction, so the
+    Gaussian generator takes them unchecked, in place.  ``normalize_columns``
+    turns them into the responsibilities r in place while adding their
+    log-sum-exp to the NLL.  While the block is still in cache the M-step
+    sums are taken in whitened coordinates: N_i = sum r, and one product
+    (W_i * r_i) [W_i; 1]^T gives S_i = (W_i * r) W_i^T and s_i = W_i r
+    together.  After the pass, with d = s_i / N_i, the location is
+    mu_i + L_i d and the scatter L_i (S_i / N_i - d d^T) L_i^T.  The sums
+    are shifted by the current mu_i, which is exact for any shift; d is
+    small once the fit settles, so the subtraction loses little to
+    cancellation.  The folded centring errs by about eps |L_i^-1 (x - c)|
+    in W_i, not eps |W_i|: harmless for the Gaussian, whose log generator
+    is linear in t, and with c the data mean it does not grow with a
+    translation of the data.  One stacked ``eigh`` floors the eigenvalues
+    of all k scatters, and the next model is built from the admitted
+    (lam, q) with no further check; its smallest floored eigenvalue is also
+    the health record's.  A reseeded component takes an isotropic scatter.
+    Data whose covariance overflows are refused with ``MismatchError``.
     """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
@@ -318,13 +341,18 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
 
-    data_cov_trace = float(np.trace(dataset.covariance))
+    data_cov_trace = _covariance_trace(dataset)
     floor = 1e-6 * data_cov_trace / m
     iso = np.eye(m) * data_cov_trace / m
 
-    # contiguous blocks: centring a transposed view reads it across rows,
-    # about four times slower per pass
-    blocks = [np.ascontiguousarray(xb) for xb in column_blocks(samples)]
+    # one copy of the samples per fit: contiguous (m + 1, b) blocks of the
+    # samples less their mean, over a row of ones
+    centre = samples.mean(axis=0)
+    blocks = []
+    for xb in column_blocks(samples):
+        xc = np.ones((m + 1, xb.shape[1]))
+        np.subtract(xb, centre[:, None], out=xc[:m])
+        blocks.append(xc)
     buffers = BlockBuffers(k, m, blocks[0].shape[1])
 
     H = cfg.max_iters
@@ -341,19 +369,22 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     for h in range(1, H + 1):
         tic = time.perf_counter()
         chol, inv_chol, offset = model._kernel()
-        # N_i, s_i and S_i of the docstring
-        mass, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+        # takes a block column [x - centre; 1] to L_i^-1 (x - mu_i)
+        whiten = np.concatenate([inv_chol, -inv_chol @ (model.mus - centre)[:, :, None]], axis=2)
+        # N_i and [S_i | s_i] of the docstring
+        mass, moments = np.zeros(k), np.zeros((k, m, m + 1))
         log_lik = 0.0
-        for xb in blocks:
-            diff, white = buffers.views(xb.shape[1])
+        for xc in blocks:
+            weighted, white, t = buffers.views(xc.shape[1])
+            for i in range(k):
+                np.matmul(whiten[i], xc, out=white[i, :m])
             # E-step: the log densities become the responsibilities in place
-            resp = model._block_logdens(xb, inv_chol, offset, diff, white)
+            resp = model._block_logdens(white, offset, t)
             log_lik += normalize_columns(resp).sum()
             mass += resp.sum(axis=1)
             for i in range(k):
-                first[i] += white[i] @ resp[i]
-                np.multiply(white[i], resp[i], out=diff)
-                second[i] += diff @ white[i].T
+                np.multiply(white[i, :m], resp[i], out=weighted)
+                moments[i] += weighted @ white[i].T
         nll = -log_lik / n
         nll_trace[h - 1] = nll
         if reason is None and not np.isfinite(nll):
@@ -371,9 +402,9 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
                 covs[i] = iso
                 weights[i] = 1.0 / k
                 continue
-            d = first[i] / mass[i]
+            d = moments[i, :, m] / mass[i]
             mus[i] = model.mus[i] + chol[i] @ d
-            covs[i] = chol[i] @ (second[i] / mass[i] - np.outer(d, d)) @ chol[i].T
+            covs[i] = chol[i] @ (moments[i, :, :m] / mass[i] - np.outer(d, d)) @ chol[i].T
         weights = weights / weights.sum()
         lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
         lam = np.maximum(lam, floor)
@@ -423,8 +454,9 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     location so far.  d2 is kept as a running minimum, so the k - 1 draws
     cost k - 1 passes over the samples, each written into one reused
     (n, m) buffer.  Data with fewer than k distinct rows leave no mass to
-    draw from, and data whose covariance trace is 0 leave the isotropic
-    scatters singular; both raise ``MismatchError``.
+    draw from, data whose covariance trace is 0 leave the isotropic
+    scatters singular, and data whose covariance overflows leave them
+    infinite; each raises ``MismatchError``.
     """
     dataset = as_dataset(data, family.m)
     samples = dataset.samples
@@ -434,7 +466,7 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))
-    trace = float(np.trace(dataset.covariance))
+    trace = _covariance_trace(dataset)
     if strategy == "random":
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         mus = rng.uniform(lo, hi, size=(k, m))

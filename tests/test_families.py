@@ -141,6 +141,18 @@ class TestGeneratorValues:
         with pytest.raises(DensityUnavailableError):
             fam.AlphaStable(m=2, alpha=1.5).log_gen(1.0)
 
+    @pytest.mark.parametrize("name", sorted(DENSITY_FAMILIES))
+    def test_public_log_gen_checks_t_and_leaves_it_alone(self, name):
+        # the public entry checks t once; the unchecked _log_gen, which may
+        # overwrite its argument, only ever sees a copy
+        family = DENSITY_FAMILIES[name](2)
+        with pytest.raises(SupportError):
+            family.log_gen(np.array([0.5, -1e-300]))
+        t = np.array([0.0, 0.5, 2.0])
+        values = family.log_gen(t)
+        assert t.tolist() == [0.0, 0.5, 2.0]
+        assert values.tobytes() == family._log_gen(t.copy()).tobytes()
+
 
 class TestRSquaredSampler:
     def test_gaussian_chi2_mean(self):

@@ -437,6 +437,17 @@ class TestDataset:
         assert data.covariance.tobytes() == original(data.samples).tobytes()
         assert not data.covariance.flags.writeable
 
+    def test_covariance_keeps_every_bit_of_np_cov(self, data):
+        assert data.covariance.tobytes() == np.cov(data.samples.T, bias=True).tobytes()
+
+    @pytest.mark.parametrize("power", [-300, 300, 400])
+    def test_rescaled_covariance_keeps_every_bit(self, data, power):
+        # entries of 2^power take the power-of-two rescaling that keeps
+        # np.cov from overflowing; it is exact, so the covariance is the
+        # plain one times 2^(2 power), bit for bit
+        got = mx.sample_covariance(np.ldexp(data.samples, power))
+        assert got.tobytes() == np.ldexp(np.cov(data.samples.T, bias=True), 2 * power).tobytes()
+
     def test_readers_agree_bitwise_on_a_dataset_and_its_array(self, data):
         raw = np.array(data.samples)
         family = fam.gaussian(2)

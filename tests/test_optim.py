@@ -286,6 +286,55 @@ def test_em_does_not_depend_on_the_block_size(monkeypatch):
     em_oracle_agrees(small, (default.costs, default.events, default.final_model))
 
 
+def test_em_is_translation_equivariant():
+    # EM on the samples shifted by 1e4 in every coordinate, from an equally
+    # shifted start, is the unshifted fit shifted back.  Storing the shifted
+    # samples and iterates rounds them at ulp(1e4) ~ 1.8e-12, which the 25
+    # iterations carry to about 1e-12 in the locations and 1e-13 relative in
+    # the weights, scatters and NLLs (measured); each tolerance leaves a
+    # factor of about 1000 above that.  Second moments summed about the
+    # data origin instead of each mu_i would lose about eps * 1e8 here; the
+    # choice of centre for the folded whitening does not show at this shift,
+    # since storing the shifted iterates already rounds at ulp(1e4).
+    shift = 1e4
+    data, model0 = em_case(5000, 9)
+    base = optim.fit(model0, data, EM_ORACLE_CFG)
+    start = mx.MixtureModel(model0.family, model0.weights, model0.mus + shift, model0.sigmas)
+    moved = optim.fit(start, data.samples + shift, EM_ORACLE_CFG)
+    assert moved.events == base.events
+    a, b = base.final_model, moved.final_model
+    np.testing.assert_allclose(b.mus - shift, a.mus, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(b.weights, a.weights, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(b.sigmas, a.sigmas, rtol=0.0, atol=1e-10 * np.abs(a.sigmas).max())
+    np.testing.assert_allclose(moved.costs, base.costs, rtol=1e-10, atol=0.0)
+
+
+def test_em_and_component_logpdf_leave_the_generator_argument_unchecked(case, monkeypatch):
+    # the squared norms of the density kernel are nonnegative by
+    # construction; the support check belongs to the public log_gen alone
+    def refuse(t):
+        raise AssertionError("the kernel re-checked its squared norms")
+
+    monkeypatch.setattr(fam, "_as_t", refuse)
+    data, model0 = case
+    assert not golden_fit("em", data, model0).failed
+    assert np.all(np.isfinite(model0.component_logpdf(data.samples)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_covariance_is_refused_at_the_boundary():
+    # finite rows whose covariance exceeds the float range
+    rows = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    message = r"covariance overflows .* \(largest \|entry\| 1e\+200\)"
+    for strategy in ("random", "kmeanspp-lite"):
+        with pytest.raises(MismatchError, match=message):
+            optim.initialize(rows, 1, fam.gaussian(2), strategy)
+    model0 = mx.MixtureModel(fam.gaussian(2), np.ones(1), np.zeros((1, 2)), np.eye(2)[None])
+    for method in ("dadam", "em"):
+        with pytest.raises(MismatchError, match=message):
+            optim.fit(model0, rows, optim.OptimizerConfig(method=method, max_iters=3))
+
+
 def test_em_takes_no_triangular_solve_or_scipy_logsumexp(case, monkeypatch):
     import scipy.linalg
     import scipy.special
@@ -320,12 +369,13 @@ def test_em_and_nll_hold_few_sample_sized_buffers():
             peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
         finally:
             tracemalloc.stop()
-    # EM: the blocked copy of the samples (1 unit) and one block's buffers,
-    # the (k, m, BLOCK) whitened samples (0.33 units at this n) and (m,
-    # BLOCK) and (k, BLOCK) scratch, 1.58 units measured.  nll reads x as
-    # (m, BLOCK) views: the (k, n) densities (0.5 units), the two (k, n)
-    # temporaries of their log-sum-exp and the block buffers, 1.63 units
-    # measured.  Each bound is its peak plus 0.12 units (0.8 MB).
+    # EM: the blocked copy of the samples over a row of ones (1.125 units)
+    # and one block's buffers, the (k, m + 1, BLOCK) whitened samples (0.37
+    # units at this n) and (m, BLOCK) and (k, BLOCK) scratch, 1.66 units
+    # measured.  nll reads x as (m, BLOCK) views: the (k, n) densities (0.5
+    # units), the two (k, n) temporaries of their log-sum-exp and the block
+    # buffers, 1.63 units measured.  Each bound was set at its peak, 1.58
+    # and 1.63 units before the row of ones, plus 0.12 units (0.8 MB).
     assert peaks[0] < 1.7
     assert peaks[1] < 1.75
 
