@@ -62,6 +62,11 @@ def check_spd(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
+# erf(z) rounds to exactly +-1 from |z| = 5.93 on; ``_ErfKernel`` writes
+# +-1 from here on without calling it
+ERF_SATURATES = 6.0
+
+
 class _ErfKernel(NamedTuple):
     """The projected kernel c exp(-b z^2) and its primitive in closed form:
     Phi(u) = c sqrt(pi) / (2 sqrt(b)) erf(sqrt(b) u) and Phi'(u) = c exp(-b u^2)."""
@@ -74,7 +79,17 @@ class _ErfKernel(NamedTuple):
     def primitive(self, u):
         # sqrt(b) u overflows to inf only where erf is already 1
         with np.errstate(over="ignore"):
-            return self.phi_max * special.erf(self.sqrt_b * u)
+            z = self.sqrt_b * u
+        # erf is exactly +-1 for |z| >= 6, yet scipy still takes its erfc
+        # route there: evaluate it only inside, NaN included (a boolean
+        # gather and scatter: scipy 1.17.1's erf with out= and where= gave
+        # wrong values on an (8, 701) array, then aborted in malloc)
+        inside = ~(np.abs(z) >= ERF_SATURATES)
+        if z.ndim == 0:
+            return self.phi_max * special.erf(z) if inside else np.copysign(self.phi_max, z)
+        out = np.copysign(np.full(z.shape, self.phi_max), z)
+        out[inside] = self.phi_max * special.erf(z[inside])
+        return out
 
     def slope(self, u):
         # exp(log_gen(u^2)) bit for bit; u u overflows to inf, which exp takes to 0

@@ -68,10 +68,11 @@ class MixtureModel:
         """(k, n) array of log(pi_i f_i(x)), the weighted component log
         densities at the n rows of x ((n, m), or one point as an m-vector).
 
-        The rows are read as the (m, b) views of ``column_blocks``, without a
-        copy.  Per block and component the centred samples go into an (m, b)
-        scratch buffer and one (m x m) @ (m x b) product whitens them into
-        white[i]; the density kernel that EM runs (``_block_logdens``) turns
+        The rows are read as the (m, b) views of ``column_blocks``, each
+        copied once into a contiguous buffer.  Per block and
+        component the centred samples go into an (m, b) scratch buffer and
+        one (m x m) @ (m x b) product whitens them into white[i]; the
+        density kernel that EM runs (``_block_logdens``) turns
         the whitened block into log densities, written into the (k, n)
         output.  Centring before whitening keeps L_i^-1 (x - mu_i) exactly 0
         at x = mu_i, where the generator of a Kotz law with a > 1 is 0.
@@ -88,8 +89,13 @@ class MixtureModel:
         for xb in blocks:
             b = xb.shape[1]
             diff, white, t = buffers.views(b)
+            # one strided read of the rows per block, not one per component:
+            # the last component's whitened rows hold a contiguous copy
+            # until its own whitening, the last, overwrites them
+            rows = white[-1, :m]
+            np.copyto(rows, xb)
             for i in range(self.k):
-                np.subtract(xb, self.mus[i][:, None], out=diff)
+                np.subtract(rows, self.mus[i][:, None], out=diff)
                 np.matmul(inv_chol[i], diff, out=white[i, :m])
             out[:, lo : lo + b] = self._block_logdens(white, offset, t)
             lo += b

@@ -5,8 +5,10 @@ laws, the matching-based approximate distance between mixtures, and the
 sliced semi-discrete objective (projected model density vs. the empirical
 measure on one direction), evaluated in closed form in the quantile domain.
 The empirical quantile function is read straight from the sorted
-projections and their prefix sum, at the few levels the cost and its
-gradient ask for.
+projections and their prefix sums, at the few levels the cost and its
+gradient ask for: from the n-long cumulative sum when the projections
+are few per level, else from sums of the projections between the asked
+ranks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,6 +26,14 @@ from .families import EllipticalComponent
 from .mixture import MixtureModel, as_dataset
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
+NEAR_TIES_RESCORED = 64  # most matchings within rounding of the best rescored exactly
+# A projection context with at most this many projections per asked
+# quantile level reads its prefix sums from the n-long cumulative sum, built
+# once per direction (about 4 ns per projection); a larger one sums the
+# projections between the asked ranks on each call (about 40 us plus 1 ns
+# per projection, ``ProjectionContext._prefix_at``).  The two cost the same
+# per fit step near 30 projections per level, with 1025 levels.
+PREFIX_TABLE_RATIO = 32
 
 
 def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
@@ -33,11 +43,32 @@ def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
 
 def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
     """tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), clipped at zero."""
-    root = _sqrtm_spd(sigma1)
-    inner = root @ sigma2 @ root
+    return _bures_gap(sigma1, _sqrtm_spd(sigma1), sigma2)
+
+
+def _bures_gap(sigma1: np.ndarray, root1: np.ndarray, sigma2: np.ndarray) -> float:
+    """``bures_gap`` given root1 = ``_sqrtm_spd(sigma1)``."""
+    inner = root1 @ sigma2 @ root1
     lam = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)
     gap = float(np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.sum(np.sqrt(lam)))
     return max(gap, 0.0)
+
+
+def _scatter_weight(family, unit_weight: bool) -> float:
+    """The E[R^2]/m weight of the scatter term of ``w2_elliptical``."""
+    if unit_weight:
+        return 1.0
+    mean_r2 = family.mean_r2()
+    if mean_r2 is None:
+        raise UndefinedSecondMomentError(f"{family.name} has no finite E[R^2]; pass unit_weight=True")
+    return mean_r2 / family.m
+
+
+def _first_in_order(mu1, sigma1, mu2, sigma2) -> bool:
+    """Whether (mu1, sigma1) comes first in the canonical operand order,
+    which makes ``w2_elliptical`` bitwise symmetric despite the asymmetric
+    Bures evaluation."""
+    return not (mu2.tobytes() + sigma2.tobytes()) < (mu1.tobytes() + sigma1.tobytes())
 
 
 def w2_elliptical(
@@ -50,18 +81,8 @@ def w2_elliptical(
     """
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
-    if unit_weight:
-        weight = 1.0
-    else:
-        mean_r2 = c1.family.mean_r2()
-        if mean_r2 is None:
-            raise UndefinedSecondMomentError(
-                f"{c1.family.name} has no finite E[R^2]; pass unit_weight=True"
-            )
-        weight = mean_r2 / c1.family.m
-    # Canonical operand order makes the value bitwise symmetric despite the
-    # asymmetric Bures evaluation.
-    if (c2.mu.tobytes() + c2.sigma.tobytes()) < (c1.mu.tobytes() + c1.sigma.tobytes()):
+    weight = _scatter_weight(c1.family, unit_weight)
+    if not _first_in_order(c1.mu, c1.sigma, c2.mu, c2.sigma):
         c1, c2 = c2, c1
     delta = c1.mu - c2.mu
     return float(delta @ delta) + weight * bures_gap(c1.sigma, c2.sigma)
@@ -83,12 +104,24 @@ class TransportPlan:
 
 
 def _pairwise_w2(model1: MixtureModel, model2: MixtureModel, unit_weight: bool) -> np.ndarray:
+    """The (k, k) ``w2_elliptical`` values between the components of two
+    same-family mixtures, bit for bit, each scatter's square root taken once."""
+    weight = _scatter_weight(model1.family, unit_weight)
+    roots1 = [_sqrtm_spd(s) for s in model1.sigmas]
+    roots2 = [_sqrtm_spd(s) for s in model2.sigmas]
     k = model1.k
     cost = np.empty((k, k))
     for i in range(k):
-        ci = model1.component(i)
+        mu1, s1 = model1.mus[i], model1.sigmas[i]
         for j in range(k):
-            cost[i, j] = w2_elliptical(ci, model2.component(j), unit_weight=unit_weight)
+            mu2, s2 = model2.mus[j], model2.sigmas[j]
+            if _first_in_order(mu1, s1, mu2, s2):
+                delta = mu1 - mu2
+                gap = _bures_gap(s1, roots1[i], s2)
+            else:
+                delta = mu2 - mu1
+                gap = _bures_gap(s2, roots2[j], s1)
+            cost[i, j] = float(delta @ delta) + weight * gap
     return cost
 
 
@@ -104,12 +137,55 @@ def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm
     return transport + angle, angle
 
 
+@lru_cache(maxsize=None)
+def _orders(r: int) -> np.ndarray:
+    """The r! permutations of range(r) in lexicographic order, one per
+    column of an (r, r!) int8 index table (35 kB at r = 7)."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(r)))
+    return np.fromiter(flat, dtype=np.int8, count=r * math.factorial(r)).reshape(-1, r).T.copy()
+
+
+def _matching_scores(
+    cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, head: tuple, rest: np.ndarray
+) -> np.ndarray:
+    """``_matching_objective``, up to rounding, of every permutation of
+    range(k) that maps 0, 1, ... to head and the other slots to the
+    remaining images rest (increasing), in lexicographic order: one score
+    per column of ``_orders(len(rest))``."""
+    h = len(head)
+    tail = _orders(rest.size)
+    head = np.array(head, dtype=np.intp)
+    transport = np.full(tail.shape[1], cost[np.arange(h), head].sum())
+    gap2 = np.full(tail.shape[1], np.square(sq1[:h] - sq2[head]).sum())
+    for i, row in enumerate(tail, start=h):
+        transport += cost[i, rest].take(row)
+        gap2 += np.square(sq1[i] - sq2[rest].take(row))
+    return transport / cost.shape[0] + 2.0 * np.arcsin(0.5 * np.sqrt(gap2))
+
+
 def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple[float, np.ndarray, float]:
     k = cost.shape[0]
     if k <= K_EXACT:
+        # Score every permutation with numpy, 7! = 5040 at a time (one
+        # ordering of the first k - 7 images each), then rescore those within
+        # rounding of the best with ``_matching_objective`` and keep the first
+        # strict minimum in lexicographic order, as a loop over
+        # ``itertools.permutations`` would.  Past NEAR_TIES_RESCORED ties the
+        # lowest scores are rescored.
+        heads = list(itertools.permutations(range(k), max(k - 7, 0)))
+        rests = [np.array([j for j in range(k) if j not in head], dtype=np.intp) for head in heads]
+        tail = _orders(k - len(heads[0]))
+        size = tail.shape[1]
+        scores = np.empty(len(heads) * size)
+        for c, (head, rest) in enumerate(zip(heads, rests)):
+            scores[c * size : (c + 1) * size] = _matching_scores(cost, sq1, sq2, head, rest)
+        near = np.flatnonzero(scores <= scores.min() * (1.0 + 1e-12))
+        if near.size > NEAR_TIES_RESCORED:
+            near = np.sort(near[np.argsort(scores[near], kind="stable")[:NEAR_TIES_RESCORED]])
         best = (np.inf, None, 0.0)
-        for perm in itertools.permutations(range(k)):
-            perm = np.array(perm)
+        for j in near:
+            c, col = divmod(int(j), size)
+            perm = np.concatenate([np.array(heads[c], dtype=np.intp), rests[c][tail[:, col]]])
             value, angle = _matching_objective(cost, sq1, sq2, perm)
             if value < best[0]:
                 best = (value, perm, angle)
@@ -148,9 +224,10 @@ def d_u(
     """Approximate mixture distance: best bijective matching of components.
 
     Minimizes (1/k) sum of matched component W2 values plus
-    arccos(sum of matched sqrt(pi_i pi_j)).  Exact by enumeration for
-    k <= 8, two-stage heuristic beyond.  Symmetric bitwise: the operand
-    pair is ordered canonically before solving.
+    arccos(sum of matched sqrt(pi_i pi_j)).  Exact for k <= 8 (every
+    matching scored with numpy, the best rescored as a loop over the
+    permutations would), two-stage heuristic beyond.  Symmetric bitwise:
+    the operand pair is ordered canonically before solving.
     """
     if model1.k != model2.k or model1.m != model2.m or model1.family != model2.family:
         raise MismatchError("mixtures must agree in k, m and family")
@@ -181,8 +258,11 @@ class ProjectionContext:
     The empirical quantile function Q of the n sorted projections x is
     piecewise linear with knot j at level (j + 1/2)/n and value x[j], and
     flat outside [1/(2n), 1 - 1/(2n)].  Q and its prefix integral are read
-    from x by index arithmetic, so the only per-direction table is the
-    prefix sum of x, built on first use.
+    from x by index arithmetic.  The prefix integral needs the prefix sums
+    of x at the asked ranks: up to PREFIX_TABLE_RATIO projections per asked
+    level they come from the n-long cumulative sum of x, built on first use
+    and kept with the context; past that each call sums x between its
+    sorted ranks, and the context keeps no n-long table.
 
     A context built from outside checks that p is a unit vector and that
     the projections are sorted.  ``make_projection_context`` checks p and
@@ -216,10 +296,40 @@ class ProjectionContext:
         np.cumsum(x, out=c[1:])
         return c
 
+    def _prefix_at(self, i: np.ndarray, x_i: np.ndarray) -> np.ndarray:
+        """C[i + 1] = x[0] + ... + x[i] at the ranks i, given x_i = x[i].
+
+        Up to PREFIX_TABLE_RATIO projections per rank, C is read from the
+        n-long table.  Past that, one ``reduceat`` sums x between
+        consecutive sorted ranks, and a cumsum over those ~len(i) sums gives
+        x[0] + ... + x[i - 1], to which x_i is added.
+        """
+        x = self.projected_samples
+        # a scalar or empty q takes the table
+        if i.ndim != 1 or not i.size or x.size <= PREFIX_TABLE_RATIO * i.size:
+            return self._prefix_sums[i + 1]
+        order = None
+        if np.any(i[1:] < i[:-1]):
+            order = np.argsort(i, kind="stable")
+            i = i[order]
+        bounds = np.empty(i.size + 1, dtype=np.intp)
+        bounds[0] = 0
+        bounds[1:] = i
+        # segment j sums x[bounds[j]:bounds[j + 1]]; the last one, the tail
+        # past the largest rank, is not needed
+        seg = np.add.reduceat(x, bounds)[:-1]
+        # where two bounds are equal reduceat gives x[bound], not 0
+        seg[bounds[:-1] == bounds[1:]] = 0.0
+        below = np.cumsum(seg)
+        if order is None:
+            return below + x_i
+        c = np.empty_like(below)
+        c[order] = below
+        return c + x_i
+
     def quantile_prefixes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Q(q), S1(q)) with S1 = int_0^q Q; q is clipped to [0, 1]."""
         x = self.projected_samples
-        c = self._prefix_sums
         n = x.size
         # t is q's position in knot units; knot i sits at t = i
         t = np.clip(q, 0.0, 1.0) * n - 0.5
@@ -231,7 +341,7 @@ class ProjectionContext:
         qv = x0 + (x[np.minimum(i + 1, n - 1)] - x0) * f
         # knots 0..i as trapezoids, the part of segment i up to tau, and the
         # flat run below the first knot or past the last one (t - tau)
-        s1 = (c[i + 1] - 0.5 * x0 + 0.5 * f * (x0 + qv) + (t - tau) * qv) / n
+        s1 = (self._prefix_at(i, x0) - 0.5 * x0 + 0.5 * f * (x0 + qv) + (t - tau) * qv) / n
         return qv, s1
 
     @property

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import itertools
+
 import numpy as np
 from scipy import stats
 from scipy.optimize import linear_sum_assignment
@@ -60,6 +62,25 @@ def component_logpdf_oracle(model, x):
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         parts[i] = logw[i] + model.family.log_gen(t) - 0.5 * logdet
     return parts
+
+
+def component_logpdf_strided(model, x):
+    """``MixtureModel.component_logpdf`` as it read the rows before each
+    block was copied once: every component centred straight from the
+    strided (m, b) view of ``column_blocks``, then whitened and handed to
+    the shared density kernel."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.empty((model.k, x.shape[0]))
+    _, inv_chol, offset = model._kernel()
+    lo = 0
+    for xb in mx.column_blocks(x):
+        b = xb.shape[1]
+        white = np.ones((model.k, model.m + 1, b))
+        for i in range(model.k):
+            np.matmul(inv_chol[i], xb - model.mus[i][:, None], out=white[i, : model.m])
+        out[:, lo : lo + b] = model._block_logdens(white, offset, np.empty((model.k, b)))
+        lo += b
+    return out
 
 
 def em_oracle(model0, data, cfg):
@@ -199,6 +220,36 @@ def quantile_prefix_oracle(x, q):
     s1_q = s1[idx] + part * 0.5 * (v0 + qv)
     s2_q = s2[idx] + part * (v0 * v0 + v0 * qv + qv * qv) / 3.0
     return qv, s1_q, s2_q
+
+
+def quantile_prefixes_oracle(x, q):
+    """(Q(q), S1(q)) of the sorted projections x as
+    ``ProjectionContext.quantile_prefixes`` read them from the n-long
+    cumulative sum C[j] = x[0] + ... + x[j-1], the table path."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    t = np.clip(q, 0.0, 1.0) * n - 0.5
+    tau = np.clip(t, 0.0, n - 1)
+    i = tau.astype(np.intp)
+    f = tau - i
+    x0 = x[i]
+    qv = x0 + (x[np.minimum(i + 1, n - 1)] - x0) * f
+    s1 = (c[i + 1] - 0.5 * x0 + 0.5 * f * (x0 + qv) + (t - tau) * qv) / n
+    return qv, s1
+
+
+def solve_matching_loop(cost, sq1, sq2):
+    """The exact matching of ``transport.d_u`` as a loop over every
+    permutation in ``itertools.permutations`` order, keeping the first
+    strict minimum: (value, permutation, angle)."""
+    best = (np.inf, None, 0.0)
+    for perm in itertools.permutations(range(cost.shape[0])):
+        perm = np.array(perm)
+        value, angle = tp._matching_objective(cost, sq1, sq2, perm)
+        if value < best[0]:
+            best = (value, perm, angle)
+    return best
 
 
 def trust_cap_always_eigvalsh(lyap):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from _helpers import DENSITY_FAMILIES, golden_case, golden_fit, pchip_primitive_oracle
 from emmfit import families as fam
@@ -468,6 +468,30 @@ class TestClosedFormKernel:
         assert family.gen_primitive_slope(-np.inf) == 0.0
         assert np.isnan(family.gen_primitive(np.nan))
         assert np.isnan(family.gen_primitive_slope(np.nan))
+
+    @ERF_DIMENSIONS
+    @ERF_KERNELS
+    def test_saturated_primitive_keeps_the_erf_bits(self, b, m):
+        # erf is evaluated only where |sqrt(b) u| < 6; +-phi_max stands in
+        # for it elsewhere, bit for bit
+        family = erf_family(m, b)
+        kernel = family._projected_kernel
+
+        def want(u):
+            return kernel.phi_max * special.erf(kernel.sqrt_b * u)
+
+        rng = np.random.default_rng([m, int(4 * b)])
+        for k, g in ((1, 7), (3, 1025), (8, 701), (8, 1025)):
+            u = rng.standard_normal((k, g)) * rng.uniform(0.5, 20.0, (k, 1))
+            assert_same_bits(family.gen_primitive(u), want(u))
+        edge = fam.ERF_SATURATES / kernel.sqrt_b
+        u = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0, edge, -edge])
+        u = np.concatenate([u, np.nextafter(u[-2:], 0.0), np.nextafter(u[-2:], np.inf)])
+        assert_same_bits(family.gen_primitive(u), want(u))
+        for x in (0.3, -2.0 * edge, 1e300, np.inf, -np.inf, np.nan):
+            got = family.gen_primitive(x)
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+            assert_same_bits(np.array([got]), np.array([want(x)]))
 
     @ERF_DIMENSIONS
     @ERF_KERNELS

@@ -9,7 +9,13 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import logsumexp
 
-from _helpers import DENSITY_FAMILIES, component_logpdf_oracle, golden_case, random_gmm
+from _helpers import (
+    DENSITY_FAMILIES,
+    component_logpdf_oracle,
+    component_logpdf_strided,
+    golden_case,
+    random_gmm,
+)
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -180,6 +186,19 @@ class TestComponentLogpdf:
         np.testing.assert_allclose(blocked, want, rtol=1e-12, atol=1e-12)
         monkeypatch.setattr(mx, "BLOCK", 8192)
         np.testing.assert_allclose(blocked, model.component_logpdf(x), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["gaussian", "kotz"])
+    def test_block_copy_keeps_the_strided_bits(self, name, monkeypatch):
+        # the rows are copied once per block before the k centrings; the
+        # arithmetic is the strided read's, so every bit stays
+        model, _ = kernel_case(DENSITY_FAMILIES[name](3), 4, np.random.default_rng(7))
+        x = model.mus[np.arange(2137) % 4] + np.random.default_rng(8).normal(size=(2137, 3))
+        x[0] = model.mus[0]
+        monkeypatch.setattr(mx, "BLOCK", 1000)
+        for points in (x, x[2000:], x[5]):
+            got, want = model.component_logpdf(points), component_logpdf_strided(model, points)
+            assert got.tobytes() == want.tobytes()
+            assert model.logpdf(points).tobytes() == mx.logsumexp_columns(want).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 8, 16])
     def test_gaussian_matches_scipy(self, m):

@@ -1,5 +1,6 @@
 import gc
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -15,13 +16,16 @@ from _helpers import (
     line_ctx,
     mc_mixture_w2,
     quantile_prefix_oracle,
+    quantile_prefixes_oracle,
     random_gmm,
     random_spd,
+    solve_matching_loop,
     w2_method,
 )
 from emmfit import families as fam
 from emmfit import gradients as gr
 from emmfit import mixture as mx
+from emmfit import optim
 from emmfit import transport as tp
 from emmfit.errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
 
@@ -171,6 +175,137 @@ class TestDU:
             b = random_gmm(1, k, rng, balanced=True)
             exact = exact_w2_1d_gmm(a, b)
             assert exact <= tp.d_u(a, b)[0] + 1e-6
+
+
+def matching_inputs(a, b):
+    """The pairwise costs and unit sqrt-weight vectors ``d_u`` matches over."""
+    sq1, sq2 = np.sqrt(a.weights), np.sqrt(b.weights)
+    return tp._pairwise_w2(a, b, False), sq1 / np.linalg.norm(sq1), sq2 / np.linalg.norm(sq2)
+
+
+def with_duplicate(model, i, j):
+    """model with component j replaced by a copy of component i."""
+    mus, sigmas = model.mus.copy(), model.sigmas.copy()
+    mus[j], sigmas[j] = mus[i], sigmas[i]
+    return mx.MixtureModel(model.family, model.weights, mus, sigmas)
+
+
+class TestExactMatching:
+    """The permutations scored with numpy against a loop over them."""
+
+    def test_pairwise_costs_are_w2_elliptical_bitwise(self):
+        rng = np.random.default_rng(30)
+        for m, k in ((1, 3), (4, 5), (16, 8)):
+            a, b = random_gmm(m, k, rng), random_gmm(m, k, rng)
+            want = [[tp.w2_elliptical(a.component(i), b.component(j)) for j in range(k)] for i in range(k)]
+            assert tp._pairwise_w2(a, b, False).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_unique_minimiser_keeps_the_loop_bits(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(3 if k < 8 else 1):
+            cost, sq1, sq2 = matching_inputs(random_gmm(3, k, rng), random_gmm(3, k, rng))
+            value, perm, angle = tp._solve_matching(cost, sq1, sq2)
+            want_value, want_perm, want_angle = solve_matching_loop(cost, sq1, sq2)
+            assert (value, angle) == (want_value, want_angle)
+            assert np.array_equal(perm, want_perm)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_ties_give_a_minimiser(self, k):
+        # equal weights and a duplicated component: swapping the copies
+        # leaves the objective unchanged up to rounding
+        rng = np.random.default_rng(50 + k)
+        a = with_duplicate(random_gmm(2, k, rng, balanced=True), 0, 1)
+        for b in (random_gmm(2, k, rng, balanced=True), a):
+            cost, sq1, sq2 = matching_inputs(a, b)
+            value, perm, angle = tp._solve_matching(cost, sq1, sq2)
+            want_value, _, _ = solve_matching_loop(cost, sq1, sq2)
+            assert sorted(perm.tolist()) == list(range(k))
+            assert (value, angle) == tp._matching_objective(cost, sq1, sq2, perm)
+            assert value == pytest.approx(want_value, rel=1e-15, abs=1e-15)
+
+    def test_all_tied_matchings_give_zero(self):
+        # every permutation of 8 identical balanced components ties
+        rng = np.random.default_rng(60)
+        one = random_gmm(2, 1, rng)
+        a = mx.MixtureModel(
+            one.family, np.full(8, 0.125), np.repeat(one.mus, 8, axis=0), np.repeat(one.sigmas, 8, axis=0)
+        )
+        value, plan = tp.d_u(a, a)
+        assert value == 0.0
+        assert sorted(plan.permutation.tolist()) == list(range(8))
+
+    def test_eight_components_take_under_10_ms(self):
+        rng = np.random.default_rng(61)
+        a, b = random_gmm(16, 8, rng), random_gmm(16, 8, rng)
+        tp.d_u(a, b)
+        assert min(timeit.repeat(lambda: tp.d_u(a, b), number=1, repeat=5)) < 0.010
+
+
+PREFIX_PATHS = pytest.mark.parametrize("ratio", [10**9, 0], ids=["table", "segments"])
+
+
+class TestPrefixPaths:
+    """``quantile_prefixes`` on either side of PREFIX_TABLE_RATIO: the n-long
+    cumulative sum, or segment sums between the asked ranks."""
+
+    @staticmethod
+    def levels(n, rng):
+        knots = (np.arange(n) + 0.5) / n
+        ends = [knots[0], knots[-1], np.nextafter(knots[0], 0.0), np.nextafter(knots[-1], 1.0)]
+        return {
+            "sorted": np.sort(rng.uniform(0.0, 1.0, 257)),
+            "unsorted": rng.uniform(0.0, 1.0, 257),
+            "repeated": np.repeat(np.sort(rng.uniform(0.0, 1.0, 40)), rng.integers(1, 4, 40)),
+            "repeated unsorted": np.repeat(rng.uniform(0.0, 1.0, 40), 3)[::-1],
+            "outside": np.array([-1.0, -0.2, 0.0, 0.5, 1.0, 1.3, 2.0]),
+            "outside unsorted": rng.uniform(-0.5, 1.5, 100),
+            "end knots": np.array(ends + ends[::-1]),
+            "one level": np.array([0.3]),
+        }
+
+    @PREFIX_PATHS
+    @pytest.mark.parametrize("n", [1, 2, 1000, 50_000])
+    def test_matches_the_cumulative_sum(self, n, ratio, monkeypatch):
+        monkeypatch.setattr(tp, "PREFIX_TABLE_RATIO", ratio)
+        rng = np.random.default_rng(n)
+        x = np.sort(3.0 * rng.standard_normal(n) + 1.0)
+        # S1 is a prefix sum over n: its rounding is relative to this scale
+        scale = np.abs(x).sum() / n
+        for name, q in self.levels(n, rng).items():
+            ctx = line_ctx(x)
+            q_val, s1 = ctx.quantile_prefixes(q)
+            assert ("_prefix_sums" in ctx.__dict__) == (ratio > 0), name
+            q_ref, s1_ref = quantile_prefixes_oracle(ctx.projected_samples, q)
+            assert q_val.tobytes() == q_ref.tobytes(), name
+            np.testing.assert_allclose(s1, s1_ref, rtol=0.0, atol=1e-13 * scale, err_msg=name)
+
+    def test_the_split_keeps_small_contexts_on_the_table(self):
+        # a fit step asks for 1025 levels (the cost) and 1023 (the gradient)
+        rng = np.random.default_rng(70)
+        for n in (4000, 100_000):
+            ctx = line_ctx(rng.standard_normal(n))
+            ctx.quantile_prefixes(np.linspace(0.0, 1.0, 1025))
+            ctx.quantile_prefixes(np.linspace(0.0, 1.0, 1025)[1:-1])
+            assert ("_prefix_sums" in ctx.__dict__) == (n <= tp.PREFIX_TABLE_RATIO * 1023)
+
+    def test_fit_is_bitwise_the_table_fit(self, monkeypatch):
+        # S1 feeds only the reported cost: the iterates keep every bit and
+        # the cost trace moves by rounding
+        data = mx.generate_synthetic(2, 3, 40_000, 4.0, 3.0, np.random.default_rng(71))
+        assert data.samples.shape[0] > tp.PREFIX_TABLE_RATIO * 1025
+        model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(72))
+        cfg = optim.OptimizerConfig(method="dadam", alpha=0.03, max_iters=40, seed=73)
+        segments = optim.fit(model0, data, cfg)
+        monkeypatch.setattr(tp, "PREFIX_TABLE_RATIO", 10**9)
+        table = optim.fit(model0, data, cfg)
+        assert not segments.failed and segments.iterations == table.iterations == 40
+        for got, want in zip(
+            (segments.final_model.weights, segments.final_model.mus, segments.final_model.sigmas),
+            (table.final_model.weights, table.final_model.mus, table.final_model.sigmas),
+        ):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(segments.costs, table.costs, rtol=1e-10, atol=0.0)
 
 
 class TestSemiDiscrete1D:
