@@ -8,6 +8,11 @@ weight on the rank-1 direction p p').  The integrals are evaluated in the
 quantile domain, where the cost is a sum of per-cell closed forms in the
 cumulative masses and moving a cell boundary at quantile level a gains
 exactly the potential increment (y_left - Q(a))^2 - (y_right - Q(a))^2.
+Summed by parts, these gains weight each cell's mass derivative by one
+vector over the cells; the location and scatter derivatives of a cell's
+mass are differences of the primitive's slope (and of the slope times the
+offset) at its two edges, so a second summation by parts moves that
+vector onto the edges.  Each gradient is then one matrix-vector product.
 This is the exact chain rule of the discretized objective; sampling the
 potential-times-derivative integrand pointwise instead fails entrywise
 finite-difference checks near heavy tails and under-resolved components.
@@ -51,41 +56,45 @@ def euclidean_grad(
         raise UnsupportedGradientError(f"{model.family.name} {model.family.params()} has no sliced-cost gradient")
     if projected is None:
         projected = project_model(model, ctx)
-    k = model.k
-    w = ctx.grid_weights
     grid = ctx.grid
-    mass = projected.mass
-    sqrtpi = np.sqrt(model.weights)
-
-    # Raw cell-mass derivatives along the 3k parameter directions, stacked
-    # as rows: sqrt-weights, then location coefficients (the vector
-    # gradient is this scalar times p), then scatter coefficients (times
-    # p p').  Cell integrals of the location and scatter integrands
-    # telescope to edge differences of the kernel and of its scale flux.
-    cell_delta = np.vstack(
-        [
-            2.0 * sqrtpi[:, None] * (projected.kernels * w[None, :]),
-            -model.weights[:, None] * np.diff(projected.edge_kernel, axis=1),
-            -model.weights[:, None] * np.diff(projected.edge_scale_flux, axis=1),
-        ]
-    )
+    pi = model.weights
 
     # Interior quantile boundaries of the cells and their potential gains.
-    masses = (projected.rho * w) / mass
-    bounds = np.cumsum(masses)[:-1]
+    bounds = projected.bounds[1:-1]
     q_at, _ = ctx.quantile_prefixes(bounds)
     gain = (grid[:-1] - q_at) ** 2 - (grid[1:] - q_at) ** 2
 
     # d cost / d theta = sum_j gain_j * d a_j, with a_j the normalized
     # cumulative mass at boundary j: d a_j = (sum_{l<=j} delta_l - a_j *
-    # sum_l delta_l) / mass.  Summed by parts, delta_l is weighted by the
-    # suffix sum of the gains from l on (zero for the last cell) less
-    # sum_j a_j gain_j: one suffix sum of the gains, not one per row.
-    suffix = np.zeros(grid.size)
-    suffix[:-1] = np.cumsum(gain[::-1])[::-1]
-    grads = cell_delta @ (suffix - bounds @ gain) / mass
+    # sum_l delta_l) / mass for raw cell-mass derivatives delta.  Summed by
+    # parts, delta_l is weighted by vec_l: the suffix sum of the gains from
+    # l on (zero for the last cell) less sum_j a_j gain_j, over the mass.
+    vec = np.zeros(grid.size)
+    vec[:-1] = np.cumsum(gain[::-1])[::-1]
+    vec -= bounds @ gain
+    vec /= projected.mass
+    # A cell's location and scatter derivatives are differences of edge
+    # values e_(l+1) - e_l, so sum_l (e_(l+1) - e_l) vec_l = e @ dvec.
+    dvec = np.empty(grid.size + 1)
+    dvec[0] = -vec[0]
+    np.subtract(vec[:-1], vec[1:], out=dvec[1:-1])
+    dvec[-1] = vec[-1]
 
-    g_sqrtpi = grads[:k]
-    g_mu = grads[k : 2 * k, None] * ctx.p[None, :]
-    w_sigma = grads[2 * k :]
-    return EuclideanGrad(ctx.p, g_sqrtpi, g_mu, w_sigma)
+    # delta = 2 sqrt(pi_i) cells_i for the sqrt-weights, -pi_i diff(slope_i)
+    # / root_v_i for the location coefficient (the vector gradient is this
+    # times p) and -pi_i diff(slope_offset_i) / (2 v_i) for the scatter one
+    # (times p p').
+    g_sqrtpi = 2.0 * np.sqrt(pi) * (projected.cells @ vec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_loc = -pi * (projected.slope @ dvec) / projected.root_v
+        w_sigma = -pi * (projected.slope_offset @ dvec) / (2.0 * projected.proj_var)
+    # A non-finite edge node (a generator singularity, e.g. small-a Kotz at
+    # t = 0) contributes nothing.  Each node a finite result summed was
+    # finite, so the nodes are screened only when a result is not.
+    if not (np.isfinite(g_loc).all() and np.isfinite(w_sigma).all()):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            edge_kernel = projected.slope / projected.root_v[:, None]
+            edge_flux = projected.slope_offset / (2.0 * projected.proj_var[:, None])
+        g_loc = -pi * (np.nan_to_num(edge_kernel, nan=0.0, posinf=0.0, neginf=0.0) @ dvec)
+        w_sigma = -pi * (np.nan_to_num(edge_flux, nan=0.0, posinf=0.0, neginf=0.0) @ dvec)
+    return EuclideanGrad(ctx.p, g_sqrtpi, g_loc[:, None] * ctx.p[None, :], w_sigma)

@@ -98,15 +98,18 @@ def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
     return _sym(q @ b_tilde @ qt)
 
 
-def riem_grad_sigma(sigma: PdPoint | np.ndarray, egrad: np.ndarray) -> np.ndarray:
-    """Tangent gradient for a scatter matrix: egrad @ Sigma + Sigma @ egrad.
+def riem_grad_sigma(sigma: PdPoint | np.ndarray, w, p: np.ndarray) -> np.ndarray:
+    """Tangent gradient egrad @ Sigma + Sigma @ egrad of the rank-one scatter
+    gradient egrad = w p p': w (p a' + a p') with a = Sigma p.
 
+    Takes one matrix and a scalar w, or a (k, m, m) stack and a (k,) w.
     This is the printed operation; the exact metric dual of the Lyapunov
     metric is twice this, a constant absorbed by the stepsize.
     """
     s = sigma.sigma if isinstance(sigma, PdPoint) else np.asarray(sigma, dtype=float)
-    egrad = np.asarray(egrad, dtype=float)
-    return egrad @ s + s @ egrad
+    p = np.asarray(p, dtype=float)
+    half = np.multiply.outer(np.asarray(w, dtype=float)[..., None] * (s @ p), p)  # w a p'
+    return half + np.swapaxes(half, -1, -2)
 
 
 def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, int | np.ndarray]:
@@ -129,22 +132,33 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
     lyap = lyapunov_solve(point, step).reshape(-1, m, m)
     _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
-    sig, lam, q = base.copy(), point.lam.reshape(-1, m).copy(), point.q.reshape(-1, m, m).copy()
+    sig, lam, q = _retract(lyap, base)
     halvings = np.zeros(len(base), dtype=int)
-    todo = np.arange(len(base))
-    for _ in range(PD_RETRIES + 1):
-        e = lyap[todo] + np.eye(m)
-        cand = _sym(e @ base[todo] @ np.swapaxes(e, 1, 2))
-        cand_lam, cand_q = np.linalg.eigh(cand)
-        ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
-        sig[todo[ok]], lam[todo[ok]], q[todo[ok]] = cand[ok], cand_lam[ok], cand_q[ok]
-        todo = todo[~ok]
-        if todo.size == 0:
-            break
+    todo = np.flatnonzero(~above_pd_floor(lam[:, 0], np.trace(sig, axis1=1, axis2=2), m))
+    if todo.size:
+        # only the images below the floor are retried; one that never
+        # passes keeps its input value
+        sig[todo], lam[todo], q[todo] = base[todo], point.lam.reshape(-1, m)[todo], point.q.reshape(-1, m, m)[todo]
+        for _ in range(PD_RETRIES):
+            halvings[todo] += 1
+            lyap[todo] *= 0.5
+            cand, cand_lam, cand_q = _retract(lyap[todo], base[todo])
+            ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
+            sig[todo[ok]], lam[todo[ok]], q[todo[ok]] = cand[ok], cand_lam[ok], cand_q[ok]
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
         halvings[todo] += 1
-        lyap[todo] *= 0.5
     out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]), q.reshape(shape))
     return out, (int(halvings[0]) if len(shape) == 2 else halvings)
+
+
+def _retract(lyap: np.ndarray, base: np.ndarray):
+    """The images (L + I) Sigma (L + I) of (k, m, m) stacks and their eigh."""
+    e = lyap + np.eye(lyap.shape[-1])
+    image = _sym(e @ base @ np.swapaxes(e, 1, 2))
+    lam, q = np.linalg.eigh(image)
+    return image, lam, q
 
 
 def _trust_cap(lyap: np.ndarray) -> None:

@@ -27,6 +27,7 @@ eigenvalue floor's admitted (lam, q).  A fit has the seven settings of
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -69,8 +70,9 @@ class OptimizerConfig:
             raise MismatchError(f"unknown method {self.method!r}")
         if not self.alpha >= 0.0:
             raise MismatchError("alpha must be nonnegative")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise MismatchError("beta2 must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise MismatchError(f"{name} must lie in [0, 1)")
         if self.max_iters < 1:
             raise MismatchError("max_iters must be at least 1")
 
@@ -99,6 +101,9 @@ class FitReport:
         return len(self.costs)
 
     def to_dict(self) -> dict:
+        """Schema 1, strict JSON: a final cost that is not finite (a fit
+        ended by a projection failure records NaN) is written as null."""
+        final_cost = float(self.costs[-1]) if self.iterations else math.nan
         return {
             "schema_version": 1,
             "method": self.method,
@@ -108,7 +113,7 @@ class FitReport:
             "events": list(self.events),
             "seed": self.seed,
             "config": self.config,
-            "final_cost": None if self.iterations == 0 else float(self.costs[-1]),
+            "final_cost": final_cost if math.isfinite(final_cost) else None,
             "final_model": self.final_model.to_dict(),
             "wall_ms_total": float(np.sum(self.wall_ms)),
         }
@@ -142,7 +147,7 @@ class _ScatterMoments:
         self.second = np.zeros((k, m, m) if elementwise else k)
         self.prev_point: PdPoint | None = None
 
-    def step(self, point: PdPoint, rgrad, g_sigma, p, alpha: float, beta1: float, beta2: float):
+    def step(self, point: PdPoint, rgrad, grad, alpha: float, beta1: float, beta2: float):
         if self.prev_point is None:
             carried = np.zeros_like(self.u)
         else:
@@ -150,14 +155,14 @@ class _ScatterMoments:
         self.u = beta1 * carried + (1.0 - beta1) * rgrad
         self.prev_point = point
         if self.elementwise:
-            self.v = beta2 * self.v + (1.0 - beta2) * g_sigma**2
+            self.v = beta2 * self.v + (1.0 - beta2) * grad.g_sigma**2
             self.second = np.maximum(self.second, self.v)
             step = -alpha * self.u / np.sqrt(self.second + EPS_ADP)
             return 0.5 * (step + np.swapaxes(step, 1, 2))
-        self.v = beta2 * self.v + (1.0 - beta2) * (g_sigma @ np.swapaxes(g_sigma, 1, 2))
-        # row by row: a stacked (p @ v) @ p rounds differently from p @ v_i @ p
-        directional = np.array([row @ p for row in p @ self.v])
-        self.second = np.maximum(directional, self.second)
+        # g g' = w^2 p p' for the rank-one g = w p p' and a unit p
+        p = grad.p
+        self.v = beta2 * self.v + ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * np.outer(p, p)
+        self.second = np.maximum((self.v @ p) @ p, self.second)
         return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
 
 
@@ -229,11 +234,11 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
                 mus = mus - alpha * grad.g_mu
 
             # ---- scatters on the PD manifold, all k in one step
-            rgrad = manifold.riem_grad_sigma(points, grad.g_sigma)
+            rgrad = manifold.riem_grad_sigma(points, grad.w_sigma, p)
             if method == "vanilla":
                 step = -alpha * rgrad
             else:
-                step = scatter.step(points, rgrad, grad.g_sigma, p, alpha, beta1, beta2)
+                step = scatter.step(points, rgrad, grad, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, step)
             exhausted = halvings > manifold.PD_RETRIES
             for i in np.flatnonzero((halvings > 0) & ~exhausted):

@@ -392,21 +392,27 @@ def make_projection_context(
 class ProjectedMixture:
     """Per-component pieces of the projected model density on the grid.
 
-    Node values are exact cell averages: the weight-free kernel
-    (p' Sigma_i p)^(-1/2) c_m g(t_i) is integrated over each trapezoid
-    cell as a difference of the family's primitive (``gen_primitive``: in
-    closed form for the Gaussian, from a PCHIP table otherwise), so thin
-    projected components (eccentric scatters) keep their mass even when
-    narrower than the grid spacing.  Edge evaluations of the kernel and
-    of its scale flux carry the exact cell integrals of the location and
-    scatter derivatives.
+    Cell masses are exact: the weight-free kernel (p' Sigma_i p)^(-1/2)
+    c_m g(t_i) is integrated over each trapezoid cell as a difference of
+    the family's primitive Phi at the standardized cell edges u
+    (``gen_primitive``: in closed form for the Gaussian, from a PCHIP table
+    otherwise), so thin projected components (eccentric scatters) keep
+    their mass even when narrower than the grid spacing.  The primitive's
+    slope at the edges, and the slope times u, give the exact cell
+    integrals of the location and scatter derivatives
+    (``gradients.euclidean_grad``).  The mixture's normalized cell masses
+    and their cumulative sums are taken once, here, for both the cost and
+    the gradient.
     """
 
-    kernels: np.ndarray  # (k, G)  cell-averaged weight-free kernel
-    edge_kernel: np.ndarray  # (k, G+1)  kernel at cell edges
-    edge_scale_flux: np.ndarray  # (k, G+1)  c_m g(u^2) u / (2 v) at cell edges
-    rho: np.ndarray  # (G,)
-    mass: float
+    cells: np.ndarray  # (k, G)  weight-free cell masses max(diff(Phi(u)), 0)
+    slope: np.ndarray  # (k, G+1)  Phi'(u) = c_m g(u^2) at the cell edges
+    slope_offset: np.ndarray  # (k, G+1)  Phi'(u) u at the cell edges
+    root_v: np.ndarray  # (k,)  sqrt(p' Sigma_i p)
+    proj_var: np.ndarray  # (k,)  p' Sigma_i p
+    masses: np.ndarray  # (G,)  the mixture's cell masses over their total
+    bounds: np.ndarray  # (G+1,)  their cumulative sums: 0, ..., exactly 1
+    mass: float  # the mixture's total mass on the grid
 
 
 def cell_edges(grid: np.ndarray) -> np.ndarray:
@@ -432,19 +438,23 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
     edge_u = (edges[None, :] - (mus @ ctx.p)[:, None]) / root_v[:, None]
     # cell masses are mathematically nonnegative; a rounded primitive, closed
     # form or interpolated, can step down by an ulp in saturated tails
-    kernels = np.maximum(np.diff(family.gen_primitive(edge_u), axis=1), 0.0) / ctx.grid_weights[None, :]
+    cells = np.maximum(np.diff(family.gen_primitive(edge_u), axis=1), 0.0)
+    # Generator singularities (e.g. small-a Kotz at t=0) give non-finite
+    # edge nodes, which the gradient drops.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gen_at_edges = family.gen_primitive_slope(edge_u)
-        edge_kernel = gen_at_edges / root_v[:, None]
-        edge_scale_flux = gen_at_edges * edge_u / (2.0 * proj_var[:, None])
-    # Generator singularities (e.g. small-a Kotz at t=0) are dropped nodes.
-    edge_kernel = np.where(np.isfinite(edge_kernel), edge_kernel, 0.0)
-    edge_scale_flux = np.where(np.isfinite(edge_scale_flux), edge_scale_flux, 0.0)
-    rho = weights @ kernels
-    mass = float(ctx.grid_weights @ rho)
+        slope = family.gen_primitive_slope(edge_u)
+        slope_offset = slope * edge_u
+    masses = weights @ cells
+    mass = float(masses.sum())
     if not np.isfinite(mass) or mass <= 1e-300:
         raise DegenerateGridError("projected model density has no mass on the grid")
-    return ProjectedMixture(kernels, edge_kernel, edge_scale_flux, rho, mass)
+    masses /= mass
+    bounds = np.empty(masses.size + 1)
+    bounds[0] = 0.0
+    np.cumsum(masses, out=bounds[1:])
+    # exact ends: the slabs' Q^2 integrals add up to int_0^1 Q^2
+    bounds[-1] = 1.0
+    return ProjectedMixture(cells, slope, slope_offset, root_v, proj_var, masses, bounds, mass)
 
 
 def project_model(model: MixtureModel, ctx: ProjectionContext) -> ProjectedMixture:
@@ -469,15 +479,9 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     within-cell spread cost, so components thinner than a grid cell cannot
     shed their transport cost by collapsing further.
     """
-    masses = (projected.rho * ctx.grid_weights) / projected.mass
-    bounds = np.empty(masses.size + 1)
-    bounds[0] = 0.0
-    np.cumsum(masses, out=bounds[1:])
-    # exact ends: the slabs' Q^2 integrals add up to int_0^1 Q^2
-    bounds[-1] = 1.0
-    _, s1 = ctx.quantile_prefixes(bounds)
+    _, s1 = ctx.quantile_prefixes(projected.bounds)
     y = ctx.grid
-    return float(np.sum(y * y * masses - 2.0 * y * np.diff(s1))) + ctx.quantile_second_moment
+    return float(y @ (y * projected.masses - 2.0 * np.diff(s1))) + ctx.quantile_second_moment
 
 
 def sliced_cost(model: MixtureModel, data, projections) -> float:

@@ -97,3 +97,39 @@ class TestFiniteDifferenceAgreement:
 
     def test_k3_m5(self):
         self.check(fam.gaussian(5), 3, seeds=range(2), h=1e-6)
+
+
+class TestDroppedEdgeNode:
+    """A non-finite kernel value at a cell edge (a generator singularity,
+    e.g. small-a Kotz at t = 0) contributes nothing to the gradient."""
+
+    def cost_and_grad(self, model, ctx, monkeypatch, node, value):
+        real_slope = fam.EllipticalFamily.gen_primitive_slope
+
+        def slope(family, u):
+            out = real_slope(family, u)
+            if node is not None:
+                out[node] = value
+            return out
+
+        monkeypatch.setattr(fam.EllipticalFamily, "gen_primitive_slope", slope)
+        projected = tp.project_model(model, ctx)
+        return tp.projected_w2(ctx, projected), gr.euclidean_grad(model, ctx, projected)
+
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    def test_matches_the_node_zeroed(self, bad, monkeypatch):
+        rng = np.random.default_rng(31)
+        model = random_model_for_grad(fam.gaussian(3), 3, rng)
+        ctx = stratified_target_ctx(unit([0.2, 0.9, -0.4]), rng)
+        _, plain = self.cost_and_grad(model, ctx, monkeypatch, None, None)
+        # the edge where component 1's kernel peaks, so the node matters
+        u = (tp.cell_edges(ctx.grid) - model.mus[1] @ ctx.p) / np.sqrt(ctx.p @ model.sigmas[1] @ ctx.p)
+        node = (1, int(np.argmin(np.abs(u))))
+        cost, grad = self.cost_and_grad(model, ctx, monkeypatch, node, bad)
+        cost0, grad0 = self.cost_and_grad(model, ctx, monkeypatch, node, 0.0)
+        assert np.isfinite(cost)
+        assert cost == cost0
+        assert grad0.w_sigma[1] != plain.w_sigma[1]
+        for got, want in ((grad.g_sqrtpi, grad0.g_sqrtpi), (grad.g_mu, grad0.g_mu), (grad.w_sigma, grad0.w_sigma)):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())

@@ -49,14 +49,20 @@ class TestLyapunov:
             mf.lyapunov_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
+def unit_vector(m, rng):
+    v = rng.normal(size=m)
+    return v / np.linalg.norm(v)
+
+
 class TestRiemGradSigma:
+    # The scatter gradient is rank one, egrad = w p p', for a unit p.
     def test_identity_sigma(self):
         rng = np.random.default_rng(2)
-        e = random_sym(3, rng)
-        assert np.allclose(mf.riem_grad_sigma(np.eye(3), e), 2.0 * e, atol=1e-14)
+        p = unit_vector(3, rng)
+        assert np.allclose(mf.riem_grad_sigma(np.eye(3), -0.7, p), -1.4 * np.outer(p, p), atol=1e-14)
 
     def test_scalar_case(self):
-        out = mf.riem_grad_sigma(np.array([[2.0]]), np.array([[0.5]]))
+        out = mf.riem_grad_sigma(np.array([[2.0]]), 0.5, np.array([1.0]))
         assert out[0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_metric_duality_with_half_constant(self):
@@ -65,14 +71,29 @@ class TestRiemGradSigma:
         # up to this constant factor, which is folded into the stepsize.
         rng = np.random.default_rng(3)
         point = mf.PdPoint(random_spd(3, rng))
-        egrad = random_sym(3, rng)
-        grad = mf.riem_grad_sigma(point, egrad)
+        p, w = unit_vector(3, rng), 1.3
+        egrad = w * np.outer(p, p)
+        grad = mf.riem_grad_sigma(point, w, p)
         for _ in range(20):
             v = random_sym(3, rng)
             inner = np.trace(
                 mf.lyapunov_solve(point, grad) @ point.sigma @ mf.lyapunov_solve(point, v)
             )
             assert inner == pytest.approx(0.5 * np.trace(egrad @ v), rel=1e-10)
+
+    @pytest.mark.parametrize("m", (1, 2, 5, 16))
+    def test_stack_matches_the_dense_product(self, m):
+        rng = np.random.default_rng(40 + m)
+        sigmas = np.stack([random_spd(m, rng) for _ in range(4)])
+        w, p = rng.normal(size=4), unit_vector(m, rng)
+        got = mf.riem_grad_sigma(mf.PdPoint(sigmas), w, p)
+        egrad = w[:, None, None] * np.outer(p, p)
+        want = egrad @ sigmas + sigmas @ egrad
+        assert got.tobytes() == np.swapaxes(got, 1, 2).tobytes()
+        for i in range(4):
+            scale = np.abs(want[i]).max()
+            np.testing.assert_allclose(got[i], want[i], rtol=0.0, atol=1.5e-15 * scale)
+            assert mf.riem_grad_sigma(sigmas[i], w[i], p).tobytes() == got[i].tobytes()
 
 
 class TestExpSigma:
@@ -150,6 +171,25 @@ class TestExpSigma:
                 assert h == 0
                 for a, b in ((out.sigma[i], one.sigma), (out.lam[i], one.lam), (out.q[i], one.q)):
                     assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("h", (1, 4, mf.PD_RETRIES))
+    def test_only_the_matrix_below_the_floor_is_halved(self, h):
+        # sigma0 = diag(1, r) with r (1 + delta) / 2 PD_FLOOR, and a step whose
+        # Lyapunov image is diag(0, -t): the image r (1 - t / 2^j)^2 clears the
+        # floor at roughly t / 2^j < delta / 2, which delta = 3 t / 2^h puts
+        # first at j = h.  Its neighbours clear it on the first try.
+        t = 0.29
+        r = 0.5 * PD_FLOOR * (1.0 + 3.0 * t / 2.0**h)
+        sigma0 = np.diag([1.0, r])
+        stack = np.stack([np.eye(2), sigma0, 2.0 * np.eye(2)])
+        steps = np.stack([-0.1 * np.eye(2), np.diag([0.0, -2.0 * r * t]), 0.05 * np.eye(2)])
+        out, halvings = mf.exp_sigma(stack, steps)
+        assert halvings.tolist() == [0, h, 0]
+        for i in range(3):
+            one, h_one = mf.exp_sigma(stack[i], steps[i])
+            assert h_one == halvings[i]
+            for a, b in ((out.sigma[i], one.sigma), (out.lam[i], one.lam), (out.q[i], one.q)):
+                assert a.tobytes() == b.tobytes()
 
     def test_point_keeps_the_eigh_that_admitted_it(self):
         rng = np.random.default_rng(12)

@@ -30,7 +30,7 @@ from _helpers import em_oracle, golden_case, golden_config, golden_fit, initiali
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
-from emmfit.errors import InvalidFamilyError, MismatchError, UnsupportedGradientError
+from emmfit.errors import DegenerateGridError, InvalidFamilyError, MismatchError, UnsupportedGradientError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fits.json"
 GOLDEN_METHODS = ("vanilla", "radam", "dadam", "em")
@@ -551,3 +551,38 @@ if __name__ == "__main__":
     for method in methods:
         doc[method] = fit_record(golden_fit(method, data, model0))
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("beta1", 1.5), ("beta1", np.nan), ("beta1", -0.2), ("beta1", 1.0), ("beta2", 1.0), ("beta2", np.nan), ("beta2", -0.1)],
+)
+def test_config_refuses_decays_outside_the_unit_interval(name, value):
+    with pytest.raises(MismatchError, match=name):
+        optim.OptimizerConfig(**{name: value})
+
+
+def test_report_to_dict_is_strict_json_after_a_projection_failure(case, monkeypatch):
+    real_project = optim.transport.project_model
+    calls = []
+
+    def failing_at_the_third(model, ctx):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DegenerateGridError("forced")
+        return real_project(model, ctx)
+
+    monkeypatch.setattr(optim.transport, "project_model", failing_at_the_third)
+    report = golden_fit("dadam", *case)
+    assert report.failed and report.iterations == 3
+    assert report.failure_reason == "projection failure at iteration 3"
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["final_cost"] is None
+    assert doc["iterations"] == 3
+
+
+def test_report_to_dict_writes_a_non_finite_cost_as_null(case):
+    report = golden_fit("dadam", *case)
+    for bad in (np.inf, -np.inf, np.nan):
+        report.costs[-1] = bad
+        assert json.loads(json.dumps(report.to_dict(), allow_nan=False))["final_cost"] is None
