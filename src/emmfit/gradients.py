@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGradientError
 from .mixture import MixtureModel
 from .transport import ProjectedMixture, ProjectionContext, project_model
 
@@ -51,9 +50,9 @@ def euclidean_grad(
     ctx: ProjectionContext,
     projected: ProjectedMixture | None = None,
 ) -> EuclideanGrad:
-    """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas."""
-    if not model.family.has_gradient:
-        raise UnsupportedGradientError(f"{model.family.name} {model.family.params()} has no sliced-cost gradient")
+    """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas.
+    A family with no gradient has no projected kernel: ``project_model``
+    raises ``UnsupportedGradientError`` for it."""
     if projected is None:
         projected = project_model(model, ctx)
     grid = ctx.grid

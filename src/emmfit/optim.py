@@ -16,7 +16,9 @@ covariance, which sets every direction's grid margin, is taken once per
 set share it; each step's model is built from the ``PdPoint`` the
 retraction admitted, so no scatter is checked again inside the loop.  A
 fit ends, ``failed``, at the first iteration whose projection fails or
-whose retraction leaves a scatter on the PD floor after every halving.  An
+whose retraction leaves a scatter on the PD floor after every halving.
+Both engines write one record, ``FitReport``: it allocates the traces,
+writes each iteration's cost and health, and keeps the first failure.  An
 EM baseline covers the Gaussian family: each iteration is one pass over a
 centred copy of the samples in cache-sized column blocks, running the
 density kernel of ``MixtureModel.component_logpdf`` and taking the M-step
@@ -82,7 +84,10 @@ class OptimizerConfig:
 
 @dataclass
 class FitReport:
-    """Per-iteration trace and the final model of one fitting run."""
+    """Per-iteration trace and the final model of one fitting run.  Both
+    engines write it: ``_start`` allocates the traces for ``max_iters``
+    iterations, ``_record`` writes one, ``_fail`` keeps the first failure
+    and ``_end`` cuts the traces to the iterations that ran."""
 
     method: str
     final_model: MixtureModel
@@ -91,14 +96,51 @@ class FitReport:
     weight_gap: np.ndarray  # per-iteration |sum(pi) - 1|
     min_eig_ratio: np.ndarray  # per-iteration min_i lambda_min / (tr/m)
     events: list = field(default_factory=list)
-    failed: bool = False
-    failure_reason: str | None = None
+    failure_reason: str | None = None  # the fit's first failure
     seed: int | None = None
     config: dict = field(default_factory=dict)
 
     @property
+    def failed(self) -> bool:
+        return self.failure_reason is not None
+
+    @property
     def iterations(self) -> int:
         return len(self.costs)
+
+    @classmethod
+    def _start(cls, model0: MixtureModel, cfg: OptimizerConfig) -> "FitReport":
+        H = cfg.max_iters
+        return cls(
+            method=cfg.method,
+            final_model=model0,
+            costs=np.full(H, np.nan),
+            wall_ms=np.zeros(H),
+            weight_gap=np.zeros(H),
+            min_eig_ratio=np.zeros(H),
+            seed=cfg.seed,
+            config=cfg.to_dict(),
+        )
+
+    def _record(self, h: int, cost: float, model: MixtureModel, lam: np.ndarray, tic: float) -> None:
+        """Write iteration h (from 1), which started at ``tic`` and left
+        ``model``, whose scatters have the ascending eigenvalues ``lam``."""
+        self.costs[h - 1] = cost
+        self.weight_gap[h - 1] = abs(float(np.sum(model.weights)) - 1.0)
+        self.min_eig_ratio[h - 1] = np.min(lam[:, 0] / (np.trace(model.sigmas, axis1=1, axis2=2) / model.m))
+        self.wall_ms[h - 1] = 1e3 * (time.perf_counter() - tic)
+
+    def _fail(self, reason: str) -> None:
+        """Keep ``reason`` unless the fit has already failed."""
+        if self.failure_reason is None:
+            self.failure_reason = reason
+
+    def _end(self, h: int, final_model: MixtureModel) -> "FitReport":
+        """Cut the traces to the h iterations that ran."""
+        self.final_model = final_model
+        for name in ("costs", "wall_ms", "weight_gap", "min_eig_ratio"):
+            setattr(self, name, getattr(self, name)[:h])
+        return self
 
     def to_dict(self) -> dict:
         """Schema 1, strict JSON: a final cost that is not finite (a fit
@@ -183,18 +225,10 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
     pi_state = _VectorAdamState(k)
     mu_state = _VectorAdamState((k, m))
 
-    H = cfg.max_iters
-    costs = np.full(H, np.nan)
-    wall = np.zeros(H)
-    weight_gap = np.zeros(H)
-    min_eig_ratio = np.zeros(H)
-    events: list = []
-    failed = False
-    reason = None
-
+    report = FitReport._start(model0, cfg)
+    events = report.events
     current = model0
-    done = 0
-    for h in range(1, H + 1):
+    for h in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
         # one direction per step; seeded fits depend on this exact draw
         p = transport.random_projections(m, 1, rng)[0]
@@ -206,11 +240,11 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
         except EmmfitError as exc:
             # nothing to step along: the fit ends at this iteration
             events.append(f"iter {h}: projection failed ({exc})")
-            failed, reason = True, f"projection failure at iteration {h}"
+            report._fail(f"projection failure at iteration {h}")
             cost, stop = np.nan, True
         else:
             if not np.isfinite(cost):
-                failed, reason = True, f"non-finite cost at iteration {h}"
+                report._fail(f"non-finite cost at iteration {h}")
 
             # ---- weights on the sphere
             tangent = manifold.project_sphere_grad(sphere, grad.g_sqrtpi)
@@ -247,32 +281,15 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             # this iteration, with the model this step reached
             for i in np.flatnonzero(exhausted):
                 events.append(f"iter {h}: pd safeguard exhausted for component {i}")
-                failed, reason = True, f"pd safeguard exhausted at iteration {h}"
+                report._fail(f"pd safeguard exhausted at iteration {h}")
             stop = bool(exhausted.any())
 
             current = MixtureModel(family, sphere.weights, mus, points)
 
-        costs[h - 1] = cost
-        weight_gap[h - 1] = abs(float(np.sum(current.weights)) - 1.0)
-        min_eig_ratio[h - 1] = np.min(points.lam[:, 0] / (np.trace(points.sigma, axis1=1, axis2=2) / m))
-        wall[h - 1] = 1e3 * (time.perf_counter() - tic)
-        done = h
+        report._record(h, cost, current, points.lam, tic)
         if stop:
             break
-
-    return FitReport(
-        method=cfg.method,
-        final_model=current,
-        costs=costs[:done],
-        wall_ms=wall[:done],
-        weight_gap=weight_gap[:done],
-        min_eig_ratio=min_eig_ratio[:done],
-        events=events,
-        failed=failed,
-        failure_reason=reason,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-    )
+    return report._end(h, current)
 
 
 def fit(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
@@ -360,18 +377,10 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         blocks.append(xc)
     buffers = BlockBuffers(k, m, blocks[0].shape[1])
 
-    H = cfg.max_iters
-    nll_trace = np.full(H, np.nan)
-    wall = np.zeros(H)
-    weight_gap = np.zeros(H)
-    min_eig_ratio = np.zeros(H)
-    events: list = []
-    reason = None
+    report = FitReport._start(model0, cfg)
     prev_nll = np.inf
-    done = 0
-
     model = model0
-    for h in range(1, H + 1):
+    for h in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
         chol, inv_chol, offset = model._kernel()
         # takes a block column [x - centre; 1] to L_i^-1 (x - mu_i)
@@ -391,9 +400,8 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
                 np.multiply(white[i, :m], resp[i], out=weighted)
                 moments[i] += weighted @ white[i].T
         nll = -log_lik / n
-        nll_trace[h - 1] = nll
-        if reason is None and not np.isfinite(nll):
-            reason = f"non-finite NLL at iteration {h}"
+        if not np.isfinite(nll):
+            report._fail(f"non-finite NLL at iteration {h}")
 
         # M-step from the whitened sums
         weights = mass / n
@@ -402,7 +410,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         collapsed = mass < 1e-8
         for i in range(k):
             if collapsed[i]:
-                events.append(f"iter {h}: component {i} collapsed, reseeded")
+                report.events.append(f"iter {h}: component {i} collapsed, reseeded")
                 mus[i] = samples[rng.integers(n)]
                 covs[i] = iso
                 weights[i] = 1.0 / k
@@ -425,28 +433,13 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         # the final model below is still checked from plain arrays.
         model = MixtureModel(model0.family, weights, mus, PdPoint._admitted(sigmas, lam, q))
 
-        weight_gap[h - 1] = abs(float(weights.sum()) - 1.0)
-        min_eig_ratio[h - 1] = np.min(lam[:, 0] / (np.trace(sigmas, axis1=1, axis2=2) / m))
-        wall[h - 1] = 1e3 * (time.perf_counter() - tic)
-        done = h
+        report._record(h, nll, model, lam, tic)
         if abs(prev_nll - nll) < cfg.em_tol:
             break
         prev_nll = nll
 
     final = MixtureModel(model0.family, model.weights, model.mus, model.sigmas)
-    return FitReport(
-        method="em",
-        final_model=final,
-        costs=nll_trace[:done],
-        wall_ms=wall[:done],
-        weight_gap=weight_gap[:done],
-        min_eig_ratio=min_eig_ratio[:done],
-        events=events,
-        failed=reason is not None,
-        failure_reason=reason,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-    )
+    return report._end(h, final)
 
 
 def initialize(data, k: int, family, strategy: str = "random", rng=None) -> MixtureModel:

@@ -138,54 +138,40 @@ def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm
 
 
 @lru_cache(maxsize=None)
-def _orders(r: int) -> np.ndarray:
-    """The r! permutations of range(r) in lexicographic order, one per
-    column of an (r, r!) int8 index table (35 kB at r = 7)."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(r)))
-    return np.fromiter(flat, dtype=np.int8, count=r * math.factorial(r)).reshape(-1, r).T.copy()
+def _orders(k: int) -> np.ndarray:
+    """The k! permutations of range(k) in lexicographic order, one per
+    column of a (k, k!) int8 index table (322 kB at k = 8)."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    return np.fromiter(flat, dtype=np.int8, count=k * math.factorial(k)).reshape(-1, k).T.copy()
 
 
-def _matching_scores(
-    cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, head: tuple, rest: np.ndarray
-) -> np.ndarray:
+def _matching_scores(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> np.ndarray:
     """``_matching_objective``, up to rounding, of every permutation of
-    range(k) that maps 0, 1, ... to head and the other slots to the
-    remaining images rest (increasing), in lexicographic order: one score
-    per column of ``_orders(len(rest))``."""
-    h = len(head)
-    tail = _orders(rest.size)
-    head = np.array(head, dtype=np.intp)
-    transport = np.full(tail.shape[1], cost[np.arange(h), head].sum())
-    gap2 = np.full(tail.shape[1], np.square(sq1[:h] - sq2[head]).sum())
-    for i, row in enumerate(tail, start=h):
-        transport += cost[i, rest].take(row)
-        gap2 += np.square(sq1[i] - sq2[rest].take(row))
-    return transport / cost.shape[0] + 2.0 * np.arcsin(0.5 * np.sqrt(gap2))
+    range(k): one score per column of ``_orders(k)``, one row at a time."""
+    k = cost.shape[0]
+    transport = np.zeros(math.factorial(k))
+    gap2 = np.zeros(transport.size)
+    for i, row in enumerate(_orders(k)):
+        transport += cost[i].take(row)
+        gap2 += np.square(sq1[i] - sq2.take(row))
+    return transport / k + 2.0 * np.arcsin(0.5 * np.sqrt(gap2))
 
 
 def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple[float, np.ndarray, float]:
     k = cost.shape[0]
     if k <= K_EXACT:
-        # Score every permutation with numpy, 7! = 5040 at a time (one
-        # ordering of the first k - 7 images each), then rescore those within
+        # Score every permutation with numpy, then rescore those within
         # rounding of the best with ``_matching_objective`` and keep the first
         # strict minimum in lexicographic order, as a loop over
         # ``itertools.permutations`` would.  Past NEAR_TIES_RESCORED ties the
         # lowest scores are rescored.
-        heads = list(itertools.permutations(range(k), max(k - 7, 0)))
-        rests = [np.array([j for j in range(k) if j not in head], dtype=np.intp) for head in heads]
-        tail = _orders(k - len(heads[0]))
-        size = tail.shape[1]
-        scores = np.empty(len(heads) * size)
-        for c, (head, rest) in enumerate(zip(heads, rests)):
-            scores[c * size : (c + 1) * size] = _matching_scores(cost, sq1, sq2, head, rest)
+        scores = _matching_scores(cost, sq1, sq2)
         near = np.flatnonzero(scores <= scores.min() * (1.0 + 1e-12))
         if near.size > NEAR_TIES_RESCORED:
             near = np.sort(near[np.argsort(scores[near], kind="stable")[:NEAR_TIES_RESCORED]])
         best = (np.inf, None, 0.0)
         for j in near:
-            c, col = divmod(int(j), size)
-            perm = np.concatenate([np.array(heads[c], dtype=np.intp), rests[c][tail[:, col]]])
+            perm = _orders(k)[:, j].astype(np.intp)
             value, angle = _matching_objective(cost, sq1, sq2, perm)
             if value < best[0]:
                 best = (value, perm, angle)

@@ -586,3 +586,40 @@ def test_report_to_dict_writes_a_non_finite_cost_as_null(case):
     for bad in (np.inf, -np.inf, np.nan):
         report.costs[-1] = bad
         assert json.loads(json.dumps(report.to_dict(), allow_nan=False))["final_cost"] is None
+
+
+def test_first_failure_is_kept(case, monkeypatch):
+    # A non-finite cost at iteration 1 does not stop the fit; the safeguard
+    # exhausted at iteration 2 does, but the reason stays the first failure.
+    real_w2, real_exp = optim.transport.projected_w2, optim.manifold.exp_sigma
+    calls = {"w2": 0, "exp": 0}
+
+    def nan_first(ctx, projected):
+        calls["w2"] += 1
+        return np.nan if calls["w2"] == 1 else real_w2(ctx, projected)
+
+    def exhausted_second(point, step):
+        calls["exp"] += 1
+        point, halvings = real_exp(point, step)
+        if calls["exp"] == 2:
+            halvings = np.full_like(halvings, optim.manifold.PD_RETRIES + 1)
+        return point, halvings
+
+    monkeypatch.setattr(optim.transport, "projected_w2", nan_first)
+    monkeypatch.setattr(optim.manifold, "exp_sigma", exhausted_second)
+    report = golden_fit("dadam", *case)
+    assert report.failure_reason == "non-finite cost at iteration 1"
+    assert report.failed and report.iterations == 2
+    assert np.isnan(report.costs[0]) and np.isfinite(report.costs[1])
+    assert report.events[-1].startswith("iter 2: pd safeguard exhausted")
+
+
+@pytest.mark.parametrize("method", GOLDEN_METHODS)
+def test_record_traces_every_iteration(case, method):
+    report = golden_fit(method, *case)
+    for trace in (report.costs, report.wall_ms, report.weight_gap, report.min_eig_ratio):
+        assert trace.shape == (report.iterations,)
+    final = report.final_model
+    lam_min = np.linalg.eigh(final.sigmas)[0][:, 0]
+    want = np.min(lam_min / (np.trace(final.sigmas, axis1=1, axis2=2) / final.m))
+    assert report.min_eig_ratio[-1] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
