@@ -46,16 +46,16 @@ def check_spd(sigma: np.ndarray) -> np.ndarray:
     return it as float64.  Each smallest eigenvalue must clear the PD floor,
     so round-off noise is tolerated but singular matrices are rejected.
 
-    The smallest eigenvalue is read with ``eigh``, the decomposition the
+    The smallest eigenvalue is read with ``eigvalsh``, the routine the
     scatter retraction admits its points with, so a point it admitted
-    passes here too (``eigvalsh`` can read it a few ulps lower)."""
+    passes here too, bit for bit (``eigh`` can read it a few ulps apart)."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim not in (2, 3) or sigma.shape[-1] != sigma.shape[-2]:
         raise NotPositiveDefiniteError(f"expected a square matrix or a stack, got shape {sigma.shape}")
     scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1), initial=0.0))[..., None, None]
     if not np.all(np.abs(sigma - np.swapaxes(sigma, -1, -2)) <= 1e-8 * scale):
         raise NotPositiveDefiniteError("matrix is not symmetric")
-    lam_min = np.linalg.eigh(sigma)[0][..., 0]
+    lam_min = np.linalg.eigvalsh(sigma)[..., 0]
     bad = ~above_pd_floor(lam_min, np.trace(sigma, axis1=-2, axis2=-1), sigma.shape[-1])
     if np.any(bad):
         raise NotPositiveDefiniteError(f"smallest eigenvalue {lam_min[bad].flat[0]:.3e} below the PD floor")

@@ -2,18 +2,24 @@
 
 The square roots of the weights live on the unit sphere, locations in
 Euclidean space, and scatter matrices on the positive definite manifold
-whose metric is the Hessian of the elliptical Wasserstein distance.  All
-tangent algebra for the scatter matrices runs through the Lyapunov
-operator L_A[C] = B with AB + BA = C, evaluated in the eigenbasis that a
-``PdPoint`` keeps.  Scatter operations take one (m, m) matrix or a
-(k, m, m) stack; the retraction ``exp_sigma`` owns the trust region.  The
-constant metric weight E[R^2]/m is omitted throughout; it only rescales
-the stepsize.
+whose metric is the Hessian of the elliptical Wasserstein distance.  Its
+tangent algebra runs through the Lyapunov operator L_A[C] = B with
+AB + BA = C.  The retraction ``exp_sigma`` takes a step as its Lyapunov
+image L = L_Sigma[step], so a caller that keeps its tangent vectors in
+these coordinates needs no solve: the image of the Riemannian gradient
+``riem_grad_sigma`` is the Euclidean gradient itself, and vector transport
+``transport_sigma`` leaves the image unchanged.  ``lyapunov_solve`` and
+``transport_sigma`` map ambient tangent vectors to and between points, in
+the eigenbasis that a ``PdPoint`` computes on first use.  Scatter
+operations take one (m, m) matrix or a (k, m, m) stack; the retraction
+owns the trust region.  The constant metric weight E[R^2]/m is omitted
+throughout; it only rescales the stepsize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,27 +66,36 @@ def sphere_from_weights(pi) -> SpherePoint:
 class PdPoint:
     """Positive definite matrix or (k, m, m) stack, sigma = q diag(lam) q^T.
 
-    ``PdPoint(sigma)`` validates with ``check_spd`` and runs one ``eigh``;
-    ``exp_sigma`` builds its result with ``_admitted`` from the lam and q
-    of the eigh that admitted it.  Either way a PdPoint is an admitted
-    point: ``MixtureModel`` takes one in place of a scatter stack without
-    deciding positive definiteness again."""
+    ``PdPoint(sigma)`` validates with ``check_spd``; ``exp_sigma`` builds
+    its result with ``_admitted`` from the ascending eigenvalues lam that
+    admitted it.  Either way a PdPoint is an admitted point:
+    ``MixtureModel`` takes one in place of a scatter stack without deciding
+    positive definiteness again.  lam (``eigvalsh``) and the eigenbasis q
+    (``eigh``) are computed on first use where they were not handed over,
+    and kept."""
 
     sigma: np.ndarray
-    lam: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        sigma = check_spd(self.sigma)
-        lam, q = np.linalg.eigh(sigma)
-        self.__dict__.update(sigma=sigma, lam=lam, q=q)
+        self.__dict__["sigma"] = check_spd(self.sigma)
 
     @classmethod
-    def _admitted(cls, sigma, lam, q) -> "PdPoint":
-        """A point from the eigh (lam, q) that admitted sigma, unchecked."""
+    def _admitted(cls, sigma, lam, q=None) -> "PdPoint":
+        """A point from the eigenvalues lam (and eigenbasis q, if known)
+        that admitted sigma, unchecked."""
         point = object.__new__(cls)
-        point.__dict__.update(sigma=sigma, lam=lam, q=q)
+        point.__dict__.update(sigma=sigma, lam=lam)
+        if q is not None:
+            point.__dict__["q"] = q
         return point
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.sigma)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return np.linalg.eigh(self.sigma)[1]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -88,7 +103,8 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve A B + B A = C for symmetric C and positive definite A (or stacks)."""
+    """Solve A B + B A = C for symmetric C and positive definite A (or
+    stacks), in the eigenbasis of A, which a ``PdPoint`` takes on first use."""
     if not isinstance(a, PdPoint):
         a = PdPoint(a)
     lam, q = a.lam, a.q
@@ -112,16 +128,20 @@ def riem_grad_sigma(sigma: PdPoint | np.ndarray, w, p: np.ndarray) -> np.ndarray
     return half + np.swapaxes(half, -1, -2)
 
 
-def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, int | np.ndarray]:
-    """Retraction (L + I) Sigma (L + I), L = L_Sigma[step], of an already-scaled step.
+def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, int | np.ndarray]:
+    """Retraction (L + I) Sigma (L + I) along the symmetric Lyapunov image
+    L = L_Sigma[step] of an already-scaled step; no solve is made here.
 
     L is first scaled down to TRUST_CAP (see there; the quadratic is
     trustworthy only while |L| < 1).  Only an L whose Frobenius norm
     exceeds CAP_PRETEST can reach the cap, so only those have their
-    eigenvalues read (``_trust_cap``).  One ``eigh`` of the images is
-    both their PD-floor test and the decomposition the new point keeps.
-    An image below the floor is retried with L halved, at most PD_RETRIES
-    times; a matrix that never passes keeps its input value.
+    eigenvalues read (``_trust_cap``).  One stacked ``eigvalsh`` of the
+    images is their PD-floor test, the same read ``check_spd`` makes, and
+    gives the new point its lam; its eigenbasis is left to first use.  An
+    image below the floor is retried with L halved, at most PD_RETRIES
+    times; a matrix that never passes keeps its input value.  Halving
+    never makes a non-finite L finite, so a matrix with one keeps its
+    input value at once.
 
     Returns (point, halvings): the halvings each matrix took, an int for
     one matrix and a (k,) array for a stack; PD_RETRIES + 1 marks a matrix
@@ -129,36 +149,40 @@ def exp_sigma(sigma: PdPoint | np.ndarray, step: np.ndarray) -> tuple[PdPoint, i
     """
     point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
     shape, m = point.sigma.shape, point.sigma.shape[-1]
-    lyap = lyapunov_solve(point, step).reshape(-1, m, m)
+    lyap = np.array(lyap, dtype=float).reshape(-1, m, m)
+    stuck = ~np.isfinite(lyap).all(axis=(1, 2))
+    lyap[stuck] = 0.0
     _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
-    sig, lam, q = _retract(lyap, base)
-    halvings = np.zeros(len(base), dtype=int)
-    todo = np.flatnonzero(~above_pd_floor(lam[:, 0], np.trace(sig, axis1=1, axis2=2), m))
-    if todo.size:
-        # only the images below the floor are retried; one that never
-        # passes keeps its input value
-        sig[todo], lam[todo], q[todo] = base[todo], point.lam.reshape(-1, m)[todo], point.q.reshape(-1, m, m)[todo]
+    sig, lam = _retract(lyap, base)
+    halvings = np.where(stuck, PD_RETRIES + 1, 0)
+    below = ~above_pd_floor(lam[:, 0], np.trace(sig, axis1=1, axis2=2), m)
+    kept = below | stuck
+    if kept.any():
+        # only the finite images below the floor are retried; one that
+        # never passes keeps its input value
+        sig[kept], lam[kept] = base[kept], point.lam.reshape(-1, m)[kept]
+        todo = np.flatnonzero(below & ~stuck)
         for _ in range(PD_RETRIES):
-            halvings[todo] += 1
-            lyap[todo] *= 0.5
-            cand, cand_lam, cand_q = _retract(lyap[todo], base[todo])
-            ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
-            sig[todo[ok]], lam[todo[ok]], q[todo[ok]] = cand[ok], cand_lam[ok], cand_q[ok]
-            todo = todo[~ok]
             if todo.size == 0:
                 break
+            halvings[todo] += 1
+            lyap[todo] *= 0.5
+            cand, cand_lam = _retract(lyap[todo], base[todo])
+            ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
+            sig[todo[ok]], lam[todo[ok]] = cand[ok], cand_lam[ok]
+            todo = todo[~ok]
         halvings[todo] += 1
-    out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]), q.reshape(shape))
+    out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]))
     return out, (int(halvings[0]) if len(shape) == 2 else halvings)
 
 
 def _retract(lyap: np.ndarray, base: np.ndarray):
-    """The images (L + I) Sigma (L + I) of (k, m, m) stacks and their eigh."""
+    """The images (L + I) Sigma (L + I) of (k, m, m) stacks and their
+    ascending eigenvalues."""
     e = lyap + np.eye(lyap.shape[-1])
     image = _sym(e @ base @ np.swapaxes(e, 1, 2))
-    lam, q = np.linalg.eigh(image)
-    return image, lam, q
+    return image, np.linalg.eigvalsh(image)
 
 
 def _trust_cap(lyap: np.ndarray) -> None:
@@ -194,7 +218,10 @@ def project_sphere_grad(s: SpherePoint | np.ndarray, egrad: np.ndarray) -> np.nd
 
 
 def transport_sigma(from_point: PdPoint | np.ndarray, to_sigma, u: np.ndarray) -> np.ndarray:
-    """Vector transport L_from[u] @ to + to @ L_from[u] between PD points."""
+    """Vector transport L_from[u] @ to + to @ L_from[u] between PD points.
+
+    Its Lyapunov image at ``to`` is L_from[u]: a momentum kept as its
+    image needs no transport."""
     to = to_sigma.sigma if isinstance(to_sigma, PdPoint) else np.asarray(to_sigma, dtype=float)
     b = lyapunov_solve(from_point, u)
     return _sym(b @ to + to @ b)

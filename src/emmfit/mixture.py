@@ -27,7 +27,8 @@ class MixtureModel:
     is (k, m, m) with every scatter matrix symmetric positive definite.
     A raw ``sigmas`` array is checked by ``families.check_spd``; an admitted
     ``manifold.PdPoint`` stack is taken as it is (its ``sigma`` becomes
-    ``sigmas``), because the eigh that admitted it already decided it.
+    ``sigmas``), because the check or retraction that admitted it already
+    decided it.
     Weights and shapes are checked either way.
     """
 

@@ -25,6 +25,14 @@ density kernel of ``MixtureModel.component_logpdf`` and taking the M-step
 sums in whitened coordinates per block, and each iterate is built from the
 eigenvalue floor's admitted (lam, q).  A fit has the seven settings of
 ``OptimizerConfig`` and no others.
+
+The scatter momentum is kept as its Lyapunov image U = L_Sigma[u], the
+coordinates ``manifold.exp_sigma`` steps in: there vector transport is
+the identity and the Riemannian gradient's image is the Euclidean
+w p p', so vanilla and dadam steps make no Lyapunov solve and need no
+eigenbasis, and the retraction admits each step's scatters with one
+``eigvalsh``.  radam makes one solve, for its element-wise scaled ambient
+step.
 """
 
 from __future__ import annotations
@@ -178,29 +186,29 @@ class _VectorAdamState:
 
 
 class _ScatterMoments:
-    """The (k, m, m) scatter momenta u, carried between iterates by vector
-    transport, and their second moments: the running max of v entry by entry
-    (radam, (k, m, m)) or of the directional p' v p (dadam, (k,))."""
+    """The (k, m, m) scatter momenta, kept as their Lyapunov images U, and
+    their second moments: the running max of v entry by entry (radam,
+    (k, m, m)) or of the directional p' v p (dadam, (k,)).  ``step`` takes
+    U to beta1 U + (1 - beta1) w p p' and returns the Lyapunov image of the
+    step, which ``manifold.exp_sigma`` takes."""
 
     def __init__(self, k: int, m: int, elementwise: bool):
         self.elementwise = elementwise
         self.u = np.zeros((k, m, m))
         self.v = np.zeros((k, m, m))
         self.second = np.zeros((k, m, m) if elementwise else k)
-        self.prev_point: PdPoint | None = None
 
-    def step(self, point: PdPoint, rgrad, grad, alpha: float, beta1: float, beta2: float):
-        if self.prev_point is None:
-            carried = np.zeros_like(self.u)
-        else:
-            carried = manifold.transport_sigma(self.prev_point, point.sigma, self.u)
-        self.u = beta1 * carried + (1.0 - beta1) * rgrad
-        self.prev_point = point
+    def step(self, point: PdPoint, grad, alpha: float, beta1: float, beta2: float):
+        g = grad.g_sigma
+        self.u = beta1 * self.u + (1.0 - beta1) * g
         if self.elementwise:
-            self.v = beta2 * self.v + (1.0 - beta2) * grad.g_sigma**2
+            # the element-wise scaling acts on the ambient momentum
+            # U Sigma + Sigma U, whose step goes back through one solve
+            self.v = beta2 * self.v + (1.0 - beta2) * g**2
             self.second = np.maximum(self.second, self.v)
-            step = -alpha * self.u / np.sqrt(self.second + EPS_ADP)
-            return 0.5 * (step + np.swapaxes(step, 1, 2))
+            half = self.u @ point.sigma
+            ambient = half + np.swapaxes(half, 1, 2)
+            return manifold.lyapunov_solve(point, -alpha * ambient / np.sqrt(self.second + EPS_ADP))
         # g g' = w^2 p p' for the rank-one g = w p p' and a unit p
         p = grad.p
         self.v = beta2 * self.v + ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * np.outer(p, p)
@@ -267,13 +275,13 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 mus = mus - alpha * grad.g_mu
 
-            # ---- scatters on the PD manifold, all k in one step
-            rgrad = manifold.riem_grad_sigma(points, grad.w_sigma, p)
+            # ---- scatters on the PD manifold, all k in one step, along
+            # Lyapunov images: the Riemannian gradient's is g_sigma
             if method == "vanilla":
-                step = -alpha * rgrad
+                lyap = -alpha * grad.g_sigma
             else:
-                step = scatter.step(points, rgrad, grad, alpha, beta1, beta2)
-            points, halvings = manifold.exp_sigma(points, step)
+                lyap = scatter.step(points, grad, alpha, beta1, beta2)
+            points, halvings = manifold.exp_sigma(points, lyap)
             exhausted = halvings > manifold.PD_RETRIES
             for i in np.flatnonzero((halvings > 0) & ~exhausted):
                 events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")

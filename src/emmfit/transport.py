@@ -43,14 +43,15 @@ def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
 
 def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
     """tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), clipped at zero."""
-    return _bures_gap(sigma1, _sqrtm_spd(sigma1), sigma2)
+    return _bures_gap(_sqrtm_spd(sigma1), sigma2, np.trace(sigma1) + np.trace(sigma2))
 
 
-def _bures_gap(sigma1: np.ndarray, root1: np.ndarray, sigma2: np.ndarray) -> float:
-    """``bures_gap`` given root1 = ``_sqrtm_spd(sigma1)``."""
+def _bures_gap(root1: np.ndarray, sigma2: np.ndarray, traces: float) -> float:
+    """``bures_gap`` given root1 = ``_sqrtm_spd(sigma1)`` and
+    traces = tr(S1) + tr(S2)."""
     inner = root1 @ sigma2 @ root1
     lam = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)
-    gap = float(np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.sum(np.sqrt(lam)))
+    gap = float(traces - 2.0 * np.sum(np.sqrt(lam)))
     return max(gap, 0.0)
 
 
@@ -105,10 +106,13 @@ class TransportPlan:
 
 def _pairwise_w2(model1: MixtureModel, model2: MixtureModel, unit_weight: bool) -> np.ndarray:
     """The (k, k) ``w2_elliptical`` values between the components of two
-    same-family mixtures, bit for bit, each scatter's square root taken once."""
+    same-family mixtures, bit for bit, each scatter's square root and trace
+    taken once."""
     weight = _scatter_weight(model1.family, unit_weight)
     roots1 = [_sqrtm_spd(s) for s in model1.sigmas]
     roots2 = [_sqrtm_spd(s) for s in model2.sigmas]
+    traces1 = [np.trace(s) for s in model1.sigmas]
+    traces2 = [np.trace(s) for s in model2.sigmas]
     k = model1.k
     cost = np.empty((k, k))
     for i in range(k):
@@ -117,10 +121,10 @@ def _pairwise_w2(model1: MixtureModel, model2: MixtureModel, unit_weight: bool) 
             mu2, s2 = model2.mus[j], model2.sigmas[j]
             if _first_in_order(mu1, s1, mu2, s2):
                 delta = mu1 - mu2
-                gap = _bures_gap(s1, roots1[i], s2)
+                gap = _bures_gap(roots1[i], s2, traces1[i] + traces2[j])
             else:
                 delta = mu2 - mu1
-                gap = _bures_gap(s2, roots2[j], s1)
+                gap = _bures_gap(roots2[j], s1, traces2[j] + traces1[i])
             cost[i, j] = float(delta @ delta) + weight * gap
     return cost
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import trust_cap_always_eigvalsh
 from emmfit import manifold as mf
@@ -105,19 +107,21 @@ class TestExpSigma:
         assert halvings == 0
 
     def test_scalar_case(self):
-        out, halvings = mf.exp_sigma(np.array([[1.0]]), np.array([[-0.2]]))
+        # the Lyapunov image -0.1 of the step -0.2 at 1
+        out, halvings = mf.exp_sigma(np.array([[1.0]]), np.array([[-0.1]]))
         assert out.sigma[0, 0] == pytest.approx(0.81, abs=1e-14)
         assert halvings == 0
 
     def test_first_order_consistency(self):
-        # ||exp(Sigma, eps V) - (Sigma + eps V)||_F must shrink like eps^2:
-        # the log2 ratio under eps-halving has slope >= 1.9.
+        # ||exp(Sigma, eps L) - (Sigma + eps (L Sigma + Sigma L))||_F must
+        # shrink like eps^2: the log2 ratio under eps-halving has slope >= 1.9.
         rng = np.random.default_rng(5)
         sig = mf.PdPoint(random_spd(2, rng))
-        v = random_sym(2, rng)
+        lyap = random_sym(2, rng)
+        v = lyap @ sig.sigma + sig.sigma @ lyap
         errs = []
         for eps in (1e-2, 5e-3, 2.5e-3):
-            out = mf.exp_sigma(sig, eps * v)[0].sigma
+            out = mf.exp_sigma(sig, eps * lyap)[0].sigma
             errs.append(np.linalg.norm(out - (sig.sigma + eps * v)))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes >= 1.9)
@@ -131,10 +135,10 @@ class TestExpSigma:
             assert np.linalg.eigvalsh(out.sigma)[0] > 0.0
 
     def test_large_step_is_capped(self):
-        # -2I maps the Lyapunov image exactly onto the cone boundary and
-        # -10I would wrap around on the non-geodesic branch; both are cut
-        # back to L = -TRUST_CAP * I, so the image is (1 - 0.3)^2 I.
-        for scale in (2.0, 10.0):
+        # L = -I maps the image exactly onto the cone boundary and L = -5I
+        # would wrap around on the non-geodesic branch; both are cut back
+        # to L = -TRUST_CAP * I, so the image is (1 - 0.3)^2 I.
+        for scale in (1.0, 5.0):
             out, halvings = mf.exp_sigma(np.eye(2), -scale * np.eye(2))
             assert np.allclose(out.sigma, 0.49 * np.eye(2), rtol=0.0, atol=1e-15)
             assert halvings == 0
@@ -142,7 +146,7 @@ class TestExpSigma:
     def test_contracting_step_is_capped(self):
         # L = diag(-5, 0.1): the cap reads the largest |eigenvalue|, 5, not
         # the largest eigenvalue, so L is scaled by 0.3/5 to diag(-0.3, 0.006).
-        out, halvings = mf.exp_sigma(np.eye(2), np.diag([-10.0, 0.2]))
+        out, halvings = mf.exp_sigma(np.eye(2), np.diag([-5.0, 0.1]))
         assert np.allclose(out.sigma, np.diag([0.49, 1.006**2]), rtol=0.0, atol=1e-15)
         assert halvings == 0
 
@@ -153,8 +157,8 @@ class TestExpSigma:
         sigma0 = np.diag([1.0, r])
         assert r > PD_FLOOR * np.trace(sigma0) / 2
         stack = np.stack([sigma0, np.eye(2)])
-        steps = np.stack([np.diag([0.0, -r]), -0.1 * np.eye(2)])
-        out, halvings = mf.exp_sigma(stack, steps)
+        images = np.stack([np.diag([0.0, -0.5]), -0.05 * np.eye(2)])
+        out, halvings = mf.exp_sigma(stack, images)
         assert halvings.tolist() == [mf.PD_RETRIES + 1, 0]
         assert out.sigma[0].tobytes() == sigma0.tobytes()
         assert np.allclose(out.sigma[1], 0.95**2 * np.eye(2), rtol=0.0, atol=1e-15)
@@ -163,40 +167,65 @@ class TestExpSigma:
         rng = np.random.default_rng(11)
         for m in (2, 5, 16):
             sigmas = np.stack([random_spd(m, rng) for _ in range(4)])
-            steps = np.stack([0.05 * random_sym(m, rng) for _ in range(4)])
-            out, halvings = mf.exp_sigma(sigmas, steps)
+            images = np.stack([0.005 * random_sym(m, rng) for _ in range(4)])
+            out, halvings = mf.exp_sigma(sigmas, images)
             assert halvings.tolist() == [0] * 4
             for i in range(4):
-                one, h = mf.exp_sigma(sigmas[i], steps[i])
+                one, h = mf.exp_sigma(sigmas[i], images[i])
                 assert h == 0
                 for a, b in ((out.sigma[i], one.sigma), (out.lam[i], one.lam), (out.q[i], one.q)):
                     assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("h", (1, 4, mf.PD_RETRIES))
     def test_only_the_matrix_below_the_floor_is_halved(self, h):
-        # sigma0 = diag(1, r) with r (1 + delta) / 2 PD_FLOOR, and a step whose
-        # Lyapunov image is diag(0, -t): the image r (1 - t / 2^j)^2 clears the
+        # sigma0 = diag(1, r) with r (1 + delta) / 2 PD_FLOOR, and the
+        # Lyapunov image diag(0, -t): the image r (1 - t / 2^j)^2 clears the
         # floor at roughly t / 2^j < delta / 2, which delta = 3 t / 2^h puts
         # first at j = h.  Its neighbours clear it on the first try.
         t = 0.29
         r = 0.5 * PD_FLOOR * (1.0 + 3.0 * t / 2.0**h)
         sigma0 = np.diag([1.0, r])
         stack = np.stack([np.eye(2), sigma0, 2.0 * np.eye(2)])
-        steps = np.stack([-0.1 * np.eye(2), np.diag([0.0, -2.0 * r * t]), 0.05 * np.eye(2)])
-        out, halvings = mf.exp_sigma(stack, steps)
+        images = np.stack([-0.05 * np.eye(2), np.diag([0.0, -t]), 0.0125 * np.eye(2)])
+        out, halvings = mf.exp_sigma(stack, images)
         assert halvings.tolist() == [0, h, 0]
         for i in range(3):
-            one, h_one = mf.exp_sigma(stack[i], steps[i])
+            one, h_one = mf.exp_sigma(stack[i], images[i])
             assert h_one == halvings[i]
             for a, b in ((out.sigma[i], one.sigma), (out.lam[i], one.lam), (out.q[i], one.q)):
                 assert a.tobytes() == b.tobytes()
 
-    def test_point_keeps_the_eigh_that_admitted_it(self):
+    def test_point_keeps_the_eigvalsh_that_admitted_it(self, monkeypatch):
+        # lam is the admission's eigvalsh; the eigenbasis is taken by eigh
+        # on first use and kept
         rng = np.random.default_rng(12)
-        out, _ = mf.exp_sigma(random_spd(3, rng), 0.1 * random_sym(3, rng))
-        lam, q = np.linalg.eigh(out.sigma)
-        assert out.lam.tobytes() == lam.tobytes()
-        assert out.q.tobytes() == q.tobytes()
+        out, _ = mf.exp_sigma(random_spd(3, rng), 0.01 * random_sym(3, rng))
+        assert out.lam.tobytes() == np.linalg.eigvalsh(out.sigma).tobytes()
+        assert "q" not in vars(out)
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real_eigh(a))
+        q = out.q
+        assert q.tobytes() == real_eigh(out.sigma)[1].tobytes()
+        assert out.q is q and len(calls) == 1
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_image_stays_at_once(self, bad, monkeypatch):
+        # halving never makes a non-finite image finite: the matrix is marked
+        # exhausted with no halving tried, and its neighbour moves
+        retractions = []
+        real_retract = mf._retract
+        monkeypatch.setattr(mf, "_retract", lambda *a: retractions.append(a) or real_retract(*a))
+        out, halvings = mf.exp_sigma(np.eye(2), np.full((2, 2), bad))
+        assert halvings == mf.PD_RETRIES + 1
+        assert out.sigma.tobytes() == np.eye(2).tobytes()
+        images = np.stack([np.diag([bad, 0.0]), -0.05 * np.eye(2)])
+        out, halvings = mf.exp_sigma(np.stack([np.eye(2), np.eye(2)]), images)
+        assert halvings.tolist() == [mf.PD_RETRIES + 1, 0]
+        assert out.sigma[0].tobytes() == np.eye(2).tobytes()
+        assert np.allclose(out.sigma[1], 0.95**2 * np.eye(2), rtol=0.0, atol=1e-15)
+        assert out.lam[0].tobytes() == np.ones(2).tobytes()
+        assert len(retractions) == 2
 
 
 # Frobenius norms of Lyapunov images: far below, just below the pre-test
@@ -242,25 +271,29 @@ class TestTrustCapPretest:
         rng = np.random.default_rng(100 + m)
         images = scaled_images(m, rng)
         sigmas = np.stack([random_spd(m, rng) for _ in images])
-        # steps whose Lyapunov images are the scaled images: Sigma L + L Sigma
-        steps = sigmas @ images + images @ sigmas
-        new, new_halvings = mf.exp_sigma(sigmas, steps)
+        new, new_halvings = mf.exp_sigma(sigmas, images)
         monkeypatch.setattr(mf, "_trust_cap", trust_cap_always_eigvalsh)
-        old, old_halvings = mf.exp_sigma(sigmas, steps)
+        old, old_halvings = mf.exp_sigma(sigmas, images)
         assert new_halvings.tobytes() == old_halvings.tobytes()
         for a, b in ((new.sigma, old.sigma), (new.lam, old.lam), (new.q, old.q)):
             assert a.tobytes() == b.tobytes()
 
     def test_small_steps_read_no_eigenvalues(self, monkeypatch):
+        # below the trust cap the only eigenvalues read are the admission's:
+        # one eigvalsh of the retracted stack, and no eigh
         rng = np.random.default_rng(7)
         point = mf.PdPoint(np.stack([random_spd(4, rng) for _ in range(3)]))
-        steps = 0.01 * np.stack([random_sym(4, rng) for _ in range(3)])
+        images = 0.01 * np.stack([random_sym(4, rng) for _ in range(3)])
+        read = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: read.append(a.copy()) or real_eigvalsh(a))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eigvalsh read below the trust cap")
+            raise AssertionError("eigh read in the retraction")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        mf.exp_sigma(point, steps)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out, _ = mf.exp_sigma(point, images)
+        assert len(read) == 1 and read[0].tobytes() == out.sigma.tobytes()
 
 
 class TestExpSphere:
@@ -323,3 +356,42 @@ class TestTransportSigma:
             )
             assert np.allclose(out, out.T, atol=1e-10)
 
+
+
+def conditioned_spd(m, rng, log10_cond):
+    """A random SPD matrix with eigenvalues spread log-uniformly over
+    [1, 10^log10_cond], in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    lam = 10.0 ** rng.uniform(0.0, log10_cond, size=m)
+    return (q * lam) @ q.T, 10.0**log10_cond
+
+
+class TestLyapunovCoordinates:
+    """The two identities that let the optimiser keep its scatter momentum
+    as a Lyapunov image: vector transport leaves the image unchanged, and
+    the image of the Riemannian gradient is the Euclidean w p p'."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), log10_cond=st.floats(0.0, 6.0))
+    def test_transport_keeps_the_image(self, m, seed, log10_cond):
+        rng = np.random.default_rng(seed)
+        (frm, _), (to, cond) = conditioned_spd(m, rng, 1.0), conditioned_spd(m, rng, log10_cond)
+        u = random_sym(m, rng)
+        image = mf.lyapunov_solve(frm, u)
+        back = mf.lyapunov_solve(to, mf.transport_sigma(frm, to, u))
+        scale = np.linalg.norm(image)
+        assert np.linalg.norm(back - image) <= 1e-13 * m * cond * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        log10_cond=st.floats(0.0, 6.0),
+        w=st.floats(-1e3, 1e3).filter(lambda w: w != 0.0),
+    )
+    def test_gradient_image_is_the_euclidean_gradient(self, m, seed, log10_cond, w):
+        rng = np.random.default_rng(seed)
+        sigma, cond = conditioned_spd(m, rng, log10_cond)
+        p = unit_vector(m, rng)
+        image = mf.lyapunov_solve(sigma, mf.riem_grad_sigma(sigma, w, p))
+        assert np.linalg.norm(image - w * np.outer(p, p)) <= 1e-13 * m * cond * abs(w)

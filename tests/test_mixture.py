@@ -94,7 +94,7 @@ class TestPdf:
 
 
 class TestAdmittedScatters:
-    """A PdPoint stack was admitted by the eigh that built it, so the model
+    """A PdPoint stack was admitted when it was built, so the model
     takes it without check_spd; raw arrays keep the full check."""
 
     def test_admitted_point_is_not_checked_again(self, monkeypatch):

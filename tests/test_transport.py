@@ -200,6 +200,18 @@ class TestExactMatching:
             want = [[tp.w2_elliptical(a.component(i), b.component(j)) for j in range(k)] for i in range(k)]
             assert tp._pairwise_w2(a, b, False).tobytes() == np.array(want).tobytes()
 
+    def test_pairwise_costs_take_each_trace_once(self, monkeypatch):
+        # 2k traces for the k^2 Bures gaps, with the bits of the gap that
+        # takes both traces per pair
+        rng = np.random.default_rng(31)
+        a, b = random_gmm(16, 8, rng), random_gmm(16, 8, rng)
+        want = [[tp.w2_elliptical(a.component(i), b.component(j)) for j in range(8)] for i in range(8)]
+        traced = []
+        real_trace = np.trace
+        monkeypatch.setattr(np, "trace", lambda s, *args, **kw: traced.append(s) or real_trace(s, *args, **kw))
+        assert tp._pairwise_w2(a, b, False).tobytes() == np.array(want).tobytes()
+        assert len(traced) == 16
+
     @pytest.mark.parametrize("k", range(2, 9))
     def test_unique_minimiser_keeps_the_loop_bits(self, k):
         rng = np.random.default_rng(40 + k)
