@@ -459,8 +459,11 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     probability proportional to its squared distance d2 to the nearest
     location so far.  d2 is kept as a running minimum, so the k - 1 draws
     cost k - 1 passes over the samples, each written into one reused
-    (n, m) buffer.  Data with fewer than k distinct rows leave no mass to
-    draw from, data whose covariance trace is 0 leave the isotropic
+    C-ordered (n, m) buffer.  Its squared differences are summed per row by
+    ``families.row_sums``, in numpy's pairwise order over column views, so
+    d2 has the bits of ``np.sum(diff, axis=1)`` on that buffer whatever the
+    layout of the samples.  Data with fewer than k distinct rows leave no
+    mass to draw from, data whose covariance trace is 0 leave the isotropic
     scatters singular, and data whose covariance overflows leave them
     infinite; each raises ``MismatchError``.
     """
@@ -480,11 +483,11 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
         rows = [rng.integers(n)]
         d2 = np.full(n, np.inf)
         near = np.empty(n)
-        diff = np.empty_like(samples)
+        diff = np.empty((n, m))
         for _ in range(k - 1):
             np.subtract(samples, samples[rows[-1]], out=diff)
             np.square(diff, out=diff)
-            np.minimum(d2, diff.sum(axis=1, out=near), out=d2)
+            np.minimum(d2, families.row_sums(diff, near), out=d2)
             total = d2.sum()
             if total == 0.0:
                 distinct = len(np.unique(samples, axis=0))

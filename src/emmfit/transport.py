@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
 from .families import EllipticalComponent
@@ -182,6 +181,10 @@ def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple
         return best
     # Stage 1: assignment on the transport matrix alone; stage 2: pairwise
     # swaps on the full objective (the arccos term couples the matching).
+    # imported here: it would add about 0.2 s and 22 MB of RSS to every
+    # import of emmfit
+    from scipy.optimize import linear_sum_assignment
+
     _, perm = linear_sum_assignment(cost)
     perm = np.asarray(perm)
     value, angle = _matching_objective(cost, sq1, sq2, perm)

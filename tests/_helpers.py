@@ -157,6 +157,16 @@ def initialize_oracle(data, k, family, rng):
     return mx.MixtureModel(family, pi, np.array(chosen), np.stack([iso.copy() for _ in range(k)]))
 
 
+def sample_oracle(component, rng, n):
+    """``families.sample(component, rng, n)`` for n >= 1 as it drew before
+    its row norms came from ``families.row_sums``: ``np.linalg.norm`` along
+    each row."""
+    r = np.sqrt(component.family.sample_r2(rng, n))
+    z = rng.standard_normal((n, component.family.m))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return component.mu + r[:, None] * (z @ component.chol.T)
+
+
 def golden_case():
     """The seeded m=2, k=3 data set and start of the golden fits."""
     data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
-from _helpers import DENSITY_FAMILIES, golden_case, golden_fit, pchip_primitive_oracle
+from _helpers import DENSITY_FAMILIES, golden_case, golden_fit, pchip_primitive_oracle, random_spd, sample_oracle
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit.errors import (
@@ -194,6 +194,10 @@ class TestRSquaredSampler:
             assert ks < 0.012
 
 
+# every family kind, each of which samples
+SAMPLING_FAMILIES = {**DENSITY_FAMILIES, "alphastable": lambda m: fam.AlphaStable(m=m, alpha=1.5)}
+
+
 class TestComponentSampler:
     def test_identity_covariance(self):
         rng = np.random.default_rng(5)
@@ -223,6 +227,15 @@ class TestComponentSampler:
         y = z @ a.T + mu
         assert np.allclose(x.mean(axis=0), y.mean(axis=0), atol=0.03)
         assert np.allclose(np.cov(x.T), np.cov(y.T), atol=0.05)
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 7, 8, 9, 16, 17))
+    @pytest.mark.parametrize("name", sorted(SAMPLING_FAMILIES))
+    def test_matches_the_norm_oracle_bitwise(self, name, m):
+        rng = np.random.default_rng([m, 11])
+        comp = fam.EllipticalComponent(rng.normal(size=m), random_spd(m, rng), SAMPLING_FAMILIES[name](m))
+        for n in (1, 2, 1001):
+            got = fam.sample(comp, np.random.default_rng([m, n]), n)
+            assert got.tobytes() == sample_oracle(comp, np.random.default_rng([m, n]), n).tobytes()
 
     def test_rejects_non_pd_scatter(self):
         # indefinite, singular and asymmetric
@@ -511,3 +524,46 @@ class TestClosedFormKernel:
             warnings.simplefilter("error")
             family.gen_primitive(u)
             family.gen_primitive_slope(u)
+
+
+def row_sum_case(n, m, rng):
+    """An (n, m) array of both signs over 17 decades, every third row -0.0
+    (numpy's reduction starts from +0.0, so those rows sum to +0.0)."""
+    a = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, m))
+    a[::3] = -0.0
+    return a
+
+
+class TestRowSums:
+    """``row_sums`` against numpy's own reduction of the C-ordered rows."""
+
+    def test_matches_numpy_bitwise_at_every_row_length(self):
+        rng = np.random.default_rng(0)
+        for m in [*range(1, 141), 200, 255, 256, 300, 520]:
+            for n in (0, 1, 7, 33):
+                a = row_sum_case(n, m, rng)
+                want = np.add.reduce(a, axis=1)
+                for x in (a, np.asfortranarray(a)):
+                    assert fam.row_sums(x, np.empty(n)).tobytes() == want.tobytes(), (n, m)
+
+    @pytest.mark.parametrize("m", (1, 2, 8, 17, 130))
+    def test_matches_numpy_bitwise_across_blocks(self, m):
+        # three full blocks of rows and a ragged one
+        n = 3 * (fam.ROW_SUM_BLOCK // m) + 5
+        a = row_sum_case(n, m, np.random.default_rng(m))
+        out = np.empty(n)
+        assert fam.row_sums(a, out) is out
+        assert out.tobytes() == np.add.reduce(a, axis=1).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.one_of(st.integers(1, 140), st.integers(129, 300)).flatmap(
+            lambda m: arrays(np.float64, st.tuples(st.sampled_from([0, 1, 3, 9]), st.just(m)),
+                             elements=st.floats(allow_nan=False, width=64))
+        )
+    )
+    def test_matches_numpy_bitwise_on_any_finite_or_infinite_floats(self, a):
+        # without NaN inputs every NaN comes from inf - inf and has the same
+        # bits; both sides overflow, and meet inf - inf, in the same rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(fam.row_sums(a, np.empty(len(a))), np.add.reduce(a, axis=1))

@@ -529,7 +529,7 @@ class DrawRecorder:
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("k", (1, 2, 4, 8))
-@pytest.mark.parametrize("m", (1, 2, 8, 16))
+@pytest.mark.parametrize("m", (1, 2, 3, 8, 9, 16, 17))
 def test_kmeanspp_matches_the_quadratic_oracle_bitwise(m, k, seed):
     samples = seeding_samples(m, seed)
     family = fam.gaussian(m)
@@ -539,6 +539,17 @@ def test_kmeanspp_matches_the_quadratic_oracle_bitwise(m, k, seed):
     for x, y in ((got.weights, want.weights), (got.mus, want.mus), (got.sigmas, want.sigmas)):
         assert x.tobytes() == y.tobytes()
     assert len(draws[0].probs) == k - 1 and draws[0].probs == draws[1].probs
+
+
+@pytest.mark.parametrize("m", (2, 8, 16))
+def test_kmeanspp_draws_do_not_depend_on_the_memory_layout(m):
+    # numpy sums the rows of a Fortran-ordered array as a left fold, which
+    # from 8 columns on differs from its pairwise sum of C-ordered rows
+    samples = seeding_samples(m, 1)
+    draws = DrawRecorder(0), DrawRecorder(0)
+    for layout, recorder in zip((np.ascontiguousarray, np.asfortranarray), draws):
+        optim.initialize(layout(samples), 8, fam.gaussian(m), "kmeanspp-lite", recorder)
+    assert len(draws[0].probs) == 7 and draws[0].probs == draws[1].probs
 
 
 @pytest.mark.filterwarnings("error")
@@ -566,6 +577,21 @@ def test_regenerator_without_a_known_name_writes_nothing(args):
     assert run.returncode != 0
     assert "usage" in run.stderr
     assert GOLDEN.read_bytes() == before
+
+
+def test_importing_emmfit_leaves_scipy_optimize_and_integrate_unloaded():
+    # the matching past K_EXACT components and Logistic's normalising
+    # constant import them where they are used
+    code = (
+        "import importlib, pkgutil, sys, emmfit\n"
+        "for module in pkgutil.iter_modules(emmfit.__path__):\n"
+        "    importlib.import_module('emmfit.' + module.name)\n"
+        "names = ('emmfit.families', 'emmfit.optim', 'emmfit.transport', 'scipy.integrate', 'scipy.optimize')\n"
+        "print(*(name for name in names if name in sys.modules))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["emmfit.families", "emmfit.optim", "emmfit.transport"]
 
 
 if __name__ == "__main__":
