@@ -702,6 +702,34 @@ def row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def min_sq_dist(a: np.ndarray, c: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """d2 lowered in place to the squared distances of the rows of a float
+    (n, m) array a to the point c where they are smaller: the bits of
+    ``np.minimum(d2, row_sums(np.square(a - c), out))`` whatever the layout
+    of a, without its (n, m) temporary.
+
+    Each block of ``ROW_SUM_BLOCK // m`` rows is written as a - c into an
+    (m, b) buffer whose rows are the block's columns, squared there, summed
+    over those rows in ``row_sums``'s pairwise order and folded into its
+    slice of d2 while it is still in cache.  No square is -0.0, so neither
+    is their sum, and the +0.0 that ``row_sums`` adds would change no bit."""
+    n, m = a.shape
+    rows = max(1, ROW_SUM_BLOCK // m)
+    width = min(rows, n)
+    buf = np.empty((m, width))
+    near = np.empty(width)
+    scratch = np.empty((3 if m >= 8 else 0, width))
+    c = c[:, None]
+    for lo in range(0, n, rows):
+        part = a[lo : lo + rows].T
+        b = part.shape[1]
+        diff, sums = buf[:, :b], near[:b]
+        np.square(np.subtract(part, c, out=diff), out=diff)
+        _pairwise_sum(list(diff), sums, scratch[:, :b])
+        np.minimum(d2[lo : lo + b], sums, out=d2[lo : lo + b])
+    return d2
+
+
 def _pairwise_sum(cols: list, out: np.ndarray, scratch: np.ndarray) -> None:
     """The sum of the equal-length 1-D arrays cols into out, in numpy's
     pairwise order (see ``row_sums``); scratch holds three spare rows."""

@@ -326,11 +326,14 @@ def _covariance_trace(dataset) -> float:
     it overflows the float range."""
     trace = float(np.trace(dataset.covariance))
     if not np.isfinite(trace):
-        scale = float(np.max(np.abs(dataset.samples)))
-        raise MismatchError(
-            f"the data covariance overflows at the scale of the data (largest |entry| {scale:.3g}); rescale it"
-        )
+        raise _overflow_error("the data covariance overflows", dataset.samples)
     return trace
+
+
+def _overflow_error(what: str, samples: np.ndarray) -> MismatchError:
+    """The refusal of samples at whose scale ``what`` leaves the float range."""
+    scale = float(np.max(np.abs(samples)))
+    return MismatchError(f"{what} at the scale of the data (largest |entry| {scale:.3g}); rescale it")
 
 
 def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
@@ -458,14 +461,15 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     is a uniformly drawn row, and each next one a row drawn with
     probability proportional to its squared distance d2 to the nearest
     location so far.  d2 is kept as a running minimum, so the k - 1 draws
-    cost k - 1 passes over the samples, each written into one reused
-    C-ordered (n, m) buffer.  Its squared differences are summed per row by
-    ``families.row_sums``, in numpy's pairwise order over column views, so
-    d2 has the bits of ``np.sum(diff, axis=1)`` on that buffer whatever the
-    layout of the samples.  Data with fewer than k distinct rows leave no
-    mass to draw from, data whose covariance trace is 0 leave the isotropic
-    scatters singular, and data whose covariance overflows leave them
-    infinite; each raises ``MismatchError``.
+    cost k - 1 passes over the samples, each one ``families.min_sq_dist``
+    call: block by block, the rows' differences to the newest location are
+    squared, summed in numpy's pairwise order and folded into d2, so d2 has
+    the bits of ``np.sum((samples - c) ** 2, axis=1)`` on C-ordered rows
+    whatever the layout of the samples, and no (n, m) buffer is made.  Data
+    with fewer than k distinct rows leave no mass to draw from, data whose
+    squared distances overflow leave no finite mass, data whose covariance
+    trace is 0 leave the isotropic scatters singular, and data whose
+    covariance overflows leave them infinite; each raises ``MismatchError``.
     """
     dataset = as_dataset(data, family.m)
     samples = dataset.samples
@@ -482,18 +486,19 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     elif strategy == "kmeanspp-lite":
         rows = [rng.integers(n)]
         d2 = np.full(n, np.inf)
-        near = np.empty(n)
-        diff = np.empty((n, m))
         for _ in range(k - 1):
-            np.subtract(samples, samples[rows[-1]], out=diff)
-            np.square(diff, out=diff)
-            np.minimum(d2, families.row_sums(diff, near), out=d2)
-            total = d2.sum()
+            # a covariance that fits the float range can still leave squared
+            # distances that do not; the sum is refused below, not warned on
+            with np.errstate(over="ignore"):
+                families.min_sq_dist(samples, samples[rows[-1]], d2)
+                total = d2.sum()
             if total == 0.0:
                 distinct = len(np.unique(samples, axis=0))
                 raise MismatchError(
                     f"kmeanspp-lite needs k={k} distinct rows; the data has {distinct}"
                 )
+            if not np.isfinite(total):
+                raise _overflow_error("the squared distances of kmeanspp-lite overflow", samples)
             rows.append(rng.choice(n, p=d2 / total))
         mus = samples[rows]
     else:

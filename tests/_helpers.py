@@ -144,8 +144,10 @@ def initialize_oracle(data, k, family, rng):
     """``optim.initialize(data, k, family, "kmeanspp-lite", rng)`` as it
     seeded before d2 became a running minimum: every round recomputes the
     squared distances to every location chosen so far, k(k-1)/2 passes in
-    all, and the covariance is taken from the samples on each call."""
-    samples = mx.as_dataset(data, family.m).samples
+    all, and the covariance is taken from the samples on each call.  The
+    distances are summed over a C-ordered copy of the samples, whose rows
+    numpy sums in its pairwise order whatever their layout was."""
+    samples = np.ascontiguousarray(mx.as_dataset(data, family.m).samples)
     n, m = samples.shape
     pi = rng.dirichlet(np.ones(k))
     iso = np.eye(m) * float(np.trace(mx.sample_covariance(samples))) / m

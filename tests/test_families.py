@@ -567,3 +567,61 @@ class TestRowSums:
         # bits; both sides overflow, and meet inf - inf, in the same rows
         with np.errstate(over="ignore", invalid="ignore"):
             assert_same_bits(fam.row_sums(a, np.empty(len(a))), np.add.reduce(a, axis=1))
+
+
+def min_sq_dist_reference(a, c, d2):
+    """``min_sq_dist`` as numpy computes it on the C-ordered rows."""
+    return np.minimum(d2, np.add.reduce(np.square(np.ascontiguousarray(a) - c), axis=1))
+
+
+class TestMinSqDist:
+    """``min_sq_dist`` against numpy's subtract, square, row sum and minimum."""
+
+    def test_matches_numpy_bitwise_at_every_row_length(self):
+        rng = np.random.default_rng(1)
+        for m in [*range(1, 141), 200, 300]:
+            for n in (0, 1, 7, 33):
+                a = row_sum_case(n, m, rng)
+                c = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, size=m)
+                # entries every distance replaces (inf) or none does (both
+                # zeros), and finite ones that distances meet on either side
+                d2 = np.resize([np.inf, 0.0, -0.0, 1e16, 1e-16], n)
+                want = min_sq_dist_reference(a, c, d2)
+                for x in (a, np.asfortranarray(a)):
+                    got = d2.copy()
+                    assert fam.min_sq_dist(x, c, got) is got
+                    assert got.tobytes() == want.tobytes(), (n, m)
+
+    @pytest.mark.parametrize("m", (1, 2, 8, 17, 130))
+    def test_matches_numpy_bitwise_across_blocks(self, m):
+        # three full blocks of rows and a ragged one
+        n = 3 * (fam.ROW_SUM_BLOCK // m) + 5
+        rng = np.random.default_rng(m)
+        a = row_sum_case(n, m, rng)
+        d2 = np.where(rng.random(n) < 0.5, np.inf, 1e10)
+        want = min_sq_dist_reference(a, a[n // 2], d2)
+        for x in (a, np.asfortranarray(a)):
+            got = d2.copy()
+            assert fam.min_sq_dist(x, x[n // 2], got).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.one_of(st.integers(1, 140), st.integers(129, 300)).flatmap(
+            lambda m: st.sampled_from([0, 1, 3, 9]).flatmap(
+                lambda n: st.tuples(
+                    arrays(np.float64, (n, m), elements=st.floats(allow_nan=False, allow_infinity=False)),
+                    arrays(np.float64, m, elements=st.floats(allow_nan=False, allow_infinity=False)),
+                    arrays(np.float64, n, elements=st.floats(allow_nan=False)),
+                    st.booleans(),
+                )
+            )
+        )
+    )
+    def test_matches_numpy_bitwise_on_any_finite_floats(self, case):
+        a, c, d2, fortran = case
+        # finite entries give no NaN: differences and squares that leave
+        # the float range are inf on both sides
+        with np.errstate(over="ignore"):
+            want = min_sq_dist_reference(a, c, d2)
+            got = fam.min_sq_dist(np.asfortranarray(a) if fortran else a, c, d2.copy())
+        assert got.tobytes() == want.tobytes()

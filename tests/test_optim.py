@@ -527,18 +527,34 @@ class DrawRecorder:
         return self.rng.choice(n, p=p)
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("k", (1, 2, 4, 8))
-@pytest.mark.parametrize("m", (1, 2, 3, 8, 9, 16, 17))
-def test_kmeanspp_matches_the_quadratic_oracle_bitwise(m, k, seed):
-    samples = seeding_samples(m, seed)
-    family = fam.gaussian(m)
+def assert_seeds_like_the_oracle(samples, k, seed):
+    family = fam.gaussian(samples.shape[1])
     draws = DrawRecorder(seed), DrawRecorder(seed)
     got = optim.initialize(samples, k, family, "kmeanspp-lite", draws[0])
     want = initialize_oracle(samples, k, family, draws[1])
     for x, y in ((got.weights, want.weights), (got.mus, want.mus), (got.sigmas, want.sigmas)):
         assert x.tobytes() == y.tobytes()
     assert len(draws[0].probs) == k - 1 and draws[0].probs == draws[1].probs
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", (1, 2, 4, 8))
+@pytest.mark.parametrize(
+    "m, layout",
+    [pytest.param(m, np.ascontiguousarray, id=str(m)) for m in (1, 2, 3, 8, 9, 16, 17)]
+    + [pytest.param(m, np.asfortranarray, id=f"{m}-fortran") for m in (8, 16)],
+)
+def test_kmeanspp_matches_the_quadratic_oracle_bitwise(m, layout, k, seed):
+    assert_seeds_like_the_oracle(layout(seeding_samples(m, seed)), k, seed)
+
+
+@pytest.mark.parametrize("m", (1, 2, 8, 17))
+def test_kmeanspp_matches_the_quadratic_oracle_across_blocks(m):
+    # three full blocks of rows and a ragged one, with repeated rows
+    n = 3 * (fam.ROW_SUM_BLOCK // m) + 5
+    rng = np.random.default_rng(m)
+    distinct = rng.normal(size=(n // 4, m)) * rng.uniform(0.1, 10.0, size=m)
+    assert_seeds_like_the_oracle(distinct[rng.integers(len(distinct), size=n)], 4, m)
 
 
 @pytest.mark.parametrize("m", (2, 8, 16))
@@ -550,6 +566,32 @@ def test_kmeanspp_draws_do_not_depend_on_the_memory_layout(m):
     for layout, recorder in zip((np.ascontiguousarray, np.asfortranarray), draws):
         optim.initialize(layout(samples), 8, fam.gaussian(m), "kmeanspp-lite", recorder)
     assert len(draws[0].probs) == 7 and draws[0].probs == draws[1].probs
+
+
+def test_kmeanspp_makes_no_temporary_of_the_samples_size():
+    data = mx.Dataset(np.random.default_rng(5).normal(size=(50_000, 8)))
+    data.covariance  # taken once per Dataset, before the first start
+    tracemalloc.start()
+    try:
+        optim.initialize(data, 4, fam.gaussian(8), "kmeanspp-lite", np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak is the draw's: d2, its normalised copy and the cumulative sum
+    # inside rng.choice, 0.42 units of the samples' size measured; the
+    # kernel's block buffers (0.24 units) are freed by then.  An (n, m)
+    # buffer of differences took the peak to 1.5 units.
+    assert peak < data.samples.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeanspp_refuses_squared_distances_beyond_the_float_range(seed):
+    # the covariance (6.7e307 in the first column) fits the float range,
+    # the squared distance between the first two rows (4e308) does not
+    rows = np.array([[1e154, 0.0], [-1e154, 0.0], [0.0, 1.0], [0.5, 0.2]])
+    with pytest.raises(MismatchError, match=r"largest \|entry\| 1e\+154\); rescale it"):
+        optim.initialize(rows, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(seed))
 
 
 @pytest.mark.filterwarnings("error")
