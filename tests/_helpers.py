@@ -169,6 +169,32 @@ def sample_oracle(component, rng, n):
     return component.mu + r[:, None] * (z @ component.chol.T)
 
 
+def draw_rows_oracle(model, rng, n):
+    """``mixture._draw_rows(model, rng, n)`` as it scattered before its rows
+    moved as whole items: each component's draws (``sample_oracle``)
+    assigned to their labels' rows through 2-D fancy indexing."""
+    labels = rng.choice(model.k, size=n, p=model.weights)
+    out = np.empty((n, model.m))
+    for i in range(model.k):
+        idx = np.flatnonzero(labels == i)
+        if idx.size:
+            out[idx] = sample_oracle(model.component(i), rng, idx.size)
+    return out
+
+
+def covariance_oracle(samples):
+    """``mixture.sample_covariance(samples)`` as it was taken before its
+    narrow-row fold: ``np.cov(samples.T, bias=True)``, on samples scaled by
+    2^-e when their largest |entry| has binary exponent e with |e| > 255,
+    and scaled back by 2^2e."""
+    m = samples.shape[1]
+    e = int(np.frexp(max(-samples.min(), samples.max()))[1])
+    if abs(e) <= 255:
+        return np.cov(samples.T, bias=True).reshape(m, m)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.cov(np.ldexp(samples, -e).T, bias=True).reshape(m, m), 2 * e)
+
+
 def golden_case():
     """The seeded m=2, k=3 data set and start of the golden fits."""
     data = mx.generate_synthetic(2, 3, 2000, 4.0, 3.0, np.random.default_rng(7))

@@ -13,8 +13,11 @@ from _helpers import (
     DENSITY_FAMILIES,
     component_logpdf_oracle,
     component_logpdf_strided,
+    covariance_oracle,
+    draw_rows_oracle,
     golden_case,
     random_gmm,
+    random_spd,
 )
 from emmfit import families as fam
 from emmfit import mixture as mx
@@ -417,6 +420,30 @@ class TestGenerateSynthetic:
         with pytest.raises(GenerationError):
             mx.generate_synthetic(2, 2, 10, 0.5, 10.0, rng)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (2, 3, 2.5),
+            (2, 3, 10.0),
+            (2, 3, True),
+            (2, 3, np.bool_(True)),
+            (2, 3, "10"),
+            (2.0, 3, 10),
+            (True, 3, 10),
+            (2, 3.0, 10),
+            (2, False, 10),
+            (2, np.float64(3.0), 10),
+        ],
+    )
+    def test_sizes_must_be_integers(self, sizes):
+        with pytest.raises(GenerationError):
+            mx.generate_synthetic(*sizes, 4.0, 3.0, np.random.default_rng(14))
+
+    def test_numpy_integer_sizes_draw_what_python_ints_draw(self):
+        want = mx.generate_synthetic(2, 3, 50, 4.0, 3.0, np.random.default_rng(14))
+        got = mx.generate_synthetic(np.int64(2), np.int32(3), np.uint16(50), 4.0, 3.0, np.random.default_rng(14))
+        assert got.samples.tobytes() == want.samples.tobytes()
+
 
 class TestDataset:
     @pytest.fixture(scope="class")
@@ -434,6 +461,23 @@ class TestDataset:
         assert np.shares_memory(data.samples, raw) and raw.flags.writeable
         with pytest.raises(ValueError):
             data.samples[0, 0] = 1.0
+
+    @pytest.mark.parametrize("reader", ["Dataset", "nll", "fit", "initialize", "sliced_cost"])
+    def test_no_columns_are_refused(self, reader):
+        # refused where the samples enter, as gaussian(0) is, before any
+        # reader takes their covariance or compares their width
+        samples = np.empty((3, 0))
+        model = small_model(m=1, k=2)
+        calls = {
+            "Dataset": lambda: mx.Dataset(samples),
+            "nll": lambda: mx.nll(model, samples),
+            "fit": lambda: optim.fit(model, samples, optim.OptimizerConfig(max_iters=2)),
+            "initialize": lambda: optim.initialize(samples, 2, fam.gaussian(1), "kmeanspp-lite",
+                                                   np.random.default_rng(0)),
+            "sliced_cost": lambda: tp.sliced_cost(model, samples, tp.random_projections(1, 2, np.random.default_rng(0))),
+        }
+        with pytest.raises(InvalidFamilyError):
+            calls[reader]()
 
     def test_generate_synthetic_keeps_the_seed(self):
         assert mx.generate_synthetic(2, 2, 10, 4.0, 3.0, np.random.default_rng(0), seed=9).seed == 9
@@ -485,6 +529,108 @@ class TestDataset:
         for a, b in zip(models[::2], models[1::2]):
             for x, y in ((a.weights, b.weights), (a.mus, b.mus), (a.sigmas, b.sigmas)):
                 assert x.tobytes() == y.tobytes()
+
+
+def covariance_case(n, m, layout, rng, power=0):
+    """(n, m) samples of both signs over 17 decades, times 2^power, every
+    third row -0.0 and, from m = 2, a first column all -0.0 (numpy's mean
+    folds from +0.0, so that column's mean is +0.0), laid out C-ordered,
+    F-ordered or as every second row of a C-ordered array."""
+    a = rng.standard_normal((2 * n if layout == "strided" else n, m))
+    a *= np.ldexp(10.0 ** rng.integers(-8, 9, size=a.shape), power)
+    a[::3] = -0.0
+    if m > 1:
+        a[:, 0] = -0.0
+    return {"C": a, "F": np.asfortranarray(a), "strided": a[::2]}[layout]
+
+
+class TestSampleCovariance:
+    """``sample_covariance`` against ``np.cov`` (``covariance_oracle``), whose
+    mean over C-ordered rows up to ``NARROW_ROWS`` columns it takes as
+    column folds."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100_003])
+    def test_matches_np_cov_bitwise(self, n, layout):
+        rng = np.random.default_rng([n, len(layout)])
+        for m in range(1, 18):
+            samples = covariance_case(n, m, layout, rng)
+            assert samples.shape == (n, m)
+            got = mx.sample_covariance(samples)
+            assert got.shape == (m, m)
+            assert got.tobytes() == covariance_oracle(samples).tobytes(), m
+
+    @pytest.mark.parametrize("power", [-300, 300])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_scaled_rows_match_bitwise(self, layout, power):
+        # entries near 2^power take the power-of-two scaling branch, which
+        # runs the same fold
+        rng = np.random.default_rng([abs(power), len(layout)])
+        for m in range(1, 18):
+            for n in (1, 2, 3, 7, 1001):
+                samples = covariance_case(n, m, layout, rng, power)
+                got = mx.sample_covariance(samples)
+                assert got.tobytes() == covariance_oracle(samples).tobytes(), (n, m)
+
+    def test_narrow_rows_take_the_fold(self, monkeypatch):
+        # the fold, not np.cov, answers C-ordered rows up to NARROW_ROWS wide
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.cov called")
+
+        rng = np.random.default_rng(3)
+        monkeypatch.setattr(mx.np, "cov", refuse)
+        for m in range(2, mx.NARROW_ROWS + 1):
+            mx.sample_covariance(rng.standard_normal((50, m)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(["C", "F", "strided"]),
+        a=st.integers(1, 17).flatmap(
+            lambda m: arrays(np.float64, st.tuples(st.sampled_from([1, 2, 3, 9, 20]), st.just(m)),
+                             elements=st.floats(allow_nan=False, width=64))
+        ),
+    )
+    def test_matches_np_cov_bitwise_on_any_finite_or_infinite_floats(self, layout, a):
+        # without NaN inputs every NaN comes from inf - inf or 0 * inf on
+        # both sides alike; NaN positions must agree, other entries bit for bit
+        samples = {"C": a, "F": np.asfortranarray(a), "strided": np.repeat(a, 2, axis=0)[::2]}[layout]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = mx.sample_covariance(samples), covariance_oracle(samples)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def draw_rows_case(m, k, rng):
+    """A k-component Gaussian mixture in m dimensions; from k = 2 one
+    component, chosen at random, has weight zero."""
+    pi = rng.dirichlet(np.ones(k))
+    if k > 1:
+        pi[rng.integers(k)] = 0.0
+        pi /= pi.sum()
+    mus = rng.normal(scale=3.0, size=(k, m))
+    sigmas = np.stack([random_spd(m, rng) for _ in range(k)])
+    return mx.MixtureModel(fam.gaussian(m), pi, mus, sigmas)
+
+
+class TestDrawRows:
+    """``_draw_rows`` against the 2-D fancy scatter of ``draw_rows_oracle``."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_the_fancy_scatter_bitwise(self, k):
+        rng = np.random.default_rng([k, 5])
+        for m in range(1, 18):
+            model = draw_rows_case(m, k, rng)
+            for n in (0, 1, 2, 3, 7, 1001):
+                got = mx._draw_rows(model, np.random.default_rng([m, n]), n)
+                assert got.shape == (n, m) and got.flags.c_contiguous
+                assert got.tobytes() == draw_rows_oracle(model, np.random.default_rng([m, n]), n).tobytes(), (m, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 17])
+    def test_matches_the_fancy_scatter_bitwise_at_scale(self, m):
+        model = draw_rows_case(m, 3, np.random.default_rng(m))
+        got = mx._draw_rows(model, np.random.default_rng([m, 1]), 100_003)
+        assert got.tobytes() == draw_rows_oracle(model, np.random.default_rng([m, 1]), 100_003).tobytes()
 
 
 class TestIO:
