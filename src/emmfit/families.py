@@ -87,7 +87,7 @@ class _ErfKernel(NamedTuple):
         inside = ~(np.abs(z) >= ERF_SATURATES)
         if z.ndim == 0:
             return self.phi_max * special.erf(z) if inside else np.copysign(self.phi_max, z)
-        out = np.copysign(np.full(z.shape, self.phi_max), z)
+        out = np.copysign(self.phi_max, z)
         out[inside] = self.phi_max * special.erf(z[inside])
         return out
 

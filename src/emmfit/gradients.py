@@ -40,9 +40,22 @@ class EuclideanGrad:
     g_mu: np.ndarray  # (k, m)
     w_sigma: np.ndarray  # (k,)
 
+    @classmethod
+    def _trusted(cls, p, g_sqrtpi, g_mu, w_sigma) -> "EuclideanGrad":
+        """The triple ``euclidean_grad`` has just formed, set without the
+        frozen dataclass's per-field ``__init__``."""
+        grad = object.__new__(cls)
+        grad.__dict__.update(p=p, g_sqrtpi=g_sqrtpi, g_mu=g_mu, w_sigma=w_sigma)
+        return grad
+
+    @property
+    def pp(self) -> np.ndarray:
+        """p p', with the bits of ``np.outer(p, p)``."""
+        return self.p[:, None] * self.p
+
     @property
     def g_sigma(self) -> np.ndarray:
-        return self.w_sigma[:, None, None] * np.outer(self.p, self.p)[None, :, :]
+        return self.w_sigma[:, None, None] * self.pp
 
 
 def euclidean_grad(
@@ -69,7 +82,7 @@ def euclidean_grad(
     # parts, delta_l is weighted by vec_l: the suffix sum of the gains from
     # l on (zero for the last cell) less sum_j a_j gain_j, over the mass.
     vec = np.zeros(grid.size)
-    vec[:-1] = np.cumsum(gain[::-1])[::-1]
+    vec[:-1] = gain[::-1].cumsum()[::-1]
     vec -= bounds @ gain
     vec /= projected.mass
     # A cell's location and scatter derivatives are differences of edge
@@ -96,4 +109,4 @@ def euclidean_grad(
             edge_flux = projected.slope_offset / (2.0 * projected.proj_var[:, None])
         g_loc = -pi * (np.nan_to_num(edge_kernel, nan=0.0, posinf=0.0, neginf=0.0) @ dvec)
         w_sigma = -pi * (np.nan_to_num(edge_flux, nan=0.0, posinf=0.0, neginf=0.0) @ dvec)
-    return EuclideanGrad(ctx.p, g_sqrtpi, g_loc[:, None] * ctx.p[None, :], w_sigma)
+    return EuclideanGrad._trusted(ctx.p, g_sqrtpi, g_loc[:, None] * ctx.p, w_sigma)

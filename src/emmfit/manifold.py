@@ -18,6 +18,7 @@ throughout; it only rescales the stepsize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,15 @@ class SpherePoint:
             raise ValueError("sphere point must have unit norm")
         object.__setattr__(self, "s", s)
 
+    @classmethod
+    def _trusted(cls, s: np.ndarray) -> "SpherePoint":
+        """A point from a float vector just divided by its own norm,
+        unchecked: the check would re-read that division (and a NaN passes
+        it anyway)."""
+        point = object.__new__(cls)
+        point.__dict__["s"] = s
+        return point
+
     @property
     def weights(self) -> np.ndarray:
         return self.s * self.s
@@ -70,9 +80,9 @@ class PdPoint:
     its result with ``_admitted`` from the ascending eigenvalues lam that
     admitted it.  Either way a PdPoint is an admitted point:
     ``MixtureModel`` takes one in place of a scatter stack without deciding
-    positive definiteness again.  lam (``eigvalsh``) and the eigenbasis q
-    (``eigh``) are computed on first use where they were not handed over,
-    and kept."""
+    positive definiteness again.  lam (``eigvalsh``), the traces
+    (``trace``) and the eigenbasis q (``eigh``) are computed on first use
+    where they were not handed over, and kept."""
 
     sigma: np.ndarray
 
@@ -80,13 +90,15 @@ class PdPoint:
         self.__dict__["sigma"] = check_spd(self.sigma)
 
     @classmethod
-    def _admitted(cls, sigma, lam, q=None) -> "PdPoint":
-        """A point from the eigenvalues lam (and eigenbasis q, if known)
-        that admitted sigma, unchecked."""
+    def _admitted(cls, sigma, lam, q=None, trace=None) -> "PdPoint":
+        """A point from the eigenvalues lam (and eigenbasis q and traces,
+        if known) that admitted sigma, unchecked."""
         point = object.__new__(cls)
         point.__dict__.update(sigma=sigma, lam=lam)
         if q is not None:
             point.__dict__["q"] = q
+        if trace is not None:
+            point.__dict__["trace"] = trace
         return point
 
     @cached_property
@@ -94,12 +106,17 @@ class PdPoint:
         return np.linalg.eigvalsh(self.sigma)
 
     @cached_property
+    def trace(self) -> np.ndarray:
+        """tr(sigma), one per matrix of a stack."""
+        return self.sigma.trace(axis1=-2, axis2=-1)
+
+    @cached_property
     def q(self) -> np.ndarray:
         return np.linalg.eigh(self.sigma)[1]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -137,11 +154,20 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     exceeds CAP_PRETEST can reach the cap, so only those have their
     eigenvalues read (``_trust_cap``).  One stacked ``eigvalsh`` of the
     images is their PD-floor test, the same read ``check_spd`` makes, and
-    gives the new point its lam; its eigenbasis is left to first use.  An
-    image below the floor is retried with L halved, at most PD_RETRIES
-    times; a matrix that never passes keeps its input value.  Halving
-    never makes a non-finite L finite, so a matrix with one keeps its
-    input value at once.
+    gives the new point its lam and, with their traces, the health record
+    its ratio; the eigenbasis is left to first use.  An image below the
+    floor is retried with L halved, at most PD_RETRIES times; a matrix that
+    never passes keeps its input value.  Halving never makes a non-finite
+    L finite, so a matrix with one keeps its input value at once.
+
+    The step trusts what it is given and what it builds.  One pass takes
+    the squared Frobenius norms of the images.  When all are finite and at
+    most CAP_PRETEST^2 (the usual step), no image is stuck or near the cap,
+    so lyap is neither scanned entry by entry, nor copied, nor capped.
+    Otherwise it is copied before anything writes into it: the caller's
+    lyap is never written.  A norm that overflows from finite entries is
+    not a stuck image; the entry scan, run only when a norm is not finite,
+    tells the two apart.
 
     Returns (point, halvings): the halvings each matrix took, an int for
     one matrix and a (k,) array for a stack; PD_RETRIES + 1 marks a matrix
@@ -149,31 +175,53 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     """
     point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
     shape, m = point.sigma.shape, point.sigma.shape[-1]
-    lyap = np.array(lyap, dtype=float).reshape(-1, m, m)
-    stuck = ~np.isfinite(lyap).all(axis=(1, 2))
-    lyap[stuck] = 0.0
-    _trust_cap(lyap)
+    # not copied: the usual step neither scans nor writes it
+    lyap = np.asarray(lyap, dtype=float).reshape(-1, m, m)
+    halvings = np.zeros(lyap.shape[0], dtype=int)
+    sq = np.einsum("kij,kij->k", lyap, lyap)
+    # NaN compares false: a NaN or infinite norm takes the branch
+    stuck = None
+    if not sq.max() <= CAP_PRETEST * CAP_PRETEST:
+        lyap = lyap.copy(order="K")
+        if not sq.max() < np.inf:
+            # a norm that is not finite may still come from finite entries
+            stuck = ~np.isfinite(lyap).all(axis=(1, 2))
+            if stuck.any():
+                lyap[stuck] = 0.0
+                halvings[stuck] = PD_RETRIES + 1
+            else:
+                stuck = None
+        # rare (no step of the benchmark workloads takes it), so the cap
+        # takes the norms again, of the images with the stuck ones zeroed
+        _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
     sig, lam = _retract(lyap, base)
-    halvings = np.where(stuck, PD_RETRIES + 1, 0)
-    below = ~above_pd_floor(lam[:, 0], np.trace(sig, axis1=1, axis2=2), m)
-    kept = below | stuck
+    trace = sig.trace(axis1=1, axis2=2)
+    below = ~above_pd_floor(lam[:, 0], trace, m)
+    kept = below
+    if stuck is not None:
+        kept = below | stuck
+        below &= ~stuck
     if kept.any():
         # only the finite images below the floor are retried; one that
         # never passes keeps its input value
         sig[kept], lam[kept] = base[kept], point.lam.reshape(-1, m)[kept]
-        todo = np.flatnonzero(below & ~stuck)
+        todo = np.flatnonzero(below)
+        # a copy: the halvings below write into the images they retry
+        retried = lyap[todo]
         for _ in range(PD_RETRIES):
             if todo.size == 0:
                 break
             halvings[todo] += 1
-            lyap[todo] *= 0.5
-            cand, cand_lam = _retract(lyap[todo], base[todo])
-            ok = above_pd_floor(cand_lam[:, 0], np.trace(cand, axis1=1, axis2=2), m)
+            retried *= 0.5
+            cand, cand_lam = _retract(retried, base[todo])
+            ok = above_pd_floor(cand_lam[:, 0], cand.trace(axis1=1, axis2=2), m)
             sig[todo[ok]], lam[todo[ok]] = cand[ok], cand_lam[ok]
-            todo = todo[~ok]
+            todo, retried = todo[~ok], retried[~ok]
         halvings[todo] += 1
-    out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]))
+        # the traces of the stack as it ends, as the health record reads them
+        trace = sig.trace(axis1=1, axis2=2)
+    out = PdPoint._admitted(sig.reshape(shape), lam.reshape(shape[:-1]), trace=trace.reshape(shape[:-2]))
     return out, (int(halvings[0]) if len(shape) == 2 else halvings)
 
 
@@ -181,7 +229,7 @@ def _retract(lyap: np.ndarray, base: np.ndarray):
     """The images (L + I) Sigma (L + I) of (k, m, m) stacks and their
     ascending eigenvalues."""
     e = lyap + np.eye(lyap.shape[-1])
-    image = _sym(e @ base @ np.swapaxes(e, 1, 2))
+    image = _sym(e @ base @ e.swapaxes(1, 2))
     return image, np.linalg.eigvalsh(image)
 
 
@@ -200,14 +248,24 @@ def _trust_cap(lyap: np.ndarray) -> None:
 
 
 def exp_sphere(s: SpherePoint | np.ndarray, tangent: np.ndarray) -> SpherePoint:
-    """Great-circle step cos(|t|) s - sin(|t|) t/|t| (descends along +t)."""
+    """Great-circle step cos(|t|) s - sin(|t|) t/|t| (descends along +t).
+
+    The result is divided by its own norm, so it is built trusted."""
     vec = s.s if isinstance(s, SpherePoint) else np.asarray(s, dtype=float)
     tangent = np.asarray(tangent, dtype=float)
-    norm = float(np.linalg.norm(tangent))
+    norm = _norm(tangent)
     if norm < 1e-300:
         return SpherePoint(vec.copy())
     out = np.cos(norm) * vec - (np.sin(norm) / norm) * tangent
-    return SpherePoint(out / np.linalg.norm(out))
+    out /= _norm(out)
+    return SpherePoint._trusted(out)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float array, bit for bit, without its
+    dispatch: sqrt(x . x) over the raveled x."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def project_sphere_grad(s: SpherePoint | np.ndarray, egrad: np.ndarray) -> np.ndarray:

@@ -51,16 +51,15 @@ class MixtureModel:
         mus = np.asarray(self.mus, dtype=float)
         admitted = isinstance(self.sigmas, PdPoint)
         sigmas = self.sigmas.sigma if admitted else np.asarray(self.sigmas, dtype=float)
-        if w.ndim != 1 or np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if w.ndim != 1 or (w < 0).any() or abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise InvalidFamilyError("weights must be nonnegative and sum to one")
         k, m = w.size, self.family.m
         if mus.shape != (k, m) or sigmas.shape != (k, m, m):
             raise InvalidFamilyError(f"expected mus ({k},{m}) and sigmas ({k},{m},{m})")
         if not admitted:
             families.check_spd(sigmas)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mus", mus)
-        object.__setattr__(self, "sigmas", sigmas)
+        # the frozen fields, set as object.__setattr__ would set them
+        self.__dict__.update(weights=w, mus=mus, sigmas=sigmas)
 
     @property
     def k(self) -> int:

@@ -14,16 +14,23 @@ once: the samples are validated at the ``fit`` boundary and their
 covariance, which sets every direction's grid margin, is taken once per
 ``Dataset`` (``Dataset.covariance``), so the starts and fits of one data
 set share it; each step's model is built from the ``PdPoint`` the
-retraction admitted, so no scatter is checked again inside the loop.  A
-fit ends, ``failed``, at the first iteration whose projection fails or
-whose retraction leaves a scatter on the PD floor after every halving.
-Both engines write one record, ``FitReport``: it allocates the traces,
-writes each iteration's cost and health, and keeps the first failure.  An
-EM baseline covers the Gaussian family: each iteration is one pass over a
-centred copy of the samples in cache-sized column blocks, running the
-density kernel of ``MixtureModel.component_logpdf`` and taking the M-step
-sums in whitened coordinates per block, and each iterate is built from the
-eigenvalue floor's admitted (lam, q).  A fit has the seven settings of
+retraction admitted, so no scatter is checked again inside the loop.
+Validation stays where data and models enter (``fit``, the public
+constructors, ``families.check_spd``); inside the loop a step trusts what
+it built.  A sphere point just divided by its own norm is not checked for
+unit norm again, the gradient triple skips its dataclass ``__init__``, the
+scatter moments update in place with p p' formed once, the health record
+reads the eigenvalues and traces the retraction took, and events are
+looked for only in a step where one occurred.  A fit ends, ``failed``, at
+the first iteration whose projection fails or whose retraction leaves a
+scatter on the PD floor after every halving.  Both engines write one
+record, ``FitReport``: it allocates the traces, writes each iteration's
+cost and health, and keeps the first failure.  An EM baseline covers the
+Gaussian family: each iteration is one pass over a centred copy of the
+samples in cache-sized column blocks, running the density kernel of
+``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
+coordinates per block, and each iterate is built from the eigenvalue
+floor's admitted (lam, q).  A fit has the seven settings of
 ``OptimizerConfig`` and no others.
 
 The scatter momentum is kept as its Lyapunov image U = L_Sigma[u], the
@@ -130,12 +137,14 @@ class FitReport:
             config=cfg.to_dict(),
         )
 
-    def _record(self, h: int, cost: float, model: MixtureModel, lam: np.ndarray, tic: float) -> None:
+    def _record(self, h: int, cost: float, model: MixtureModel, points: PdPoint, tic: float) -> None:
         """Write iteration h (from 1), which started at ``tic`` and left
-        ``model``, whose scatters have the ascending eigenvalues ``lam``."""
+        ``model``, whose scatters are ``points``: their ascending eigenvalues
+        and traces are read from the point, which took them when it was
+        admitted (or takes them once, here)."""
         self.costs[h - 1] = cost
-        self.weight_gap[h - 1] = abs(float(np.sum(model.weights)) - 1.0)
-        self.min_eig_ratio[h - 1] = np.min(lam[:, 0] / (np.trace(model.sigmas, axis1=1, axis2=2) / model.m))
+        self.weight_gap[h - 1] = abs(float(model.weights.sum()) - 1.0)
+        self.min_eig_ratio[h - 1] = (points.lam[:, 0] / (points.trace / model.m)).min()
         self.wall_ms[h - 1] = 1e3 * (time.perf_counter() - tic)
 
     def _fail(self, reason: str) -> None:
@@ -199,20 +208,24 @@ class _ScatterMoments:
         self.second = np.zeros((k, m, m) if elementwise else k)
 
     def step(self, point: PdPoint, grad, alpha: float, beta1: float, beta2: float):
-        g = grad.g_sigma
-        self.u = beta1 * self.u + (1.0 - beta1) * g
+        # p p', formed once; g = w p p', and g g' = w^2 p p' for a unit p
+        pp = grad.pp
+        g = grad.w_sigma[:, None, None] * pp
+        self.u *= beta1
+        self.u += (1.0 - beta1) * g
         if self.elementwise:
             # the element-wise scaling acts on the ambient momentum
-            # U Sigma + Sigma U, whose step goes back through one solve
+            # U Sigma + Sigma U, whose step goes back through one solve; g
+            # is read here, after the momentum update, so it is not scaled
+            # in place above
             self.v = beta2 * self.v + (1.0 - beta2) * g**2
             self.second = np.maximum(self.second, self.v)
             half = self.u @ point.sigma
             ambient = half + np.swapaxes(half, 1, 2)
             return manifold.lyapunov_solve(point, -alpha * ambient / np.sqrt(self.second + EPS_ADP))
-        # g g' = w^2 p p' for the rank-one g = w p p' and a unit p
-        p = grad.p
-        self.v = beta2 * self.v + ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * np.outer(p, p)
-        self.second = np.maximum((self.v @ p) @ p, self.second)
+        self.v *= beta2
+        self.v += ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * pp
+        self.second = np.maximum((self.v @ grad.p) @ grad.p, self.second)
         return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
 
 
@@ -251,7 +264,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             report._fail(f"projection failure at iteration {h}")
             cost, stop = np.nan, True
         else:
-            if not np.isfinite(cost):
+            if not math.isfinite(cost):
                 report._fail(f"non-finite cost at iteration {h}")
 
             # ---- weights on the sphere
@@ -262,11 +275,14 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
                 step = manifold.project_sphere_grad(sphere, moment / denom)
             else:
                 step = tangent
-            new_sphere = manifold.exp_sphere(sphere, alpha * step)
-            for i in np.flatnonzero(new_sphere.s < SQRTPI_FLOOR):
-                events.append(f"iter {h}: weight floor for component {i}")
-            clamped = np.maximum(new_sphere.s, SQRTPI_FLOOR)
-            sphere = SpherePoint(clamped / np.linalg.norm(clamped))
+            s = manifold.exp_sphere(sphere, alpha * step).s
+            # renormalised whether or not a weight was floored
+            low = s < SQRTPI_FLOOR
+            if low.any():
+                for i in np.flatnonzero(low):
+                    events.append(f"iter {h}: weight floor for component {i}")
+                s = np.maximum(s, SQRTPI_FLOOR)
+            sphere = SpherePoint._trusted(s / manifold._norm(s))
 
             # ---- locations in Euclidean space
             if method == "radam":
@@ -282,19 +298,21 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 lyap = scatter.step(points, grad, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, lyap)
-            exhausted = halvings > manifold.PD_RETRIES
-            for i in np.flatnonzero((halvings > 0) & ~exhausted):
-                events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
-            # a scatter that no halving lifts off the floor ends the fit at
-            # this iteration, with the model this step reached
-            for i in np.flatnonzero(exhausted):
-                events.append(f"iter {h}: pd safeguard exhausted for component {i}")
-                report._fail(f"pd safeguard exhausted at iteration {h}")
-            stop = bool(exhausted.any())
+            stop = False
+            if halvings.any():
+                exhausted = halvings > manifold.PD_RETRIES
+                for i in np.flatnonzero(~exhausted & (halvings > 0)):
+                    events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
+                # a scatter that no halving lifts off the floor ends the fit
+                # at this iteration, with the model this step reached
+                for i in np.flatnonzero(exhausted):
+                    events.append(f"iter {h}: pd safeguard exhausted for component {i}")
+                    report._fail(f"pd safeguard exhausted at iteration {h}")
+                stop = bool(exhausted.any())
 
             current = MixtureModel(family, sphere.weights, mus, points)
 
-        report._record(h, cost, current, points.lam, tic)
+        report._record(h, cost, current, points, tic)
         if stop:
             break
     return report._end(h, current)
@@ -442,9 +460,10 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         # eigenvalues by about m eps tr(Sigma_i).  So the rebuilt scatter
         # clears the PD floor unless its trace exceeds D about 1e4-fold, and
         # the final model below is still checked from plain arrays.
-        model = MixtureModel(model0.family, weights, mus, PdPoint._admitted(sigmas, lam, q))
+        points = PdPoint._admitted(sigmas, lam, q)
+        model = MixtureModel(model0.family, weights, mus, points)
 
-        report._record(h, nll, model, lam, tic)
+        report._record(h, nll, model, points, tic)
         if abs(prev_nll - nll) < cfg.em_tol:
             break
         prev_nll = nll

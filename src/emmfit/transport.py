@@ -255,18 +255,22 @@ class ProjectionContext:
     of x at the asked ranks: up to PREFIX_TABLE_RATIO projections per asked
     level they come from the n-long cumulative sum of x, built on first use
     and kept with the context; past that each call sums x between its
-    sorted ranks, and the context keeps no n-long table.
+    sorted ranks, and the context keeps no n-long table.  The grid is
+    uniform; its trapezoid weights are the widths of ``cell_edges``, which
+    ``project_components`` integrates over, so the context keeps none.
 
     A context built from outside checks that p is a unit vector and that
     the projections are sorted.  ``make_projection_context`` checks p and
     sorts the projections itself, so the context it returns is trusted
-    and skips the O(n) sortedness re-scan (``_trusted``).
+    and skips the O(n) sortedness re-scan (``_trusted``).  A fit step reads
+    Q twice from its context, at the cell bounds of its projected model
+    (``projected_w2``) and at their interior (``euclidean_grad``), and
+    ``quantile_prefixes`` never writes into the levels it is given.
     """
 
     p: np.ndarray
     projected_samples: np.ndarray
     grid: np.ndarray
-    grid_weights: np.ndarray
 
     def __post_init__(self):
         _check_unit(self.p)
@@ -274,10 +278,10 @@ class ProjectionContext:
             raise MismatchError("projected samples must be sorted")
 
     @classmethod
-    def _trusted(cls, p, projected_samples, grid, grid_weights) -> "ProjectionContext":
+    def _trusted(cls, p, projected_samples, grid) -> "ProjectionContext":
         """A context over a unit p and projections already sorted, unchecked."""
         ctx = object.__new__(cls)
-        ctx.__dict__.update(p=p, projected_samples=projected_samples, grid=grid, grid_weights=grid_weights)
+        ctx.__dict__.update(p=p, projected_samples=projected_samples, grid=grid)
         return ctx
 
     @cached_property
@@ -286,7 +290,7 @@ class ProjectionContext:
         x = self.projected_samples
         c = np.empty(x.size + 1)
         c[0] = 0.0
-        np.cumsum(x, out=c[1:])
+        x.cumsum(out=c[1:])
         return c
 
     def _prefix_at(self, i: np.ndarray, x_i: np.ndarray) -> np.ndarray:
@@ -300,7 +304,7 @@ class ProjectionContext:
         x = self.projected_samples
         # a scalar or empty q takes the table
         if i.ndim != 1 or not i.size or x.size <= PREFIX_TABLE_RATIO * i.size:
-            return self._prefix_sums[i + 1]
+            return self._prefix_sums[1:][i]
         order = None
         if np.any(i[1:] < i[:-1]):
             order = np.argsort(i, kind="stable")
@@ -321,20 +325,40 @@ class ProjectionContext:
         return c + x_i
 
     def quantile_prefixes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Q(q), S1(q)) with S1 = int_0^q Q; q is clipped to [0, 1]."""
+        """(Q(q), S1(q)) with S1 = int_0^q Q; q is clipped to [0, 1].
+
+        Each step works in place in temporaries of its own, in the order of
+        the closed form below, so q itself is never written."""
         x = self.projected_samples
         n = x.size
-        # t is q's position in knot units; knot i sits at t = i
-        t = np.clip(q, 0.0, 1.0) * n - 0.5
-        tau = np.clip(t, 0.0, n - 1)
+        # t is q's position in knot units; knot i sits at t = i.  The
+        # maximum and minimum clip as np.clip does, but for the sign of a
+        # zero q, which t = q n - 0.5 does not keep.
+        t = np.minimum(np.maximum(q, 0.0), 1.0)
+        t *= n
+        t -= 0.5
+        tau = np.minimum(np.maximum(t, 0.0), n - 1)
         i = tau.astype(np.intp)
         f = tau - i
         x0 = x[i]
         # at the last knot f = 0, so its clipped neighbour adds nothing
-        qv = x0 + (x[np.minimum(i + 1, n - 1)] - x0) * f
+        qv = x[np.minimum(i + 1, n - 1)]
+        qv -= x0
+        qv *= f
+        qv += x0
         # knots 0..i as trapezoids, the part of segment i up to tau, and the
-        # flat run below the first knot or past the last one (t - tau)
-        s1 = (self._prefix_at(i, x0) - 0.5 * x0 + 0.5 * f * (x0 + qv) + (t - tau) * qv) / n
+        # flat run below the first knot or past the last one (t - tau):
+        # (C[i + 1] - x0 / 2 + f / 2 (x0 + qv) + (t - tau) qv) / n
+        s1 = self._prefix_at(i, x0)
+        s1 -= 0.5 * x0
+        f *= 0.5
+        x0 += qv
+        f *= x0
+        s1 += f
+        t -= tau
+        t *= qv
+        s1 += t
+        s1 /= n
         return qv, s1
 
     @property
@@ -354,7 +378,9 @@ def make_projection_context(
     cov: np.ndarray,
 ) -> ProjectionContext:
     """Project the data along the unit vector p and lay a uniform trapezoid
-    grid over it, reaching margin_sigmas spreads past the extreme projections.
+    grid of n_grid >= 2 nodes over it, reaching margin_sigmas >= 0 spreads
+    past the extreme projections; a grid it cannot lay is refused with
+    ``MismatchError``.
 
     The spread is the projections' standard deviation, read as
     sqrt(p' cov p) from the samples' biased covariance ``cov``
@@ -364,6 +390,10 @@ def make_projection_context(
     max(1, |x|).  The context is built trusted: p is checked here and the
     projections are sorted here, so nothing is re-scanned.
     """
+    if n_grid < 2:
+        raise MismatchError(f"a projection grid needs at least 2 nodes, got {n_grid}")
+    if not (margin_sigmas >= 0.0 and math.isfinite(margin_sigmas)):
+        raise MismatchError(f"the grid margin must be finite and nonnegative, got {margin_sigmas}")
     p = np.asarray(p, dtype=float)
     _check_unit(p)
     samples = np.asarray(samples, dtype=float)
@@ -374,11 +404,7 @@ def make_projection_context(
     spread = math.sqrt(var) if var > 0.0 else max(1.0, abs(float(projected[0])))
     lo = projected[0] - margin_sigmas * spread
     hi = projected[-1] + margin_sigmas * spread
-    grid = np.linspace(lo, hi, n_grid)
-    step = grid[1] - grid[0]
-    weights = np.full(n_grid, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return ProjectionContext._trusted(p, projected, grid, weights)
+    return ProjectionContext._trusted(p, projected, np.linspace(lo, hi, n_grid))
 
 
 @dataclass(frozen=True)
@@ -414,24 +440,25 @@ def cell_edges(grid: np.ndarray) -> np.ndarray:
 
 
 def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> ProjectedMixture:
-    """Projected mixture pieces from raw parameter arrays.
+    """Projected mixture pieces from float parameter arrays: (k,) weights,
+    (k, m) locations and (k, m, m) scatters, taken as they are.
 
     Weights need not sum to one here; renormalization by the grid mass is
     part of the objective, and finite-difference probes step off the
     simplex.
     """
-    weights = np.asarray(weights, dtype=float)
-    mus = np.asarray(mus, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    proj_var = np.einsum("i,kij,j->k", ctx.p, sigmas, ctx.p)
-    if np.any(proj_var <= 0.0):
+    p = ctx.p
+    proj_var = np.einsum("i,kij,j->k", p, sigmas, p)
+    if (proj_var <= 0.0).any():
         raise DegenerateGridError("projected variance must be positive")
     root_v = np.sqrt(proj_var)
-    edges = cell_edges(ctx.grid)
-    edge_u = (edges[None, :] - (mus @ ctx.p)[:, None]) / root_v[:, None]
+    edge_u = cell_edges(ctx.grid) - (mus @ p)[:, None]
+    edge_u /= root_v[:, None]
     # cell masses are mathematically nonnegative; a rounded primitive, closed
     # form or interpolated, can step down by an ulp in saturated tails
-    cells = np.maximum(np.diff(family.gen_primitive(edge_u), axis=1), 0.0)
+    prim = family.gen_primitive(edge_u)
+    cells = prim[:, 1:] - prim[:, :-1]
+    np.maximum(cells, 0.0, out=cells)
     # Generator singularities (e.g. small-a Kotz at t=0) give non-finite
     # edge nodes, which the gradient drops.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -439,12 +466,12 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
         slope_offset = slope * edge_u
     masses = weights @ cells
     mass = float(masses.sum())
-    if not np.isfinite(mass) or mass <= 1e-300:
+    if not (math.isfinite(mass) and mass > 1e-300):
         raise DegenerateGridError("projected model density has no mass on the grid")
     masses /= mass
     bounds = np.empty(masses.size + 1)
     bounds[0] = 0.0
-    np.cumsum(masses, out=bounds[1:])
+    masses.cumsum(out=bounds[1:])
     # exact ends: the slabs' Q^2 integrals add up to int_0^1 Q^2
     bounds[-1] = 1.0
     return ProjectedMixture(cells, slope, slope_offset, root_v, proj_var, masses, bounds, mass)
@@ -474,7 +501,7 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
     """
     _, s1 = ctx.quantile_prefixes(projected.bounds)
     y = ctx.grid
-    return float(y @ (y * projected.masses - 2.0 * np.diff(s1))) + ctx.quantile_second_moment
+    return float(y @ (y * projected.masses - 2.0 * (s1[1:] - s1[:-1]))) + ctx.quantile_second_moment
 
 
 def sliced_cost(model: MixtureModel, data, projections) -> float:
@@ -496,5 +523,6 @@ def sliced_cost(model: MixtureModel, data, projections) -> float:
 def random_projections(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count unit vectors in R^m (deterministic given the generator state)."""
     p = rng.standard_normal((count, m))
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
+    # the row norms np.linalg.norm(p, axis=1) takes, without its dispatch
+    return p / np.sqrt(np.add.reduce(p * p, axis=1, keepdims=True))
 

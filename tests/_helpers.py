@@ -483,10 +483,7 @@ def stratified_target_ctx(p, rng, n=4000, n_grid=1024, k_target=3, span=3.0):
     target = np.interp(lo + levels * (hi - lo), cdf, ys)
     spread = target.std()
     grid = np.linspace(target[0] - 4.0 * spread, target[-1] + 4.0 * spread, n_grid)
-    step = grid[1] - grid[0]
-    weights = np.full(n_grid, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return tp.ProjectionContext(np.asarray(p, dtype=float), target, grid, weights)
+    return tp.ProjectionContext(np.asarray(p, dtype=float), target, grid)
 
 
 def projection_cost(family, weights, mus, sigmas, ctx):

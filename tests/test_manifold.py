@@ -227,6 +227,65 @@ class TestExpSigma:
         assert out.lam[0].tobytes() == np.ones(2).tobytes()
         assert len(retractions) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_image_whose_norm_overflows_is_capped(self):
+        # the squared Frobenius norm of diag(1e200, -1e200, 0) overflows, but
+        # its entries are finite: it is capped to diag(0.3, -0.3, 0), not
+        # kept as a non-finite image would be
+        out, halvings = mf.exp_sigma(np.eye(3), np.diag([1e200, -1e200, 0.0]))
+        assert halvings == 0
+        np.testing.assert_allclose(np.diag(out.sigma), [1.69, 0.49, 1.0], rtol=0.0, atol=1e-15)
+        stack, halvings = mf.exp_sigma(np.stack([np.eye(3)] * 2), np.stack([np.diag([1e200, -1e200, 0.0])] * 2))
+        assert halvings.tolist() == [0, 0]
+        assert stack.sigma[0].tobytes() == stack.sigma[1].tobytes() == out.sigma.tobytes()
+
+    @staticmethod
+    def image_cases():
+        """(sigmas, images) for each branch of the retraction: small steps,
+        steps at the cap, a non-finite image, a step below the floor that a
+        halving lifts and one that no halving lifts, and one matrix."""
+        rng = np.random.default_rng(13)
+        spd = np.stack([random_spd(3, rng) for _ in range(3)])
+        small = np.stack([0.01 * random_sym(3, rng) for _ in range(3)])
+        r = 0.5 * PD_FLOOR * (1.0 + 3.0 * 0.29 / 2.0)
+        near_floor = np.stack([np.eye(2), np.diag([1.0, r]), np.diag([1.0, 0.5 * PD_FLOOR * (1.0 + 1e-9)])])
+        return {
+            "small": (spd, small),
+            "at the cap": (spd, 5.0 * small / np.abs(small).max()),
+            "non-finite": (spd, np.where(np.arange(3)[:, None, None] == 1, np.inf, small)),
+            "halved": (near_floor, np.stack([-0.05 * np.eye(2), np.diag([0.0, -0.29]), np.diag([0.0, -0.5])])),
+            "one matrix": (spd[0], 5.0 * small[0]),
+        }
+
+    @pytest.mark.parametrize("name", ("small", "at the cap", "non-finite", "halved", "one matrix"))
+    def test_the_callers_images_are_never_written(self, name):
+        sigmas, images = self.image_cases()[name]
+        before = images.tobytes()
+        images.flags.writeable = False
+        out, halvings = mf.exp_sigma(sigmas, images)
+        assert images.tobytes() == before
+        # the same result from a writable copy
+        again, again_halvings = mf.exp_sigma(sigmas, images.copy())
+        assert out.sigma.tobytes() == again.sigma.tobytes()
+        assert np.array_equal(halvings, again_halvings)
+
+    @pytest.mark.parametrize("name", ("small", "at the cap", "non-finite", "halved", "one matrix"))
+    def test_point_keeps_the_traces_of_the_stack_it_ends_with(self, name):
+        # the health record reads these traces; they are the stack's own,
+        # also for the matrices that kept their input or were halved
+        sigmas, images = self.image_cases()[name]
+        out, _ = mf.exp_sigma(sigmas, images)
+        assert "trace" in vars(out)
+        want = np.trace(out.sigma.reshape(-1, *out.sigma.shape[-2:]), axis1=1, axis2=2)
+        assert out.trace.tobytes() == want.reshape(out.sigma.shape[:-2]).tobytes()
+
+    def test_point_takes_its_traces_on_first_use(self):
+        rng = np.random.default_rng(14)
+        sigmas = np.stack([random_spd(4, rng) for _ in range(3)])
+        point = mf.PdPoint(sigmas)
+        assert "trace" not in vars(point)
+        assert point.trace.tobytes() == np.trace(sigmas, axis1=1, axis2=2).tobytes()
+
 
 # Frobenius norms of Lyapunov images: far below, just below the pre-test
 # margin, within it, at the cap, and above it
@@ -315,6 +374,24 @@ class TestExpSphere:
             t = mf.project_sphere_grad(s, t)
             t *= rng.uniform(0.0, np.pi) / max(np.linalg.norm(t), 1e-12)
             out = mf.exp_sphere(s, t)
+            assert abs(np.linalg.norm(out.s) - 1.0) <= 1e-12
+
+
+class TestNorm:
+    @pytest.mark.parametrize("shape", ((1,), (8,), (33,), (4, 4)))
+    def test_is_numpys_norm_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        for _ in range(50):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150)
+            for view in (x, x[::-1], x.T):
+                assert mf._norm(view) == float(np.linalg.norm(view))
+
+    def test_sphere_steps_are_unit_and_built_trusted(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            raw = rng.uniform(0.0, 1.0, 6)
+            s = mf.SpherePoint(raw / np.linalg.norm(raw))
+            out = mf.exp_sphere(s, 0.1 * mf.project_sphere_grad(s, rng.normal(size=6)))
             assert abs(np.linalg.norm(out.s) - 1.0) <= 1e-12
 
 

@@ -426,6 +426,38 @@ def test_weight_floor_is_reported(case):
     assert any(e.endswith("weight floor for component 0") for e in report.events)
 
 
+@pytest.mark.parametrize("h", (1, 3))
+@pytest.mark.parametrize("method", ("radam", "dadam"))
+def test_a_halving_that_lifts_the_scatter_is_reported(case, method, h, monkeypatch):
+    # component 0 starts at diag(1, r) with r (1 + 3 t / 2^h) / 2 PD_FLOOR,
+    # and its first step has the Lyapunov image diag(0, -t): the retraction
+    # lifts it off the floor after h halvings (see test_manifold), so the fit
+    # reports them and goes on
+    data, start = case
+    t = 0.29
+    r = 0.5 * fam.PD_FLOOR * (1.0 + 3.0 * t / 2.0**h)
+    sigmas = start.sigmas.copy()
+    sigmas[0] = np.diag([1.0, r])
+    model0 = mx.MixtureModel(start.family, start.weights, start.mus, sigmas)
+    steps = []
+
+    def step(self, point, grad, alpha, beta1, beta2):
+        lyap = np.zeros_like(point.sigma)
+        if not steps:
+            lyap[0] = np.diag([0.0, -t])
+        steps.append(lyap)
+        return lyap
+
+    monkeypatch.setattr(optim._ScatterMoments, "step", step)
+    report = optim.fit(model0, data, optim.OptimizerConfig(method=method, alpha=0.03, max_iters=3, seed=5))
+    assert not report.failed and report.iterations == 3 and len(steps) == 3
+    assert report.events == [f"iter 1: step halved {h}x for component 0"]
+    # the halved step moved the scatter, and it sits above the floor
+    final = report.final_model.sigmas[0]
+    assert final[1, 1] == pytest.approx((1.0 - t / 2.0**h) ** 2 * r, rel=1e-12, abs=0.0)
+    assert final[1, 1] > fam.PD_FLOOR * np.trace(final) / 2
+
+
 def test_family_without_gradient_raises_up_front(case):
     data, model0 = case
     stable = mx.MixtureModel(fam.AlphaStable(m=2), model0.weights, model0.mus, model0.sigmas)

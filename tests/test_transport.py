@@ -367,15 +367,14 @@ class TestProjectionContextChecks:
     checks p, sorts, and reads the spread from the sample covariance."""
 
     GRID = np.linspace(-3.0, 3.0, 8)
-    WEIGHTS = np.full(8, GRID[1] - GRID[0])
 
     def test_outside_context_refuses_unsorted_samples(self):
         with pytest.raises(MismatchError, match="sorted"):
-            tp.ProjectionContext(np.array([1.0]), np.array([0.5, -0.5]), self.GRID, self.WEIGHTS)
+            tp.ProjectionContext(np.array([1.0]), np.array([0.5, -0.5]), self.GRID)
 
     def test_outside_context_refuses_a_non_unit_direction(self):
         with pytest.raises(MismatchError, match="unit norm"):
-            tp.ProjectionContext(np.array([0.6, 0.9]), np.array([-0.5, 0.5]), self.GRID, self.WEIGHTS)
+            tp.ProjectionContext(np.array([0.6, 0.9]), np.array([-0.5, 0.5]), self.GRID)
 
     def test_trusted_context_refuses_a_non_unit_direction(self):
         with pytest.raises(MismatchError, match="unit norm"):
@@ -407,6 +406,53 @@ class TestProjectionContextChecks:
         assert samples[:, 0].std() == 0.0
         ctx = line_ctx(samples[:, 0])
         assert self.spread_of(ctx, 4.0) == pytest.approx(max(1.0, abs(value)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_grid", (0, 1, -3))
+    def test_refuses_a_grid_of_fewer_than_two_nodes(self, n_grid):
+        with pytest.raises(MismatchError, match="at least 2 nodes"):
+            line_ctx(np.arange(5.0), n_grid=n_grid)
+
+    @pytest.mark.parametrize("margin", (-1.0, -1e-300, np.nan, np.inf, -np.inf))
+    def test_refuses_a_margin_that_is_negative_or_not_finite(self, margin):
+        with pytest.raises(MismatchError, match="margin"):
+            line_ctx(np.arange(5.0), margin_sigmas=margin)
+
+    def test_takes_the_smallest_grid_and_no_margin(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        ctx = line_ctx(x, n_grid=2, margin_sigmas=0.0)
+        assert ctx.grid.tolist() == [-1.0, 2.0]
+        ctx = line_ctx(np.full(3, 2.0), margin_sigmas=0.0)
+        assert np.all(ctx.grid == 2.0)
+
+    def test_keeps_no_grid_weights(self):
+        ctx = line_ctx(np.arange(5.0))
+        assert "grid_weights" not in vars(ctx)
+
+
+def test_random_projections_divide_by_numpys_row_norms():
+    for m, count in ((1, 3), (2, 5), (16, 40), (33, 7)):
+        got = tp.random_projections(m, count, np.random.default_rng(m))
+        raw = np.random.default_rng(m).standard_normal((count, m))
+        assert got.tobytes() == (raw / np.linalg.norm(raw, axis=1, keepdims=True)).tobytes()
+
+
+@pytest.mark.parametrize("ratio", [10**9, 0], ids=["table", "segments"])
+def test_quantile_prefixes_never_write_the_levels(ratio, monkeypatch):
+    # a fit step reads the levels of projected.bounds twice, once whole and
+    # once as its interior view
+    monkeypatch.setattr(tp, "PREFIX_TABLE_RATIO", ratio)
+    rng = np.random.default_rng(16)
+    ctx = line_ctx(rng.standard_normal(3000))
+    bounds = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]])
+    unsorted = np.array([0.7, -0.2, 1.3, 0.0, 1.0, 0.25])
+    for q in (bounds, bounds[1:-1], unsorted, bounds[::-1]):
+        before = q.tobytes()
+        q.flags.writeable = False
+        first = ctx.quantile_prefixes(q)
+        assert q.tobytes() == before
+        second = ctx.quantile_prefixes(q)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
 
 def quantile_ctx(x):
