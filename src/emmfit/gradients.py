@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import MixtureModel
-from .transport import ProjectedMixture, ProjectionContext, project_model
+from .transport import ProjectedMixture, ProjectionContext
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,10 @@ class EuclideanGrad:
         return self.w_sigma[:, None, None] * self.pp
 
 
-def euclidean_grad(
-    model: MixtureModel,
-    ctx: ProjectionContext,
-    projected: ProjectedMixture | None = None,
-) -> EuclideanGrad:
-    """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas.
-    A family with no gradient has no projected kernel: ``project_model``
-    raises ``UnsupportedGradientError`` for it."""
-    if projected is None:
-        projected = project_model(model, ctx)
+def euclidean_grad(model: MixtureModel, ctx: ProjectionContext, projected: ProjectedMixture) -> EuclideanGrad:
+    """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas,
+    given the model projected on ctx (``transport.project_model``, which
+    raises ``UnsupportedGradientError`` for a family with no gradient)."""
     grid = ctx.grid
     pi = model.weights
 

@@ -48,15 +48,15 @@ class SpherePoint:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
-        if abs(np.linalg.norm(s) - 1.0) > 1e-12:
+        # compared so that a NaN norm fails
+        if not abs(np.linalg.norm(s) - 1.0) <= 1e-12:
             raise ValueError("sphere point must have unit norm")
         object.__setattr__(self, "s", s)
 
     @classmethod
     def _trusted(cls, s: np.ndarray) -> "SpherePoint":
         """A point from a float vector just divided by its own norm,
-        unchecked: the check would re-read that division (and a NaN passes
-        it anyway)."""
+        unchecked: the check would re-read that division."""
         point = object.__new__(cls)
         point.__dict__["s"] = s
         return point

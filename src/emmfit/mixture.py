@@ -51,7 +51,8 @@ class MixtureModel:
         mus = np.asarray(self.mus, dtype=float)
         admitted = isinstance(self.sigmas, PdPoint)
         sigmas = self.sigmas.sigma if admitted else np.asarray(self.sigmas, dtype=float)
-        if w.ndim != 1 or (w < 0).any() or abs(w.sum() - 1.0) > WEIGHT_TOL:
+        # compared so that a NaN weight fails
+        if not (w.ndim == 1 and (w >= 0).all() and abs(w.sum() - 1.0) <= WEIGHT_TOL):
             raise InvalidFamilyError("weights must be nonnegative and sum to one")
         k, m = w.size, self.family.m
         if mus.shape != (k, m) or sigmas.shape != (k, m, m):

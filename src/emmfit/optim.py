@@ -22,16 +22,21 @@ unit norm again, the gradient triple skips its dataclass ``__init__``, the
 scatter moments update in place with p p' formed once, the health record
 reads the eigenvalues and traces the retraction took, and events are
 looked for only in a step where one occurred.  A fit ends, ``failed``, at
-the first iteration whose projection fails or whose retraction leaves a
-scatter on the PD floor after every halving.  Both engines write one
-record, ``FitReport``: it allocates the traces, writes each iteration's
-cost and health, and keeps the first failure.  An EM baseline covers the
-Gaussian family: each iteration is one pass over a centred copy of the
-samples in cache-sized column blocks, running the density kernel of
+the first iteration whose projection fails, whose cost or gradient triple
+is not finite (before it steps) or whose retraction leaves a scatter on
+the PD floor after every halving.  Both engines write one record,
+``FitReport``: it allocates the traces, writes each iteration's cost and
+health, and names the failure that ended the fit.  An EM baseline covers
+the Gaussian family: each iteration is one pass over a centred copy of
+the samples in cache-sized column blocks, running the density kernel of
 ``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
 coordinates per block, and each iterate is built from the eigenvalue
-floor's admitted (lam, q).  A fit has the seven settings of
-``OptimizerConfig`` and no others.
+floor's admitted (lam, q); it ends, ``failed``, at the first non-finite
+NLL, with the last model it reached.  A fit depends on its start, its
+data and the seven settings of ``OptimizerConfig`` and nothing else: each
+engine draws from ``np.random.default_rng(cfg.seed)``, so
+``fit(model0, data, OptimizerConfig(**report.config))`` rebuilds a fit
+from its record.
 
 The scatter momentum is kept as its Lyapunov image U = L_Sigma[u], the
 coordinates ``manifold.exp_sigma`` steps in: there vector transport is
@@ -101,8 +106,8 @@ class OptimizerConfig:
 class FitReport:
     """Per-iteration trace and the final model of one fitting run.  Both
     engines write it: ``_start`` allocates the traces for ``max_iters``
-    iterations, ``_record`` writes one, ``_fail`` keeps the first failure
-    and ``_end`` cuts the traces to the iterations that ran."""
+    iterations, ``_record`` writes one and ``_end`` cuts the traces to the
+    iterations that ran."""
 
     method: str
     final_model: MixtureModel
@@ -111,7 +116,7 @@ class FitReport:
     weight_gap: np.ndarray  # per-iteration |sum(pi) - 1|
     min_eig_ratio: np.ndarray  # per-iteration min_i lambda_min / (tr/m)
     events: list = field(default_factory=list)
-    failure_reason: str | None = None  # the fit's first failure
+    failure_reason: str | None = None  # the failure that ended the fit
     seed: int | None = None
     config: dict = field(default_factory=dict)
 
@@ -146,11 +151,6 @@ class FitReport:
         self.weight_gap[h - 1] = abs(float(model.weights.sum()) - 1.0)
         self.min_eig_ratio[h - 1] = (points.lam[:, 0] / (points.trace / model.m)).min()
         self.wall_ms[h - 1] = 1e3 * (time.perf_counter() - tic)
-
-    def _fail(self, reason: str) -> None:
-        """Keep ``reason`` unless the fit has already failed."""
-        if self.failure_reason is None:
-            self.failure_reason = reason
 
     def _end(self, h: int, final_model: MixtureModel) -> "FitReport":
         """Cut the traces to the h iterations that ran."""
@@ -229,7 +229,8 @@ class _ScatterMoments:
         return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
 
 
-def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.random.Generator) -> FitReport:
+def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
+    rng = np.random.default_rng(cfg.seed)
     dataset = as_dataset(data, model0.m)
     _covariance_trace(dataset)  # refuses a covariance that overflows
     samples, cov = dataset.samples, dataset.covariance
@@ -259,14 +260,20 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             cost = transport.projected_w2(ctx, projected)
             grad = euclidean_grad(current, ctx, projected)
         except EmmfitError as exc:
-            # nothing to step along: the fit ends at this iteration
             events.append(f"iter {h}: projection failed ({exc})")
-            report._fail(f"projection failure at iteration {h}")
-            cost, stop = np.nan, True
+            report.failure_reason = f"projection failure at iteration {h}"
+            cost = np.nan
         else:
-            if not math.isfinite(cost):
-                report._fail(f"non-finite cost at iteration {h}")
-
+            if not (
+                math.isfinite(cost)
+                and np.isfinite(grad.g_sqrtpi).all()
+                and np.isfinite(grad.g_mu).all()
+                and np.isfinite(grad.w_sigma).all()
+            ):
+                report.failure_reason = f"non-finite cost or gradient at iteration {h}"
+        # after a failure there is nothing to step along: the fit ends at
+        # this iteration, with the model it started from
+        if not report.failed:
             # ---- weights on the sphere
             tangent = manifold.project_sphere_grad(sphere, grad.g_sqrtpi)
             if method == "radam":
@@ -298,7 +305,6 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
             else:
                 lyap = scatter.step(points, grad, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, lyap)
-            stop = False
             if halvings.any():
                 exhausted = halvings > manifold.PD_RETRIES
                 for i in np.flatnonzero(~exhausted & (halvings > 0)):
@@ -307,19 +313,19 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig, rng: np.rand
                 # at this iteration, with the model this step reached
                 for i in np.flatnonzero(exhausted):
                     events.append(f"iter {h}: pd safeguard exhausted for component {i}")
-                    report._fail(f"pd safeguard exhausted at iteration {h}")
-                stop = bool(exhausted.any())
+                    report.failure_reason = f"pd safeguard exhausted at iteration {h}"
 
             current = MixtureModel(family, sphere.weights, mus, points)
 
         report._record(h, cost, current, points, tic)
-        if stop:
+        if report.failed:
             break
     return report._end(h, current)
 
 
-def fit(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
-    """Fit by cfg.method from model0; the Riemannian methods need gradients."""
+def fit(model0, data, cfg: OptimizerConfig) -> FitReport:
+    """Fit by cfg.method from model0; the Riemannian methods need gradients.
+    The fit draws from ``np.random.default_rng(cfg.seed)`` alone."""
     if cfg.method == "em":
         return fit_em_gmm(model0, data, cfg)
     if not model0.family.has_gradient:
@@ -327,7 +333,7 @@ def fit(model0, data, cfg: OptimizerConfig, rng=None) -> FitReport:
         raise UnsupportedGradientError(
             f"{family.name} {family.params()} has no sliced-cost gradient for {cfg.method}"
         )
-    return _fit_manifold(model0, data, cfg, rng or np.random.default_rng(cfg.seed))
+    return _fit_manifold(model0, data, cfg)
 
 
 def _is_gaussian(family) -> bool:
@@ -382,7 +388,8 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     of all k scatters, and the next model is built from the admitted
     (lam, q) with no further check; its smallest floored eigenvalue is also
     the health record's.  A reseeded component takes an isotropic scatter.
-    Data whose covariance overflows are refused with ``MismatchError``.
+    Data whose covariance overflows are refused with ``MismatchError``.  A
+    non-finite NLL ends the fit, ``failed``, with the model that gave it.
     """
     if not _is_gaussian(model0.family):
         raise MismatchError("the EM baseline supports the Gaussian family only")
@@ -430,7 +437,10 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
                 moments[i] += weighted @ white[i].T
         nll = -log_lik / n
         if not np.isfinite(nll):
-            report._fail(f"non-finite NLL at iteration {h}")
+            # no M-step from it: the fit ends here, with the last model
+            report.failure_reason = f"non-finite NLL at iteration {h}"
+            report._record(h, nll, model, PdPoint(model.sigmas), tic)
+            break
 
         # M-step from the whitened sums
         weights = mass / n
@@ -472,8 +482,9 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     return report._end(h, final)
 
 
-def initialize(data, k: int, family, strategy: str = "random", rng=None) -> MixtureModel:
-    """Random starting point: simplex weights, box-uniform or D^2-weighted
+def initialize(data, k: int, family, strategy: str, rng: np.random.Generator) -> MixtureModel:
+    """Random starting point drawn from rng by ``strategy``, ``random`` or
+    ``kmeanspp-lite``: simplex weights, box-uniform or D^2-weighted
     locations, isotropic scatters carrying the data covariance trace.
 
     ``kmeanspp-lite`` is the D^2 seeding of k-means++: the first location
@@ -495,7 +506,6 @@ def initialize(data, k: int, family, strategy: str = "random", rng=None) -> Mixt
     n, m = samples.shape
     if n < k:
         raise MismatchError(f"need at least k={k} samples, got {n}")
-    rng = rng or np.random.default_rng(0)
 
     pi = rng.dirichlet(np.ones(k))
     trace = _covariance_trace(dataset)

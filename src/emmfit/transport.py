@@ -33,6 +33,10 @@ NEAR_TIES_RESCORED = 64  # most matchings within rounding of the best rescored e
 # per projection, ``ProjectionContext._prefix_at``).  The two cost the same
 # per fit step near 30 projections per level, with 1025 levels.
 PREFIX_TABLE_RATIO = 32
+# ``make_projection_context`` lays GRID_NODES uniform nodes from GRID_MARGIN
+# spreads below the smallest projection to as many above the largest.
+GRID_NODES = 1024
+GRID_MARGIN = 4.0
 
 
 def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
@@ -259,10 +263,12 @@ class ProjectionContext:
     uniform; its trapezoid weights are the widths of ``cell_edges``, which
     ``project_components`` integrates over, so the context keeps none.
 
-    A context built from outside checks that p is a unit vector and that
-    the projections are sorted.  ``make_projection_context`` checks p and
-    sorts the projections itself, so the context it returns is trusted
-    and skips the O(n) sortedness re-scan (``_trusted``).  A fit step reads
+    ``make_projection_context`` lays the one grid a fit uses, of GRID_NODES
+    nodes reaching GRID_MARGIN spreads past the extreme projections; it
+    checks p and sorts the projections itself, so the context it returns
+    is trusted and skips the O(n) sortedness re-scan (``_trusted``).  Any
+    other grid goes through this constructor, which checks that p is a
+    unit vector and that the projections are sorted.  A fit step reads
     Q twice from its context, at the cell bounds of its projected model
     (``projected_w2``) and at their interior (``euclidean_grad``), and
     ``quantile_prefixes`` never writes into the levels it is given.
@@ -369,18 +375,10 @@ class ProjectionContext:
         return float((2.0 / 3.0) * (x @ x) + ends / 6.0 + (x[:-1] @ x[1:]) / 3.0) / x.size
 
 
-def make_projection_context(
-    p: np.ndarray,
-    samples: np.ndarray,
-    n_grid: int = 1024,
-    margin_sigmas: float = 4.0,
-    *,
-    cov: np.ndarray,
-) -> ProjectionContext:
+def make_projection_context(p: np.ndarray, samples: np.ndarray, *, cov: np.ndarray) -> ProjectionContext:
     """Project the data along the unit vector p and lay a uniform trapezoid
-    grid of n_grid >= 2 nodes over it, reaching margin_sigmas >= 0 spreads
-    past the extreme projections; a grid it cannot lay is refused with
-    ``MismatchError``.
+    grid of GRID_NODES nodes over it, reaching GRID_MARGIN spreads past the
+    extreme projections.
 
     The spread is the projections' standard deviation, read as
     sqrt(p' cov p) from the samples' biased covariance ``cov``
@@ -390,10 +388,6 @@ def make_projection_context(
     max(1, |x|).  The context is built trusted: p is checked here and the
     projections are sorted here, so nothing is re-scanned.
     """
-    if n_grid < 2:
-        raise MismatchError(f"a projection grid needs at least 2 nodes, got {n_grid}")
-    if not (margin_sigmas >= 0.0 and math.isfinite(margin_sigmas)):
-        raise MismatchError(f"the grid margin must be finite and nonnegative, got {margin_sigmas}")
     p = np.asarray(p, dtype=float)
     _check_unit(p)
     samples = np.asarray(samples, dtype=float)
@@ -402,9 +396,9 @@ def make_projection_context(
     var = float(p @ cov @ p)
     # constant projections have var 0, or a rounding-negative one
     spread = math.sqrt(var) if var > 0.0 else max(1.0, abs(float(projected[0])))
-    lo = projected[0] - margin_sigmas * spread
-    hi = projected[-1] + margin_sigmas * spread
-    return ProjectionContext._trusted(p, projected, np.linspace(lo, hi, n_grid))
+    lo = projected[0] - GRID_MARGIN * spread
+    hi = projected[-1] + GRID_MARGIN * spread
+    return ProjectionContext._trusted(p, projected, np.linspace(lo, hi, GRID_NODES))
 
 
 @dataclass(frozen=True)

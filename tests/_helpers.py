@@ -451,12 +451,15 @@ def exact_w2_1d_gmm(model_a, model_b, nodes=100_000, span=12.0):
     return float(np.mean((qa - qb) ** 2))
 
 
-def line_ctx(x, n_grid=1024, margin_sigmas=4.0):
-    """``make_projection_context`` along the one direction of 1-D samples x."""
+def line_ctx(x, n_grid=None):
+    """``make_projection_context`` along the one direction of 1-D samples x;
+    given n_grid, its grid's span laid with n_grid nodes instead, through
+    the validated ``ProjectionContext``."""
     samples = np.asarray(x, dtype=float)[:, None]
-    return tp.make_projection_context(
-        np.array([1.0]), samples, n_grid, margin_sigmas, cov=mx.sample_covariance(samples)
-    )
+    ctx = tp.make_projection_context(np.array([1.0]), samples, cov=mx.sample_covariance(samples))
+    if n_grid is None:
+        return ctx
+    return tp.ProjectionContext(ctx.p, ctx.projected_samples, np.linspace(ctx.grid[0], ctx.grid[-1], n_grid))
 
 
 def stratified_target_ctx(p, rng, n=4000, n_grid=1024, k_target=3, span=3.0):

@@ -356,6 +356,11 @@ class TestTrustCapPretest:
 
 
 class TestExpSphere:
+    @pytest.mark.parametrize("s", ([np.nan, np.nan], [1.0, np.nan], [2.0, 0.0]))
+    def test_a_point_off_the_sphere_is_refused(self, s):
+        with pytest.raises(ValueError, match="unit norm"):
+            mf.SpherePoint(np.array(s))
+
     def test_zero_tangent(self):
         s = mf.SpherePoint(np.array([1.0, 0.0]))
         assert np.array_equal(mf.exp_sphere(s, np.zeros(2)).s, s.s)

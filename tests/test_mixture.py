@@ -95,6 +95,11 @@ class TestPdf:
         with pytest.raises(InvalidFamilyError):
             mx.MixtureModel(fam.gaussian(1), [0.5, 0.6], np.zeros((2, 1)), np.ones((2, 1, 1)))
 
+    @pytest.mark.parametrize("weights", ([np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]))
+    def test_nan_weights_are_refused(self, weights):
+        with pytest.raises(InvalidFamilyError):
+            mx.MixtureModel(fam.gaussian(2), weights, np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+
 
 class TestAdmittedScatters:
     """A PdPoint stack was admitted when it was built, so the model

@@ -15,6 +15,7 @@ are left as they are, and with no name the script prints its usage and
 writes nothing.
 """
 
+import dataclasses
 import gc
 import json
 import subprocess
@@ -34,6 +35,11 @@ from emmfit.errors import DegenerateGridError, InvalidFamilyError, MismatchError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fits.json"
 GOLDEN_METHODS = ("vanilla", "radam", "dadam", "em")
+
+
+def assert_same_bits(a, b):
+    for x, y in ((a.weights, b.weights), (a.mus, b.mus), (a.sigmas, b.sigmas)):
+        assert x.tobytes() == y.tobytes()
 
 
 def fit_record(report) -> dict:
@@ -357,7 +363,7 @@ def test_overflowing_covariance_is_refused_at_the_boundary():
     message = r"covariance overflows .* \(largest \|entry\| 1e\+200\)"
     for strategy in ("random", "kmeanspp-lite"):
         with pytest.raises(MismatchError, match=message):
-            optim.initialize(rows, 1, fam.gaussian(2), strategy)
+            optim.initialize(rows, 1, fam.gaussian(2), strategy, np.random.default_rng(0))
     model0 = mx.MixtureModel(fam.gaussian(2), np.ones(1), np.zeros((1, 2)), np.eye(2)[None])
     for method in ("dadam", "em"):
         with pytest.raises(MismatchError, match=message):
@@ -718,8 +724,8 @@ def test_report_to_dict_writes_a_non_finite_cost_as_null(case):
 
 
 def test_first_failure_is_kept(case, monkeypatch):
-    # A non-finite cost at iteration 1 does not stop the fit; the safeguard
-    # exhausted at iteration 2 does, but the reason stays the first failure.
+    # A non-finite cost at iteration 1 ends the fit there, before its step:
+    # the safeguard that would be exhausted at iteration 2 is never reached.
     real_w2, real_exp = optim.transport.projected_w2, optim.manifold.exp_sigma
     calls = {"w2": 0, "exp": 0}
 
@@ -737,10 +743,103 @@ def test_first_failure_is_kept(case, monkeypatch):
     monkeypatch.setattr(optim.transport, "projected_w2", nan_first)
     monkeypatch.setattr(optim.manifold, "exp_sigma", exhausted_second)
     report = golden_fit("dadam", *case)
-    assert report.failure_reason == "non-finite cost at iteration 1"
-    assert report.failed and report.iterations == 2
-    assert np.isnan(report.costs[0]) and np.isfinite(report.costs[1])
-    assert report.events[-1].startswith("iter 2: pd safeguard exhausted")
+    assert report.failure_reason == "non-finite cost or gradient at iteration 1"
+    assert report.failed and report.iterations == 1
+    assert calls == {"w2": 1, "exp": 0}
+    assert np.isnan(report.costs[0]) and report.events == []
+    assert_same_bits(report.final_model, case[1])
+
+
+def first_iterations(model0, data, cfg, h):
+    """The model and cost trace that the first h - 1 iterations of cfg's fit
+    reach."""
+    if h == 1:
+        return model0, np.empty(0)
+    report = optim.fit(model0, data, dataclasses.replace(cfg, max_iters=h - 1))
+    return report.final_model, report.costs
+
+
+def assert_ends_at(report, h, reason, before):
+    """report ended, failed, at iteration h with the model and the costs of
+    the iterations before it."""
+    assert report.failed and report.iterations == h
+    assert report.failure_reason == f"{reason} at iteration {h}"
+    assert report.costs[: h - 1].tobytes() == before[1].tobytes()
+    assert_same_bits(report.final_model, before[0])
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+@pytest.mark.parametrize("h", (1, 3))
+@pytest.mark.parametrize("method", ("vanilla", "radam", "dadam"))
+def test_non_finite_cost_ends_the_fit_before_its_step(case, method, h, bad, monkeypatch):
+    data, model0 = case
+    before = first_iterations(model0, data, golden_config(method), h)
+    real_w2 = optim.transport.projected_w2
+    calls = []
+
+    def bad_from_iteration_h(ctx, projected):
+        calls.append(None)
+        return bad if len(calls) >= h else real_w2(ctx, projected)
+
+    monkeypatch.setattr(optim.transport, "projected_w2", bad_from_iteration_h)
+    report = golden_fit(method, data, model0)
+    assert_ends_at(report, h, "non-finite cost or gradient", before)
+    np.testing.assert_equal(report.costs[-1], bad)
+
+
+@pytest.mark.parametrize("field", ("g_sqrtpi", "g_mu", "w_sigma"))
+def test_non_finite_gradient_ends_the_fit_before_its_step(case, field, monkeypatch):
+    data, model0 = case
+    before = first_iterations(model0, data, golden_config("dadam"), 3)
+    real_grad = optim.euclidean_grad
+    calls = []
+
+    def nan_at_iteration_3(model, ctx, projected):
+        grad = real_grad(model, ctx, projected)
+        calls.append(None)
+        if len(calls) == 3:
+            getattr(grad, field).flat[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(optim, "euclidean_grad", nan_at_iteration_3)
+    report = golden_fit("dadam", data, model0)
+    assert_ends_at(report, 3, "non-finite cost or gradient", before)
+    assert np.isfinite(report.costs).all()
+
+
+@pytest.mark.parametrize("h", (1, 3))
+def test_non_finite_nll_ends_em_with_the_last_model(case, h, monkeypatch):
+    data, model0 = case
+    assert len(mx.column_blocks(data.samples)) == 1
+    before = first_iterations(model0, data, golden_config("em"), h)
+    real_normalize = optim.normalize_columns
+    calls = []
+
+    def nan_at_iteration_h(a):
+        calls.append(None)
+        out = real_normalize(a)
+        return np.full_like(out, np.nan) if len(calls) == h else out
+
+    monkeypatch.setattr(optim, "normalize_columns", nan_at_iteration_h)
+    report = golden_fit("em", data, model0)
+    assert_ends_at(report, h, "non-finite NLL", before)
+    assert np.isnan(report.costs[-1]) and len(calls) == h
+
+
+@pytest.mark.parametrize("method", GOLDEN_METHODS)
+def test_fit_is_rebuilt_from_its_record(method):
+    # a fit depends on its start, its data and its config alone: the config
+    # read back from the JSON record gives the same fit, bit for bit
+    data = mx.generate_synthetic(2, 3, 1500, 4.0, 3.0, np.random.default_rng(21))
+    model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(22))
+    cfg = optim.OptimizerConfig(method=method, alpha=0.03, max_iters=30, seed=23)
+    report = optim.fit(model0, data, cfg)
+    record = json.loads(json.dumps(report.to_dict()))
+    assert record["seed"] == record["config"]["seed"] == report.seed == 23
+    again = optim.fit(model0, data, optim.OptimizerConfig(**record["config"]))
+    assert not again.failed and again.iterations == report.iterations
+    assert_same_bits(again.final_model, report.final_model)
+    assert again.costs.tobytes() == report.costs.tobytes()
 
 
 @pytest.mark.parametrize("method", GOLDEN_METHODS)

@@ -323,7 +323,7 @@ class TestPrefixPaths:
 class TestSemiDiscrete1D:
     """The 1-D cost of projected_w2 on 1-D Gaussian mixtures."""
 
-    def make_ctx(self, samples, n_grid=1024):
+    def make_ctx(self, samples, n_grid=None):
         return line_ctx(samples, n_grid)
 
     def cost(self, ctx, weights, mus, variances):
@@ -385,9 +385,9 @@ class TestProjectionContextChecks:
             tp.make_projection_context(np.array([1.0]), np.zeros((4, 1)))
 
     @staticmethod
-    def spread_of(ctx, margin_sigmas):
+    def spread_of(ctx):
         x = ctx.projected_samples
-        return ((ctx.grid[-1] - ctx.grid[0]) - (x[-1] - x[0])) / (2.0 * margin_sigmas)
+        return ((ctx.grid[-1] - ctx.grid[0]) - (x[-1] - x[0])) / (2.0 * tp.GRID_MARGIN)
 
     @pytest.mark.parametrize("m", (1, 2, 8))
     def test_spread_is_the_projections_std(self, m):
@@ -395,33 +395,28 @@ class TestProjectionContextChecks:
         samples = 5.0 + rng.normal(size=(5000, m)) @ rng.normal(size=(m, m))
         cov = mx.sample_covariance(samples)
         for p in tp.random_projections(m, 8, rng):
-            ctx = tp.make_projection_context(p, samples, margin_sigmas=3.0, cov=cov)
+            ctx = tp.make_projection_context(p, samples, cov=cov)
             assert np.all(np.diff(ctx.projected_samples) >= 0.0)
+            assert ctx.grid.size == tp.GRID_NODES
             want = ctx.projected_samples.std()
-            assert self.spread_of(ctx, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert self.spread_of(ctx) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("value", (0.25, -2.5, 40.0))
     def test_constant_samples_fall_back_to_their_magnitude(self, value):
         samples = np.full((64, 1), value)
         assert samples[:, 0].std() == 0.0
         ctx = line_ctx(samples[:, 0])
-        assert self.spread_of(ctx, 4.0) == pytest.approx(max(1.0, abs(value)), rel=1e-12, abs=0.0)
+        assert self.spread_of(ctx) == pytest.approx(max(1.0, abs(value)), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n_grid", (0, 1, -3))
-    def test_refuses_a_grid_of_fewer_than_two_nodes(self, n_grid):
-        with pytest.raises(MismatchError, match="at least 2 nodes"):
-            line_ctx(np.arange(5.0), n_grid=n_grid)
-
-    @pytest.mark.parametrize("margin", (-1.0, -1e-300, np.nan, np.inf, -np.inf))
-    def test_refuses_a_margin_that_is_negative_or_not_finite(self, margin):
-        with pytest.raises(MismatchError, match="margin"):
-            line_ctx(np.arange(5.0), margin_sigmas=margin)
-
-    def test_takes_the_smallest_grid_and_no_margin(self):
+    def test_takes_the_smallest_grid_and_no_margin(self, monkeypatch):
+        # the grid rule at its extremes: the module constants are read on
+        # each call
+        monkeypatch.setattr(tp, "GRID_NODES", 2)
+        monkeypatch.setattr(tp, "GRID_MARGIN", 0.0)
         x = np.array([-1.0, 0.5, 2.0])
-        ctx = line_ctx(x, n_grid=2, margin_sigmas=0.0)
+        ctx = line_ctx(x)
         assert ctx.grid.tolist() == [-1.0, 2.0]
-        ctx = line_ctx(np.full(3, 2.0), margin_sigmas=0.0)
+        ctx = line_ctx(np.full(3, 2.0))
         assert np.all(ctx.grid == 2.0)
 
     def test_keeps_no_grid_weights(self):
