@@ -8,9 +8,11 @@ AB + BA = C.  The retraction ``exp_sigma`` takes a step as its Lyapunov
 image L = L_Sigma[step], so a caller that keeps its tangent vectors in
 these coordinates needs no solve: the image of the Riemannian gradient
 ``riem_grad_sigma`` is the Euclidean gradient itself, and vector transport
-``transport_sigma`` leaves the image unchanged.  ``lyapunov_solve`` and
-``transport_sigma`` map ambient tangent vectors to and between points, in
-the eigenbasis that a ``PdPoint`` computes on first use.  Scatter
+``transport_sigma`` leaves the image unchanged.  Every fit step keeps its
+tangent vectors so, and none calls ``lyapunov_solve``, ``riem_grad_sigma``
+or ``transport_sigma``: they map ambient tangent vectors to and between
+points, in the eigenbasis that a ``PdPoint`` computes on first use, and
+are the ambient algebra the fit steps are tested against.  Scatter
 operations take one (m, m) matrix or a (k, m, m) stack; the retraction
 owns the trust region.  The constant metric weight E[R^2]/m is omitted
 throughout; it only rescales the stepsize.
@@ -121,7 +123,8 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve A B + B A = C for symmetric C and positive definite A (or
-    stacks), in the eigenbasis of A, which a ``PdPoint`` takes on first use."""
+    stacks), in the eigenbasis of A, which a ``PdPoint`` takes on first use.
+    No fit step calls it: the steps are taken as Lyapunov images."""
     if not isinstance(a, PdPoint):
         a = PdPoint(a)
     lam, q = a.lam, a.q
@@ -137,7 +140,8 @@ def riem_grad_sigma(sigma: PdPoint | np.ndarray, w, p: np.ndarray) -> np.ndarray
 
     Takes one matrix and a scalar w, or a (k, m, m) stack and a (k,) w.
     This is the printed operation; the exact metric dual of the Lyapunov
-    metric is twice this, a constant absorbed by the stepsize.
+    metric is twice this, a constant absorbed by the stepsize.  No fit step
+    calls it: its Lyapunov image is w p p', which the steps take directly.
     """
     s = sigma.sigma if isinstance(sigma, PdPoint) else np.asarray(sigma, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -279,7 +283,7 @@ def transport_sigma(from_point: PdPoint | np.ndarray, to_sigma, u: np.ndarray) -
     """Vector transport L_from[u] @ to + to @ L_from[u] between PD points.
 
     Its Lyapunov image at ``to`` is L_from[u]: a momentum kept as its
-    image needs no transport."""
+    image needs no transport, so no fit step calls it."""
     to = to_sigma.sigma if isinstance(to_sigma, PdPoint) else np.asarray(to_sigma, dtype=float)
     b = lyapunov_solve(from_point, u)
     return _sym(b @ to + to @ b)

@@ -403,8 +403,8 @@ def generate_synthetic(
             raise GenerationError(f"{name} must be an integer, got {size!r}")
     if m < 1 or k < 1 or n < 1:
         raise GenerationError("m, k, n must be positive")
-    if eccentricity < 1.0 or separation <= 0.0:
-        raise GenerationError("need eccentricity >= 1 and separation > 0")
+    if not (1.0 <= eccentricity < np.inf and 0.0 < separation < np.inf):  # NaN fails too
+        raise GenerationError(f"need finite eccentricity >= 1 and separation > 0, not {eccentricity}, {separation}")
     lam_lo, lam_hi = 1.0 / eccentricity, eccentricity
     sigmas = np.empty((k, m, m))
     for i in range(k):

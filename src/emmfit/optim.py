@@ -4,12 +4,13 @@ Three stochastic Riemannian methods share one engine: per iteration one
 random unit projection is drawn, the semi-discrete 1-D cost and its
 Euclidean gradients are formed, converted to tangent directions, and the
 parameters move through the manifold retractions.  They differ only in
-how the scatter step is scaled: plain steps (vanilla), element-wise
-adaptive moments (radam, the baseline whose matrix handling the
-direction-wise method improves on), or the direction-wise accumulator
-(dadam).  All k scatters take one step together: their moments are
-(k, m, m) stacks, and one ``manifold.exp_sigma`` call retracts the whole
-stack, capping and halving each step as it needs.  Each thing is decided
+how the steps are scaled: plain steps (vanilla), Riemannian AMSGrad with
+one scalar second moment per manifold factor (radam, the adaptive
+baseline of Becigneul & Ganea, ICLR 2019), or plain weight and location
+steps with the direction-wise scatter accumulator (dadam).  All k
+scatters take one step together: their momenta are (k, m, m) stacks,
+and one ``manifold.exp_sigma`` call retracts the whole stack, capping
+and halving each step as it needs.  Each thing is decided
 once: the samples are validated at the ``fit`` boundary and their
 covariance, which sets every direction's grid margin, is taken once per
 ``Dataset`` (``Dataset.covariance``), so the starts and fits of one data
@@ -41,10 +42,11 @@ from its record.
 The scatter momentum is kept as its Lyapunov image U = L_Sigma[u], the
 coordinates ``manifold.exp_sigma`` steps in: there vector transport is
 the identity and the Riemannian gradient's image is the Euclidean
-w p p', so vanilla and dadam steps make no Lyapunov solve and need no
-eigenbasis, and the retraction admits each step's scatters with one
-``eigvalsh``.  radam makes one solve, for its element-wise scaled ambient
-step.
+w p p'.  Both adaptive methods step by -alpha U / sqrt(S) with one scalar
+S per scatter (radam's per-factor second moment, dadam's p' v p), and a
+scalar scale commutes with the solve, so no step makes a Lyapunov solve
+or needs an eigenbasis, and the retraction admits each step's scatters
+with one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -88,15 +90,19 @@ class OptimizerConfig:
     em_tol: float = 1e-8  # EM stops once its NLL moves by less than this
 
     def __post_init__(self):
+        # refuses what no fit runs with, a record's config as well
         if self.method not in METHODS:
             raise MismatchError(f"unknown method {self.method!r}")
-        if not self.alpha >= 0.0:
-            raise MismatchError("alpha must be nonnegative")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise MismatchError(f"{name} must lie in [0, 1)")
-        if self.max_iters < 1:
-            raise MismatchError("max_iters must be at least 1")
+        for name, hi in (("alpha", math.inf), ("beta1", 1.0), ("beta2", 1.0), ("em_tol", math.inf)):
+            value = getattr(self, name)
+            real = not isinstance(value, bool) and isinstance(value, (float, int, np.floating, np.integer))
+            if not (real and 0.0 <= value < hi):  # NaN fails too
+                raise MismatchError(f"{name} must be a number in [0, {hi:g}), got {value!r}")
+        for name, lo in (("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+                raise MismatchError(f"{name} must be an integer of at least {lo}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a record stays JSON
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,54 +184,48 @@ class FitReport:
         }
 
 
-class _VectorAdamState:
-    """Element-wise adaptive moments with the running max of the second."""
+class _FactorMoments:
+    """Riemannian AMSGrad moments of the weight sphere, one factor, or of
+    the k locations, the rows of a (k, m) stack: each factor's first moment
+    and the running max vhat of one scalar second moment, the decayed mean
+    of its squared gradient norm, which no change of coordinates moves."""
 
-    def __init__(self, shape):
+    def __init__(self, shape: tuple):
         self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.vhat = np.zeros(shape)
+        self.v = np.zeros(shape[:-1])
+        self.vhat = np.zeros(shape[:-1])
 
-    def update(self, grad, carried, beta1: float, beta2: float):
-        """Blend the carried first moment with grad; return (m, denominator)."""
+    def step(self, grad, carried, beta1: float, beta2: float):
+        """Blend the carried first moment with grad; return m / sqrt(vhat)."""
         self.m = beta1 * carried + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad**2
+        self.v = beta2 * self.v + (1.0 - beta2) * (grad * grad).sum(axis=-1)
         self.vhat = np.maximum(self.vhat, self.v)
-        return self.m, np.sqrt(self.vhat + EPS_ADP)
+        return self.m / np.sqrt(self.vhat + EPS_ADP)[..., None]
 
 
 class _ScatterMoments:
     """The (k, m, m) scatter momenta, kept as their Lyapunov images U, and
-    their second moments: the running max of v entry by entry (radam,
-    (k, m, m)) or of the directional p' v p (dadam, (k,)).  ``step`` takes
-    U to beta1 U + (1 - beta1) w p p' and returns the Lyapunov image of the
-    step, which ``manifold.exp_sigma`` takes."""
+    the running max S of one second moment per scatter: for radam the
+    decayed mean v of w^2, the squared norm of the gradient image w p p';
+    for dadam p' v p, v the decayed mean of g g' = w^2 p p'.  ``step`` takes
+    U to beta1 U + (1 - beta1) w p p' and returns the step's image
+    -alpha U / sqrt(S), which ``manifold.exp_sigma`` takes."""
 
-    def __init__(self, k: int, m: int, elementwise: bool):
-        self.elementwise = elementwise
+    def __init__(self, k: int, m: int, directional: bool):
+        self.directional = directional
         self.u = np.zeros((k, m, m))
-        self.v = np.zeros((k, m, m))
-        self.second = np.zeros((k, m, m) if elementwise else k)
+        self.v = np.zeros((k, m, m) if directional else k)
+        self.second = np.zeros(k)
 
-    def step(self, point: PdPoint, grad, alpha: float, beta1: float, beta2: float):
+    def step(self, grad, alpha: float, beta1: float, beta2: float):
         # p p', formed once; g = w p p', and g g' = w^2 p p' for a unit p
         pp = grad.pp
-        g = grad.w_sigma[:, None, None] * pp
         self.u *= beta1
-        self.u += (1.0 - beta1) * g
-        if self.elementwise:
-            # the element-wise scaling acts on the ambient momentum
-            # U Sigma + Sigma U, whose step goes back through one solve; g
-            # is read here, after the momentum update, so it is not scaled
-            # in place above
-            self.v = beta2 * self.v + (1.0 - beta2) * g**2
-            self.second = np.maximum(self.second, self.v)
-            half = self.u @ point.sigma
-            ambient = half + np.swapaxes(half, 1, 2)
-            return manifold.lyapunov_solve(point, -alpha * ambient / np.sqrt(self.second + EPS_ADP))
+        self.u += (1.0 - beta1) * (grad.w_sigma[:, None, None] * pp)
+        w2 = (1.0 - beta2) * grad.w_sigma**2
         self.v *= beta2
-        self.v += ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * pp
-        self.second = np.maximum((self.v @ grad.p) @ grad.p, self.second)
+        self.v += w2[:, None, None] * pp if self.directional else w2
+        self.second = np.maximum((self.v @ grad.p) @ grad.p if self.directional else self.v, self.second)
         return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
 
 
@@ -243,9 +243,9 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
     mus = model0.mus.copy()
     points = PdPoint(model0.sigmas)
 
-    scatter = _ScatterMoments(k, m, elementwise=method == "radam")
-    pi_state = _VectorAdamState(k)
-    mu_state = _VectorAdamState((k, m))
+    scatter = _ScatterMoments(k, m, directional=method == "dadam")
+    pi_moments = _FactorMoments((k,))
+    mu_moments = _FactorMoments((k, m))
 
     report = FitReport._start(model0, cfg)
     events = report.events
@@ -277,12 +277,10 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
             # ---- weights on the sphere
             tangent = manifold.project_sphere_grad(sphere, grad.g_sqrtpi)
             if method == "radam":
-                carried = manifold.project_sphere_grad(sphere, pi_state.m)
-                moment, denom = pi_state.update(tangent, carried, beta1, beta2)
-                step = manifold.project_sphere_grad(sphere, moment / denom)
-            else:
-                step = tangent
-            s = manifold.exp_sphere(sphere, alpha * step).s
+                # carried by projection and scaled by a scalar, it stays tangent
+                carried = manifold.project_sphere_grad(sphere, pi_moments.m)
+                tangent = pi_moments.step(tangent, carried, beta1, beta2)
+            s = manifold.exp_sphere(sphere, alpha * tangent).s
             # renormalised whether or not a weight was floored
             low = s < SQRTPI_FLOOR
             if low.any():
@@ -292,18 +290,12 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
             sphere = SpherePoint._trusted(s / manifold._norm(s))
 
             # ---- locations in Euclidean space
-            if method == "radam":
-                moment, denom = mu_state.update(grad.g_mu, mu_state.m, beta1, beta2)
-                mus = mus - alpha * moment / denom
-            else:
-                mus = mus - alpha * grad.g_mu
+            g_mu = mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2) if method == "radam" else grad.g_mu
+            mus = mus - alpha * g_mu
 
             # ---- scatters on the PD manifold, all k in one step, along
             # Lyapunov images: the Riemannian gradient's is g_sigma
-            if method == "vanilla":
-                lyap = -alpha * grad.g_sigma
-            else:
-                lyap = scatter.step(points, grad, alpha, beta1, beta2)
+            lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, lyap)
             if halvings.any():
                 exhausted = halvings > manifold.PD_RETRIES
@@ -499,8 +491,11 @@ def initialize(data, k: int, family, strategy: str, rng: np.random.Generator) ->
     with fewer than k distinct rows leave no mass to draw from, data whose
     squared distances overflow leave no finite mass, data whose covariance
     trace is 0 leave the isotropic scatters singular, and data whose
-    covariance overflows leave them infinite; each raises ``MismatchError``.
+    covariance overflows leave them infinite; each raises ``MismatchError``,
+    as does a k that is not a positive integer.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise MismatchError(f"k must be a positive integer, got {k!r}")
     dataset = as_dataset(data, family.m)
     samples = dataset.samples
     n, m = samples.shape

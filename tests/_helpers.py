@@ -304,9 +304,11 @@ def ambient_step_fit(model0, data, cfg):
     """A Riemannian fit (vanilla, radam or dadam) whose scatters step as the
     engine stepped them with an ambient momentum: the gradient through
     ``riem_grad_sigma``, the momentum carried to each new point by
-    ``transport_sigma``, and each step solved for its Lyapunov image at the
-    point it leaves before the retraction.  Weights and locations move as in
-    ``optim``.  Returns (costs, final model)."""
+    ``transport_sigma``, scaled by one scalar per scatter (radam's running
+    max of the decayed mean of w^2, dadam's of p' v p), and each step solved
+    for its Lyapunov image at the point it leaves before the retraction.
+    Weights and locations move as in ``optim``.  Returns (costs, final
+    model)."""
     from emmfit import manifold as mf
     from emmfit.gradients import euclidean_grad
 
@@ -315,8 +317,8 @@ def ambient_step_fit(model0, data, cfg):
     k, m, method = model0.k, model0.m, cfg.method
     alpha, beta1, beta2 = cfg.alpha, cfg.beta1, cfg.beta2
     sphere, mus, point = mf.sphere_from_weights(model0.weights), model0.mus.copy(), mf.PdPoint(model0.sigmas)
-    pi_state, mu_state = optim._VectorAdamState(k), optim._VectorAdamState((k, m))
-    u, v, second = np.zeros((k, m, m)), np.zeros((k, m, m)), np.zeros((k, m, m) if method == "radam" else k)
+    pi_moments, mu_moments = optim._FactorMoments((k,)), optim._FactorMoments((k, m))
+    u, v, second = np.zeros((k, m, m)), np.zeros(k if method == "radam" else (k, m, m)), np.zeros(k)
     prev, model, costs = None, model0, []
     for _ in range(cfg.max_iters):
         p = tp.random_projections(m, 1, rng)[0]
@@ -327,11 +329,8 @@ def ambient_step_fit(model0, data, cfg):
 
         tangent = mf.project_sphere_grad(sphere, grad.g_sqrtpi)
         if method == "radam":
-            carried = mf.project_sphere_grad(sphere, pi_state.m)
-            moment, denom = pi_state.update(tangent, carried, beta1, beta2)
-            tangent = mf.project_sphere_grad(sphere, moment / denom)
-            moment, denom = mu_state.update(grad.g_mu, mu_state.m, beta1, beta2)
-            mus = mus - alpha * moment / denom
+            tangent = pi_moments.step(tangent, mf.project_sphere_grad(sphere, pi_moments.m), beta1, beta2)
+            mus = mus - alpha * mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2)
         else:
             mus = mus - alpha * grad.g_mu
         clamped = np.maximum(mf.exp_sphere(sphere, alpha * tangent).s, optim.SQRTPI_FLOOR)
@@ -344,14 +343,12 @@ def ambient_step_fit(model0, data, cfg):
             carried = np.zeros_like(u) if prev is None else mf.transport_sigma(prev, point.sigma, u)
             u, prev = beta1 * carried + (1.0 - beta1) * rgrad, point
             if method == "radam":
-                v = beta2 * v + (1.0 - beta2) * grad.g_sigma**2
+                v = beta2 * v + (1.0 - beta2) * grad.w_sigma**2
                 second = np.maximum(second, v)
-                step = -alpha * u / np.sqrt(second + optim.EPS_ADP)
-                step = 0.5 * (step + np.swapaxes(step, 1, 2))
             else:
                 v = beta2 * v + ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * np.outer(p, p)
                 second = np.maximum((v @ p) @ p, second)
-                step = -alpha * u / np.sqrt(second + optim.EPS_ADP)[:, None, None]
+            step = -alpha * u / np.sqrt(second + optim.EPS_ADP)[:, None, None]
         point, _ = mf.exp_sigma(point, mf.lyapunov_solve(point, step))
         model = mx.MixtureModel(model0.family, sphere.weights, mus, point)
     return np.array(costs), model

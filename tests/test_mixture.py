@@ -426,6 +426,16 @@ class TestGenerateSynthetic:
             mx.generate_synthetic(2, 2, 10, 0.5, 10.0, rng)
 
     @pytest.mark.parametrize(
+        "eccentricity, separation",
+        [(np.nan, 3.0), (np.inf, 3.0), (4.0, np.nan), (4.0, np.inf), (4.0, -np.inf), (-np.inf, 3.0)],
+    )
+    def test_non_finite_shape_arguments(self, eccentricity, separation):
+        # unrefused, each would overflow, warn, or retry the mean placement
+        # until it gives up
+        with pytest.raises(GenerationError, match="need finite eccentricity"):
+            mx.generate_synthetic(2, 3, 10, eccentricity, separation, np.random.default_rng(14))
+
+    @pytest.mark.parametrize(
         "sizes",
         [
             (2, 3, 2.5),

@@ -4,12 +4,16 @@
 
 Run from the root of a checkout.  For each workload, ``bench/harness.py``'s
 ``set_up`` builds the datasets and starting models from the seed, and each
-case is fitted once with its own config.  One line is printed per digest:
+case is fitted once with its own config.  The workloads run dadam and EM
+only, so the first case of each dadam workload is also fitted by vanilla
+and by radam, its config otherwise unchanged.  One line is printed per
+digest:
 
     <workload> setup                 <digest of every case's samples and start>
     <workload> case <c> model        <digest of the final weights, locations, scatters>
     <workload> case <c> costs        <digest of the cost trace>
     <workload> case <c> record       <digest of the health traces and events>
+    <workload> case 0 <method> ...   <the same three of case 0 fitted by vanilla, radam>
 
 Two checkouts that print the same lines for a seed set up and fit that
 seed's workloads to the same bits.  The script only reads ``bench/``; like
@@ -19,6 +23,7 @@ seed's workloads to the same bits.  The script only reads ``bench/``; like
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -36,8 +41,21 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def fit_digests(optim, label: str, case, cfg) -> list[tuple[str, str]]:
+    """(label, digest) pairs of the fit of one case by cfg."""
+    report = optim.fit(case.model0, case.data, cfg)
+    final = report.final_model
+    notes = "\n".join([*report.events, str(report.failure_reason)]).encode()
+    return [
+        (f"{label} model", digest(final.weights, final.mus, final.sigmas)),
+        (f"{label} costs", digest(report.costs)),
+        (f"{label} record", digest(report.weight_gap, report.min_eig_ratio, notes)),
+    ]
+
+
 def workload_digests(harness, optim, name: str, seed: int) -> list[tuple[str, str]]:
-    """(label, digest) pairs of one workload's set-up and of each case's fit."""
+    """(label, digest) pairs of one workload's set-up, of each case's fit and,
+    for a dadam workload, of its first case fitted by vanilla and radam."""
     cases = harness.set_up(harness.WORKLOADS[name], seed)
     setup = []
     for case in cases:
@@ -45,12 +63,11 @@ def workload_digests(harness, optim, name: str, seed: int) -> list[tuple[str, st
         setup += [case.data.samples, start.weights, start.mus, start.sigmas]
     lines = [("setup", digest(*setup))]
     for c, case in enumerate(cases):
-        report = optim.fit(case.model0, case.data, case.cfg)
-        final = report.final_model
-        lines.append((f"case {c} model", digest(final.weights, final.mus, final.sigmas)))
-        lines.append((f"case {c} costs", digest(report.costs)))
-        notes = "\n".join([*report.events, str(report.failure_reason)]).encode()
-        lines.append((f"case {c} record", digest(report.weight_gap, report.min_eig_ratio, notes)))
+        lines += fit_digests(optim, f"case {c}", case, case.cfg)
+    if cases[0].cfg.method == "dadam":
+        for method in ("vanilla", "radam"):
+            cfg = dataclasses.replace(cases[0].cfg, method=method)
+            lines += fit_digests(optim, f"case 0 {method}", cases[0], cfg)
     return lines
 
 
