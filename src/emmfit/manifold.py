@@ -82,9 +82,9 @@ class PdPoint:
     its result with ``_admitted`` from the ascending eigenvalues lam that
     admitted it.  Either way a PdPoint is an admitted point:
     ``MixtureModel`` takes one in place of a scatter stack without deciding
-    positive definiteness again.  lam (``eigvalsh``), the traces
-    (``trace``) and the eigenbasis q (``eigh``) are computed on first use
-    where they were not handed over, and kept."""
+    positive definiteness again.  lam (``eigvalsh``) and the traces
+    (``trace``) are computed on first use where they were not handed over,
+    the eigenbasis q (``eigh``) on first use; each is kept."""
 
     sigma: np.ndarray
 
@@ -92,13 +92,11 @@ class PdPoint:
         self.__dict__["sigma"] = check_spd(self.sigma)
 
     @classmethod
-    def _admitted(cls, sigma, lam, q=None, trace=None) -> "PdPoint":
-        """A point from the eigenvalues lam (and eigenbasis q and traces,
-        if known) that admitted sigma, unchecked."""
+    def _admitted(cls, sigma, lam, trace=None) -> "PdPoint":
+        """A point from the eigenvalues lam (and traces, if known) that
+        admitted sigma, unchecked."""
         point = object.__new__(cls)
         point.__dict__.update(sigma=sigma, lam=lam)
-        if q is not None:
-            point.__dict__["q"] = q
         if trace is not None:
             point.__dict__["trace"] = trace
         return point
@@ -155,11 +153,12 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
 
     L is first scaled down to TRUST_CAP (see there; the quadratic is
     trustworthy only while |L| < 1).  Only an L whose Frobenius norm
-    exceeds CAP_PRETEST can reach the cap, so only those have their
-    eigenvalues read (``_trust_cap``).  One stacked ``eigvalsh`` of the
-    images is their PD-floor test, the same read ``check_spd`` makes, and
-    gives the new point its lam and, with their traces, the health record
-    its ratio; the eigenbasis is left to first use.  An image below the
+    exceeds CAP_PRETEST can reach the cap, so the images' eigenvalues are
+    read (``_trust_cap``) only in a step where one does.  One stacked
+    ``eigvalsh`` of the images is their PD-floor test, the same read
+    ``check_spd`` makes, and gives the new point its lam and, with their
+    traces, the health record its ratio; the eigenbasis is left to first
+    use.  An image below the
     floor is retried with L halved, at most PD_RETRIES times; a matrix that
     never passes keeps its input value.  Halving never makes a non-finite
     L finite, so a matrix with one keeps its input value at once.
@@ -196,7 +195,7 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
             else:
                 stuck = None
         # rare (no step of the benchmark workloads takes it), so the cap
-        # takes the norms again, of the images with the stuck ones zeroed
+        # reads every image's eigenvalues, the stuck ones zeroed
         _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
     sig, lam = _retract(lyap, base)
@@ -239,16 +238,11 @@ def _retract(lyap: np.ndarray, base: np.ndarray):
 
 def _trust_cap(lyap: np.ndarray) -> None:
     """Scale each image of the (k, m, m) stack lyap, in place, so that its
-    largest |eigenvalue| is at most TRUST_CAP.
-
-    Images at or below CAP_PRETEST in Frobenius norm are left as they are:
-    for them the factor below is exactly 1.0, so skipping it keeps every bit.
-    """
-    near = np.flatnonzero(np.einsum("kij,kij->k", lyap, lyap) > CAP_PRETEST * CAP_PRETEST)
-    if near.size:
-        top = np.abs(np.linalg.eigvalsh(lyap[near])[:, [0, -1]]).max(axis=1)
-        # the factor is exactly 1.0 below the cap, and never divides by zero
-        lyap[near] *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
+    largest |eigenvalue| is at most TRUST_CAP: by exactly 1.0 below the cap,
+    so an image there keeps every bit."""
+    top = np.abs(np.linalg.eigvalsh(lyap)[:, [0, -1]]).max(axis=1)
+    # never divides by zero
+    lyap *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
 
 
 def exp_sphere(s: SpherePoint | np.ndarray, tangent: np.ndarray) -> SpherePoint:

@@ -32,13 +32,13 @@ NARROW_ROWS = 4
 class MixtureModel:
     """A k-component mixture sharing one elliptical family.
 
-    ``weights`` is a probability vector, ``mus`` is (k, m) and ``sigmas``
-    is (k, m, m) with every scatter matrix symmetric positive definite.
-    A raw ``sigmas`` array is checked by ``families.check_spd``; an admitted
-    ``manifold.PdPoint`` stack is taken as it is (its ``sigma`` becomes
-    ``sigmas``), because the check or retraction that admitted it already
-    decided it.
-    Weights and shapes are checked either way.
+    ``weights`` is a probability vector, ``mus`` is a finite (k, m) array
+    and ``sigmas`` is (k, m, m) with every scatter matrix symmetric
+    positive definite.  A raw ``sigmas`` array is checked by
+    ``families.check_spd``; an admitted ``manifold.PdPoint`` stack is taken
+    as it is (its ``sigma`` becomes ``sigmas``), because the check or
+    retraction that admitted it already decided it.  Weights, locations and
+    shapes are checked either way.
     """
 
     family: EllipticalFamily
@@ -57,6 +57,8 @@ class MixtureModel:
         k, m = w.size, self.family.m
         if mus.shape != (k, m) or sigmas.shape != (k, m, m):
             raise InvalidFamilyError(f"expected mus ({k},{m}) and sigmas ({k},{m},{m})")
+        if not np.isfinite(mus).all():
+            raise InvalidFamilyError("locations must be finite")
         if not admitted:
             families.check_spd(sigmas)
         # the frozen fields, set as object.__setattr__ would set them
@@ -140,8 +142,13 @@ class MixtureModel:
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at each row of x: the max-shifted log-sum-exp of
-        ``component_logpdf(x)`` over the k components."""
-        return logsumexp_columns(self.component_logpdf(x))
+        ``component_logpdf(x)`` over the k components (``normalize_columns``,
+        on that fresh array).  A column of -inf gives -inf, one holding +inf
+        gives +inf and one holding NaN gives NaN, as
+        ``scipy.special.logsumexp`` does, without a floating-point warning."""
+        # the responsibilities of such a column are 0/0 or inf/inf; unread
+        with np.errstate(invalid="ignore"):
+            return normalize_columns(self.component_logpdf(x))
 
     def to_dict(self) -> dict:
         return {
@@ -308,31 +315,15 @@ class BlockBuffers:
         return self._scratch[: m * b].reshape(m, b), white, self._t[: k * b].reshape(k, b)
 
 
-def _column_shift(a: np.ndarray) -> np.ndarray:
-    top = a.max(axis=0)
-    return np.where(np.isfinite(top), top, 0.0)
-
-
-def logsumexp_columns(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=0)), each column shifted by its largest entry.
-
-    A column of -inf gives -inf, one holding +inf gives +inf and one
-    holding NaN gives NaN, as ``scipy.special.logsumexp`` does, without a
-    floating-point warning.
-    """
-    shift = _column_shift(a)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - shift).sum(axis=0)) + shift
-
-
 def normalize_columns(a: np.ndarray) -> np.ndarray:
     """Overwrite a with exp(a) / sum(exp(a), axis=0) and return the
-    log-sum-exp of its columns, bit for bit ``logsumexp_columns(a)``.
+    log-sum-exp of its columns, each shifted by its largest finite entry.
 
     One ``exp`` pass serves both: the shifted exponentials are written
     over a, summed for the log-sum-exp, and divided by their column sums.
     """
-    shift = _column_shift(a)
+    top = a.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
     np.exp(np.subtract(a, shift, out=a), out=a)
     sums = a.sum(axis=0)
     a /= sums

@@ -19,21 +19,22 @@ retraction admitted, so no scatter is checked again inside the loop.
 Validation stays where data and models enter (``fit``, the public
 constructors, ``families.check_spd``); inside the loop a step trusts what
 it built.  A sphere point just divided by its own norm is not checked for
-unit norm again, the gradient triple skips its dataclass ``__init__``, the
+unit norm again, the gradient triple is a plain named tuple, the
 scatter moments update in place with p p' formed once, the health record
 reads the eigenvalues and traces the retraction took, and events are
 looked for only in a step where one occurred.  A fit ends, ``failed``, at
 the first iteration whose projection fails, whose cost or gradient triple
-is not finite (before it steps) or whose retraction leaves a scatter on
-the PD floor after every halving.  Both engines write one record,
-``FitReport``: it allocates the traces, writes each iteration's cost and
-health, and names the failure that ended the fit.  An EM baseline covers
+is not finite (before it steps), whose step leaves a weight or location
+that is not finite (with the model it started from) or whose retraction
+leaves a scatter on the PD floor after every halving.  Both engines write
+one record, ``FitReport``: it allocates the traces, writes each
+iteration's cost and health, and names the failure that ended the fit.  An EM baseline covers
 the Gaussian family: each iteration is one pass over a centred copy of
 the samples in cache-sized column blocks, running the density kernel of
 ``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
-coordinates per block, and each iterate is built from the eigenvalue
-floor's admitted (lam, q); it ends, ``failed``, at the first non-finite
-NLL, with the last model it reached.  A fit depends on its start, its
+coordinates per block, and each iterate is rebuilt from the eigenvalue
+floor's (lam, q) and admitted with its lam; it ends, ``failed``, at the
+first non-finite NLL, with the last model it reached.  A fit depends on its start, its
 data and the seven settings of ``OptimizerConfig`` and nothing else: each
 engine draws from ``np.random.default_rng(cfg.seed)``, so
 ``fit(model0, data, OptimizerConfig(**report.config))`` rebuilds a fit
@@ -274,13 +275,25 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
         # after a failure there is nothing to step along: the fit ends at
         # this iteration, with the model it started from
         if not report.failed:
-            # ---- weights on the sphere
+            # ---- weights on the sphere, locations in Euclidean space, and
+            # all k scatters in one step along Lyapunov images: the
+            # Riemannian gradient's is g_sigma
             tangent = manifold.project_sphere_grad(sphere, grad.g_sqrtpi)
             if method == "radam":
                 # carried by projection and scaled by a scalar, it stays tangent
                 carried = manifold.project_sphere_grad(sphere, pi_moments.m)
                 tangent = pi_moments.step(tangent, carried, beta1, beta2)
-            s = manifold.exp_sphere(sphere, alpha * tangent).s
+            g_mu = mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2) if method == "radam" else grad.g_mu
+            # a step too long for the float range leaves a weight or location
+            # non-finite, which ends the fit here, with the model this
+            # iteration started from; a non-finite image keeps its scatter
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = manifold.exp_sphere(sphere, alpha * tangent).s
+                mus = mus - alpha * g_mu
+                lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha, beta1, beta2)
+            if not (np.isfinite(s).all() and np.isfinite(mus).all()):
+                report.failure_reason = f"non-finite step at iteration {h}"
+        if not report.failed:
             # renormalised whether or not a weight was floored
             low = s < SQRTPI_FLOOR
             if low.any():
@@ -288,14 +301,6 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
                     events.append(f"iter {h}: weight floor for component {i}")
                 s = np.maximum(s, SQRTPI_FLOOR)
             sphere = SpherePoint._trusted(s / manifold._norm(s))
-
-            # ---- locations in Euclidean space
-            g_mu = mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2) if method == "radam" else grad.g_mu
-            mus = mus - alpha * g_mu
-
-            # ---- scatters on the PD manifold, all k in one step, along
-            # Lyapunov images: the Riemannian gradient's is g_sigma
-            lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha, beta1, beta2)
             points, halvings = manifold.exp_sigma(points, lyap)
             if halvings.any():
                 exhausted = halvings > manifold.PD_RETRIES
@@ -326,15 +331,6 @@ def fit(model0, data, cfg: OptimizerConfig) -> FitReport:
             f"{family.name} {family.params()} has no sliced-cost gradient for {cfg.method}"
         )
     return _fit_manifold(model0, data, cfg)
-
-
-def _is_gaussian(family) -> bool:
-    return (
-        isinstance(family, families.Kotz)
-        and family.a == 1.0
-        and family.s == 1.0
-        and family.b == 0.5
-    )
 
 
 def _covariance_trace(dataset) -> float:
@@ -377,13 +373,13 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     in W_i, not eps |W_i|: harmless for the Gaussian, whose log generator
     is linear in t, and with c the data mean it does not grow with a
     translation of the data.  One stacked ``eigh`` floors the eigenvalues
-    of all k scatters, and the next model is built from the admitted
-    (lam, q) with no further check; its smallest floored eigenvalue is also
-    the health record's.  A reseeded component takes an isotropic scatter.
+    of all k scatters, and the next model is rebuilt from them and
+    admitted with its floored lam, with no further check; its smallest
+    floored eigenvalue is also the health record's.  A reseeded component takes an isotropic scatter.
     Data whose covariance overflows are refused with ``MismatchError``.  A
     non-finite NLL ends the fit, ``failed``, with the model that gave it.
     """
-    if not _is_gaussian(model0.family):
+    if model0.family != families.gaussian(model0.m):
         raise MismatchError("the EM baseline supports the Gaussian family only")
     dataset = as_dataset(data, model0.m)
     samples = dataset.samples
@@ -455,14 +451,13 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         sigmas = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         sigmas[collapsed] = iso
         lam[collapsed] = iso[0, 0]
-        q[collapsed] = np.eye(m)
         # Admitted without check_spd.  Every floored eigenvalue is at least
         # 1e-6 D / m, D the data covariance trace, while PD_FLOOR asks for
         # 1e-10 tr(Sigma_i) / m; the rebuild q diag(lam) q^T moves the
         # eigenvalues by about m eps tr(Sigma_i).  So the rebuilt scatter
         # clears the PD floor unless its trace exceeds D about 1e4-fold, and
         # the final model below is still checked from plain arrays.
-        points = PdPoint._admitted(sigmas, lam, q)
+        points = PdPoint._admitted(sigmas, lam)
         model = MixtureModel(model0.family, weights, mus, points)
 
         report._record(h, nll, model, points, tic)

@@ -453,11 +453,8 @@ def project_components(family, weights, mus, sigmas, ctx: ProjectionContext) -> 
     prim = family.gen_primitive(edge_u)
     cells = prim[:, 1:] - prim[:, :-1]
     np.maximum(cells, 0.0, out=cells)
-    # Generator singularities (e.g. small-a Kotz at t=0) give non-finite
-    # edge nodes, which the gradient drops.
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        slope = family.gen_primitive_slope(edge_u)
-        slope_offset = slope * edge_u
+    slope = family.gen_primitive_slope(edge_u)
+    slope_offset = slope * edge_u
     masses = weights @ cells
     mass = float(masses.sum())
     if not (math.isfinite(mass) and mass > 1e-300):

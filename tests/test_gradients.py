@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _helpers import fd_gradient_errors, line_ctx, random_model_for_grad, stratified_target_ctx
+from _helpers import DENSITY_FAMILIES, fd_gradient_errors, line_ctx, random_model_for_grad, stratified_target_ctx
 from emmfit import families as fam
 from emmfit import gradients as gr
 from emmfit import manifold as mf
@@ -99,37 +99,26 @@ class TestFiniteDifferenceAgreement:
         self.check(fam.gaussian(5), 3, seeds=range(2), h=1e-6)
 
 
-class TestDroppedEdgeNode:
-    """A non-finite kernel value at a cell edge (a generator singularity,
-    e.g. small-a Kotz at t = 0) contributes nothing to the gradient."""
+# every family with a gradient, with the generators that are singular at
+# t = 0: Kotz with a < 1 and the hyperbolic a -> 0 branch with nu <= 0
+SLOPE_FAMILIES = {
+    **DENSITY_FAMILIES,
+    "kotz-a0.75": lambda m: fam.Kotz(m=m, a=0.75, b=0.5, s=1.0),
+    "kotz-a0.6": lambda m: fam.Kotz(m=m, a=0.6, b=1.0, s=1.5),
+    "hyperbolic-nu-0.5": lambda m: fam.Hyperbolic(m=m, v=2.0, a=0.0, lam=0.5),
+}
+# finite offsets from the origin, through the subnormals and the table's
+# last node, to the largest float
+FINITE_U = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5, 3.0, 1e4, 3e7, 1e8, 1e300, 1.7e308, np.finfo(float).max])
 
-    def cost_and_grad(self, model, ctx, monkeypatch, node, value):
-        real_slope = fam.EllipticalFamily.gen_primitive_slope
 
-        def slope(family, u):
-            out = real_slope(family, u)
-            if node is not None:
-                out[node] = value
-            return out
+class TestFiniteSlopes:
+    """The gradient screens no node: every family's primitive slope, and the
+    slope times the offset, are finite at every finite offset."""
 
-        monkeypatch.setattr(fam.EllipticalFamily, "gen_primitive_slope", slope)
-        projected = tp.project_model(model, ctx)
-        return tp.projected_w2(ctx, projected), gr.euclidean_grad(model, ctx, projected)
-
-    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
-    def test_matches_the_node_zeroed(self, bad, monkeypatch):
-        rng = np.random.default_rng(31)
-        model = random_model_for_grad(fam.gaussian(3), 3, rng)
-        ctx = stratified_target_ctx(unit([0.2, 0.9, -0.4]), rng)
-        _, plain = self.cost_and_grad(model, ctx, monkeypatch, None, None)
-        # the edge where component 1's kernel peaks, so the node matters
-        u = (tp.cell_edges(ctx.grid) - model.mus[1] @ ctx.p) / np.sqrt(ctx.p @ model.sigmas[1] @ ctx.p)
-        node = (1, int(np.argmin(np.abs(u))))
-        cost, grad = self.cost_and_grad(model, ctx, monkeypatch, node, bad)
-        cost0, grad0 = self.cost_and_grad(model, ctx, monkeypatch, node, 0.0)
-        assert np.isfinite(cost)
-        assert cost == cost0
-        assert grad0.w_sigma[1] != plain.w_sigma[1]
-        for got, want in ((grad.g_sqrtpi, grad0.g_sqrtpi), (grad.g_mu, grad0.g_mu), (grad.w_sigma, grad0.w_sigma)):
-            assert np.all(np.isfinite(got))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+    @pytest.mark.parametrize("m", (1, 2, 5))
+    @pytest.mark.parametrize("name", sorted(SLOPE_FAMILIES))
+    def test_slope_and_slope_offset_are_finite(self, name, m):
+        u = np.concatenate([-FINITE_U[::-1], FINITE_U])
+        slope = SLOPE_FAMILIES[name](m).gen_primitive_slope(u)
+        assert np.isfinite(slope).all() and np.isfinite(slope * u).all()

@@ -330,12 +330,18 @@ class TestTrustCapPretest:
         rng = np.random.default_rng(100 + m)
         images = scaled_images(m, rng)
         sigmas = np.stack([random_spd(m, rng) for _ in images])
-        new, new_halvings = mf.exp_sigma(sigmas, images)
-        monkeypatch.setattr(mf, "_trust_cap", trust_cap_always_eigvalsh)
-        old, old_halvings = mf.exp_sigma(sigmas, images)
-        assert new_halvings.tobytes() == old_halvings.tobytes()
-        for a, b in ((new.sigma, old.sigma), (new.lam, old.lam), (new.q, old.q)):
-            assert a.tobytes() == b.tobytes()
+        # the whole stack reaches the cap; the images below the pre-test
+        # alone skip it
+        below = np.linalg.norm(images, axis=(1, 2)) <= mf.CAP_PRETEST
+        cases = ((sigmas, images), (sigmas[below], images[below]))
+        new = [mf.exp_sigma(*case) for case in cases]
+        # a pre-test no norm passes: every step caps every image
+        monkeypatch.setattr(mf, "CAP_PRETEST", 0.0)
+        for (point, halvings), case in zip(new, cases):
+            old, old_halvings = mf.exp_sigma(*case)
+            assert halvings.tobytes() == old_halvings.tobytes()
+            for a, b in ((point.sigma, old.sigma), (point.lam, old.lam), (point.q, old.q)):
+                assert a.tobytes() == b.tobytes()
 
     def test_small_steps_read_no_eigenvalues(self, monkeypatch):
         # below the trust cap the only eigenvalues read are the admission's:

@@ -100,6 +100,15 @@ class TestPdf:
         with pytest.raises(InvalidFamilyError):
             mx.MixtureModel(fam.gaussian(2), weights, np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
 
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    @pytest.mark.parametrize("entry", ((0, 0), (1, 1)))
+    def test_non_finite_locations_are_refused(self, entry, bad):
+        mus = np.zeros((2, 2))
+        mus[entry] = bad
+        for sigmas in (np.stack([np.eye(2)] * 2), PdPoint(np.stack([np.eye(2)] * 2))):
+            with pytest.raises(InvalidFamilyError, match="locations must be finite"):
+                mx.MixtureModel(fam.gaussian(2), [0.5, 0.5], mus, sigmas)
+
 
 class TestAdmittedScatters:
     """A PdPoint stack was admitted when it was built, so the model
@@ -206,7 +215,7 @@ class TestComponentLogpdf:
         for points in (x, x[2000:], x[5]):
             got, want = model.component_logpdf(points), component_logpdf_strided(model, points)
             assert got.tobytes() == want.tobytes()
-            assert model.logpdf(points).tobytes() == mx.logsumexp_columns(want).tobytes()
+            assert model.logpdf(points).tobytes() == mx.normalize_columns(want).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 8, 16])
     def test_gaussian_matches_scipy(self, m):
@@ -229,9 +238,22 @@ class TestComponentLogpdf:
         st.integers(0, 7),
     )
     def test_logsumexp_matches_scipy(self, a, dead):
+        # logpdf's log-sum-exp over any component log densities, a column
+        # without mass included, and without a floating-point warning
         a = a.copy()
         a[:, dead % a.shape[1]] = -np.inf  # one column without any mass
-        np.testing.assert_allclose(mx.logsumexp_columns(a), logsumexp(a, axis=0), rtol=1e-14, atol=1e-14)
+        model = small_model(m=1, k=a.shape[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mx.MixtureModel, "component_logpdf", lambda self, x: a.copy())
+            got = model.logpdf(np.zeros((a.shape[1], 1)))
+        np.testing.assert_allclose(got, logsumexp(a, axis=0), rtol=1e-14, atol=1e-14)
+
+    def test_logpdf_of_columns_that_are_not_finite(self, monkeypatch):
+        # as scipy's logsumexp: no mass gives -inf, +inf gives +inf, NaN NaN
+        a = np.array([[-np.inf, np.inf, np.nan, 0.0], [-np.inf, 0.0, 0.0, 0.0]])
+        monkeypatch.setattr(mx.MixtureModel, "component_logpdf", lambda self, x: a.copy())
+        got = small_model(m=1, k=2).logpdf(np.zeros((4, 1)))
+        assert got.tobytes() == np.array([-np.inf, np.inf, np.nan, np.log(2.0)]).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -244,12 +266,12 @@ class TestComponentLogpdf:
     def test_normalize_columns_shares_the_logsumexp_exp(self, a):
         a = a.copy()
         a[0, np.all(np.isneginf(a), axis=0)] = 0.0  # every column keeps some mass
-        total = mx.logsumexp_columns(a)
         resp = a.copy()
-        assert mx.normalize_columns(resp).tobytes() == total.tobytes()
-        # the one exp is shared: resp is exactly the shifted exponentials over
-        # their column sums
-        shifted = np.exp(a - mx._column_shift(a))
+        total = mx.normalize_columns(resp)
+        # the one exp is shared: the log-sum-exp is the two-pass one, and resp
+        # is exactly the shifted exponentials over their column sums
+        shifted = np.exp(a - a.max(axis=0))
+        assert total.tobytes() == (np.log(shifted.sum(axis=0)) + a.max(axis=0)).tobytes()
         assert resp.tobytes() == (shifted / shifted.sum(axis=0)).tobytes()
         # against exp(a - total) the exponent's rounding shows: total is
         # rounded to half an ulp of |total| and a - total to half an ulp of

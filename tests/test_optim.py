@@ -26,6 +26,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,15 +184,14 @@ def test_em_eigen_work_per_iteration(case, monkeypatch):
 
 
 # (method, alpha, seed, iteration) of m = 8 fits that drive a scatter onto
-# the PD floor; the iteration is where the dadam fits raised
-# NotPositiveDefiniteError when each step's model re-decided the floor from
-# eigvalsh, and where the radam fits exhaust the PD safeguard
+# the PD floor; the iteration is where each fit exhausts the PD safeguard
 FLOOR_SITTING_FITS = [
     ("radam", 0.3, 1, 84),
     ("radam", 0.3, 2, 93),
     ("radam", 0.3, 3, 61),
-    ("dadam", 0.1, 1, 202),
-    ("dadam", 0.1, 2, 209),
+    ("dadam", 0.1, 1, 208),
+    ("dadam", 0.1, 2, 134),
+    ("dadam", 0.1, 3, 177),
 ]
 
 
@@ -222,14 +222,14 @@ def test_floor_sitting_fit_returns_models_that_validate(method, alpha, seed, rai
     # The retraction admits a scatter just above the PD floor by the
     # eigvalsh that check_spd reads too, bit for bit.  Every step's model,
     # and the final one, must pass check_spd from plain arrays.
-    # Each fit exhausts a scatter's PD safeguard well before max_iters, and
-    # must end at the first iteration that does.
+    # Each fit exhausts a scatter's PD safeguard at iteration raised_at, well
+    # before max_iters, and must end there.
     revalidate_iterates(monkeypatch)
     data, model0 = m8_case(seed)
     cfg = optim.OptimizerConfig(method=method, alpha=alpha, max_iters=10 * raised_at, seed=seed)
     report = optim.fit(model0, data, cfg)
     last = report.iterations
-    assert last < cfg.max_iters
+    assert last == raised_at
     assert report.failed
     assert report.failure_reason == f"pd safeguard exhausted at iteration {last}"
     exhausted = [e for e in report.events if "pd safeguard exhausted" in e]
@@ -282,7 +282,7 @@ def test_adaptive_steps_do_not_depend_on_coordinates(method):
         p = rng.normal(size=m)
         p /= np.linalg.norm(p)
         w, g_mu = rng.normal(size=k), rng.normal(size=(k, m))
-        grads = (EuclideanGrad._trusted(d, None, None, w) for d in (p, q @ p))
+        grads = (EuclideanGrad(d, None, None, w) for d in (p, q @ p))
         step, turned = (moments.step(grad, 0.1, 0.9, 0.999) for moments, grad in zip(scatter, grads))
         close(turned, q @ step @ q.T)
         close(scatter[1].second, scatter[0].second)
@@ -528,9 +528,13 @@ def test_projection_failure_stops_at_once(case, method):
 
 @pytest.mark.parametrize("method", ("vanilla", "radam", "dadam"))
 def test_non_finite_start_stops_at_once(case, method):
-    # NaN locations give NaN cell masses, which the projection refuses.
+    # A start with NaN locations is refused where it is built; one so far off
+    # the data that its projections put no mass on the grid ends the fit at
+    # its first iteration.
     data, model0 = case
-    lost = mx.MixtureModel(model0.family, model0.weights, np.full_like(model0.mus, np.nan), model0.sigmas)
+    with pytest.raises(InvalidFamilyError):
+        mx.MixtureModel(model0.family, model0.weights, np.full_like(model0.mus, np.nan), model0.sigmas)
+    lost = mx.MixtureModel(model0.family, model0.weights, model0.mus + 1e200, model0.sigmas)
     report = golden_fit(method, data, lost)
     assert report.failed
     assert report.iterations == 1
@@ -866,6 +870,56 @@ def test_non_finite_gradient_ends_the_fit_before_its_step(case, field, monkeypat
     report = golden_fit("dadam", data, model0)
     assert_ends_at(report, 3, "non-finite cost or gradient", before)
     assert np.isfinite(report.costs).all()
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_a_non_finite_slope_ends_the_fit(case, bad, monkeypatch):
+    # no gradient node is screened: a slope that is not finite at one cell
+    # edge of iteration 3 ends the fit there, before its step
+    data, model0 = case
+    before = first_iterations(model0, data, golden_config("dadam"), 3)
+    real_slope = fam.EllipticalFamily.gen_primitive_slope
+    calls = []
+
+    def bad_node_at_iteration_3(family, u):
+        out = real_slope(family, u)
+        calls.append(None)
+        if len(calls) == 3:
+            # the edge where component 1's kernel peaks, so the node matters
+            out[1, np.argmin(np.abs(u[1]))] = bad
+        return out
+
+    monkeypatch.setattr(fam.EllipticalFamily, "gen_primitive_slope", bad_node_at_iteration_3)
+    report = golden_fit("dadam", data, model0)
+    assert_ends_at(report, 3, "non-finite cost or gradient", before)
+    assert np.isfinite(report.costs).all()
+
+
+@pytest.mark.parametrize("method", ("vanilla", "radam", "dadam"))
+def test_a_step_past_the_float_range_ends_the_fit(case, method):
+    # alpha = 1e300 is a valid setting whose first weight step leaves the
+    # float range: the fit ends there with its start and no warning
+    data, model0 = case
+    cfg = dataclasses.replace(golden_config(method), alpha=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = optim.fit(model0, data, cfg)
+    assert_ends_at(report, 1, "non-finite step", (model0, np.empty(0)))
+    assert np.isfinite(report.costs).all()
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_a_scatter_step_past_the_float_range_keeps_the_scatter(case):
+    # one component has no weight step; dadam's scatter image overflows at
+    # alpha = 1e308, so the scatter stays where it was and the fit ends
+    data, _ = case
+    model0 = optim.initialize(data, 1, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(3))
+    cfg = dataclasses.replace(golden_config("dadam"), alpha=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = optim.fit(model0, data, cfg)
+    assert report.failure_reason == "pd safeguard exhausted at iteration 1"
+    assert report.final_model.sigmas.tobytes() == model0.sigmas.tobytes()
 
 
 @pytest.mark.parametrize("h", (1, 3))
