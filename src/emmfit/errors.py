@@ -31,7 +31,7 @@ class UndefinedSecondMomentError(EmmfitError):
 
 
 class StepTooLargeError(EmmfitError):
-    """A retraction left the positive definite cone even after flooring."""
+    """A scatter step cannot be retracted: its Lyapunov image is not finite."""
 
 
 class DegenerateGridError(EmmfitError):

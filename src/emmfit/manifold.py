@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import StepTooLargeError
 from .families import above_pd_floor, check_spd
 
 # Halvings of a scatter step tried before the scatter is left where it was.
@@ -158,19 +159,19 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     ``eigvalsh`` of the images is their PD-floor test, the same read
     ``check_spd`` makes, and gives the new point its lam and, with their
     traces, the health record its ratio; the eigenbasis is left to first
-    use.  An image below the
-    floor is retried with L halved, at most PD_RETRIES times; a matrix that
-    never passes keeps its input value.  Halving never makes a non-finite
-    L finite, so a matrix with one keeps its input value at once.
+    use.  An image below the floor is retried with L halved, at most
+    PD_RETRIES times; a matrix that never passes keeps its input value.
 
     The step trusts what it is given and what it builds.  One pass takes
-    the squared Frobenius norms of the images.  When all are finite and at
-    most CAP_PRETEST^2 (the usual step), no image is stuck or near the cap,
-    so lyap is neither scanned entry by entry, nor copied, nor capped.
-    Otherwise it is copied before anything writes into it: the caller's
-    lyap is never written.  A norm that overflows from finite entries is
-    not a stuck image; the entry scan, run only when a norm is not finite,
-    tells the two apart.
+    the squared Frobenius norms of the images.  When all are at most
+    CAP_PRETEST^2 (the usual step), no image is near the cap, so lyap is
+    neither scanned entry by entry, nor copied, nor capped.  Otherwise it
+    is copied before the cap writes into it: the caller's lyap is never
+    written.  A norm that is not finite sends the images to an entry scan,
+    which refuses one that is not finite with ``StepTooLargeError`` before
+    any retraction: halving never makes it finite, and a fit step ends
+    before handing one over.  A norm that overflows from finite entries is
+    capped like any other.
 
     Returns (point, halvings): the halvings each matrix took, an int for
     one matrix and a (k,) array for a stack; PD_RETRIES + 1 marks a matrix
@@ -182,33 +183,21 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     lyap = np.asarray(lyap, dtype=float).reshape(-1, m, m)
     halvings = np.zeros(lyap.shape[0], dtype=int)
     sq = np.einsum("kij,kij->k", lyap, lyap)
-    # NaN compares false: a NaN or infinite norm takes the branch
-    stuck = None
+    # NaN compares false: a NaN or infinite norm takes both branches
     if not sq.max() <= CAP_PRETEST * CAP_PRETEST:
-        lyap = lyap.copy(order="K")
-        if not sq.max() < np.inf:
-            # a norm that is not finite may still come from finite entries
-            stuck = ~np.isfinite(lyap).all(axis=(1, 2))
-            if stuck.any():
-                lyap[stuck] = 0.0
-                halvings[stuck] = PD_RETRIES + 1
-            else:
-                stuck = None
+        if not sq.max() < np.inf and not np.isfinite(lyap).all():
+            raise StepTooLargeError("a scatter step's Lyapunov image is not finite")
         # rare (no step of the benchmark workloads takes it), so the cap
-        # reads every image's eigenvalues, the stuck ones zeroed
+        # reads every image's eigenvalues
+        lyap = lyap.copy(order="K")
         _trust_cap(lyap)
     base = point.sigma.reshape(-1, m, m)
     sig, lam = _retract(lyap, base)
     trace = sig.trace(axis1=1, axis2=2)
     below = ~above_pd_floor(lam[:, 0], trace, m)
-    kept = below
-    if stuck is not None:
-        kept = below | stuck
-        below &= ~stuck
-    if kept.any():
-        # only the finite images below the floor are retried; one that
-        # never passes keeps its input value
-        sig[kept], lam[kept] = base[kept], point.lam.reshape(-1, m)[kept]
+    if below.any():
+        # a matrix that never passes keeps its input value
+        sig[below], lam[below] = base[below], point.lam.reshape(-1, m)[below]
         todo = np.flatnonzero(below)
         # a copy: the halvings below write into the images they retry
         retried = lyap[todo]

@@ -24,13 +24,14 @@ scatter moments update in place with p p' formed once, the health record
 reads the eigenvalues and traces the retraction took, and events are
 looked for only in a step where one occurred.  A fit ends, ``failed``, at
 the first iteration whose projection fails, whose cost or gradient triple
-is not finite (before it steps), whose step leaves a weight or location
-that is not finite (with the model it started from) or whose retraction
-leaves a scatter on the PD floor after every halving.  Both engines write
-one record, ``FitReport``: it allocates the traces, writes each
-iteration's cost and health, and names the failure that ended the fit.  An EM baseline covers
-the Gaussian family: each iteration is one pass over a centred copy of
-the samples in cache-sized column blocks, running the density kernel of
+is not finite (before it steps), whose step leaves a weight, location or
+scatter image that is not finite (with the model it started from) or
+whose retraction leaves a scatter on the PD floor after every halving.
+Both engines write one record, ``FitReport``: it appends each iteration's
+cost and health as the iteration ends, and names the failure that ended
+the fit.  An EM baseline covers the Gaussian family: each iteration is
+one pass over a centred copy of the samples in cache-sized column
+blocks, running the density kernel of
 ``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
 coordinates per block, and each iterate is rebuilt from the eigenvalue
 floor's (lam, q) and admitted with its lam; it ends, ``failed``, at the
@@ -112,16 +113,14 @@ class OptimizerConfig:
 @dataclass
 class FitReport:
     """Per-iteration trace and the final model of one fitting run.  Both
-    engines write it: ``_start`` allocates the traces for ``max_iters``
-    iterations, ``_record`` writes one and ``_end`` cuts the traces to the
-    iterations that ran."""
+    engines write it: ``_record`` appends each iteration that ran to the
+    traces, and ``_end`` turns them into arrays."""
 
     method: str
     final_model: MixtureModel
-    costs: np.ndarray  # objective trace (sliced cost; NLL for EM)
-    wall_ms: np.ndarray
-    weight_gap: np.ndarray  # per-iteration |sum(pi) - 1|
-    min_eig_ratio: np.ndarray  # per-iteration min_i lambda_min / (tr/m)
+    costs: np.ndarray = field(default_factory=list)  # objective trace (sliced cost; NLL for EM)
+    wall_ms: np.ndarray = field(default_factory=list)
+    min_eig_ratio: np.ndarray = field(default_factory=list)  # per-iteration min_i lambda_min / (tr/m)
     events: list = field(default_factory=list)
     failure_reason: str | None = None  # the failure that ended the fit
     seed: int | None = None
@@ -137,33 +136,22 @@ class FitReport:
 
     @classmethod
     def _start(cls, model0: MixtureModel, cfg: OptimizerConfig) -> "FitReport":
-        H = cfg.max_iters
-        return cls(
-            method=cfg.method,
-            final_model=model0,
-            costs=np.full(H, np.nan),
-            wall_ms=np.zeros(H),
-            weight_gap=np.zeros(H),
-            min_eig_ratio=np.zeros(H),
-            seed=cfg.seed,
-            config=cfg.to_dict(),
-        )
+        return cls(cfg.method, model0, seed=cfg.seed, config=cfg.to_dict())
 
-    def _record(self, h: int, cost: float, model: MixtureModel, points: PdPoint, tic: float) -> None:
-        """Write iteration h (from 1), which started at ``tic`` and left
-        ``model``, whose scatters are ``points``: their ascending eigenvalues
-        and traces are read from the point, which took them when it was
-        admitted (or takes them once, here)."""
-        self.costs[h - 1] = cost
-        self.weight_gap[h - 1] = abs(float(model.weights.sum()) - 1.0)
-        self.min_eig_ratio[h - 1] = (points.lam[:, 0] / (points.trace / model.m)).min()
-        self.wall_ms[h - 1] = 1e3 * (time.perf_counter() - tic)
+    def _record(self, cost: float, points: PdPoint, tic: float) -> None:
+        """Append an iteration that started at ``tic`` and left the scatters
+        ``points``: their ascending eigenvalues and traces are read from the
+        point, which took them when it was admitted (or takes them once,
+        here)."""
+        self.costs.append(cost)
+        self.min_eig_ratio.append((points.lam[:, 0] / (points.trace / points.sigma.shape[-1])).min())
+        self.wall_ms.append(1e3 * (time.perf_counter() - tic))
 
-    def _end(self, h: int, final_model: MixtureModel) -> "FitReport":
-        """Cut the traces to the h iterations that ran."""
+    def _end(self, final_model: MixtureModel) -> "FitReport":
+        """Turn the traces into arrays, one entry per iteration that ran."""
         self.final_model = final_model
-        for name in ("costs", "wall_ms", "weight_gap", "min_eig_ratio"):
-            setattr(self, name, getattr(self, name)[:h])
+        for name in ("costs", "wall_ms", "min_eig_ratio"):
+            setattr(self, name, np.array(getattr(self, name), dtype=float))
         return self
 
     def to_dict(self) -> dict:
@@ -284,14 +272,14 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
                 carried = manifold.project_sphere_grad(sphere, pi_moments.m)
                 tangent = pi_moments.step(tangent, carried, beta1, beta2)
             g_mu = mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2) if method == "radam" else grad.g_mu
-            # a step too long for the float range leaves a weight or location
-            # non-finite, which ends the fit here, with the model this
-            # iteration started from; a non-finite image keeps its scatter
+            # a step too long for the float range leaves a weight, location
+            # or scatter image non-finite, which ends the fit here, with the
+            # model this iteration started from
             with np.errstate(over="ignore", invalid="ignore"):
                 s = manifold.exp_sphere(sphere, alpha * tangent).s
                 mus = mus - alpha * g_mu
                 lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha, beta1, beta2)
-            if not (np.isfinite(s).all() and np.isfinite(mus).all()):
+            if not (np.isfinite(s).all() and np.isfinite(mus).all() and np.isfinite(lyap).all()):
                 report.failure_reason = f"non-finite step at iteration {h}"
         if not report.failed:
             # renormalised whether or not a weight was floored
@@ -314,10 +302,10 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
 
             current = MixtureModel(family, sphere.weights, mus, points)
 
-        report._record(h, cost, current, points, tic)
+        report._record(cost, points, tic)
         if report.failed:
             break
-    return report._end(h, current)
+    return report._end(current)
 
 
 def fit(model0, data, cfg: OptimizerConfig) -> FitReport:
@@ -427,7 +415,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         if not np.isfinite(nll):
             # no M-step from it: the fit ends here, with the last model
             report.failure_reason = f"non-finite NLL at iteration {h}"
-            report._record(h, nll, model, PdPoint(model.sigmas), tic)
+            report._record(nll, PdPoint(model.sigmas), tic)
             break
 
         # M-step from the whitened sums
@@ -460,13 +448,13 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         points = PdPoint._admitted(sigmas, lam)
         model = MixtureModel(model0.family, weights, mus, points)
 
-        report._record(h, nll, model, points, tic)
+        report._record(nll, points, tic)
         if abs(prev_nll - nll) < cfg.em_tol:
             break
         prev_nll = nll
 
     final = MixtureModel(model0.family, model.weights, model.mus, model.sigmas)
-    return report._end(h, final)
+    return report._end(final)
 
 
 def initialize(data, k: int, family, strategy: str, rng: np.random.Generator) -> MixtureModel:

@@ -290,16 +290,6 @@ def solve_matching_loop(cost, sq1, sq2):
     return best
 
 
-def trust_cap_always_eigvalsh(lyap):
-    """The trust cap without the Frobenius pre-test: the eigenvalues of every
-    image in the (k, m, m) stack lyap are read, and each image is scaled in
-    place by TRUST_CAP / max(largest |eigenvalue|, TRUST_CAP)."""
-    from emmfit import manifold as mf
-
-    top = np.abs(np.linalg.eigvalsh(lyap)[:, [0, -1]]).max(axis=1)
-    lyap *= (mf.TRUST_CAP / np.maximum(top, mf.TRUST_CAP))[:, None, None]
-
-
 def ambient_step_fit(model0, data, cfg):
     """A Riemannian fit (vanilla, radam or dadam) whose scatters step as the
     engine stepped them with an ambient momentum: the gradient through

@@ -100,7 +100,6 @@ def test_iterates_stay_on_simplex_and_pd(case, method, monkeypatch):
         for sigma in model.sigmas:
             lam = np.linalg.eigvalsh(sigma)
             assert lam[0] > fam.PD_FLOOR * lam.sum() / model.m
-    assert np.all(report.weight_gap <= 1e-12)
     assert np.all(report.min_eig_ratio > 0.0)
 
 
@@ -455,6 +454,24 @@ def test_em_and_nll_hold_few_sample_sized_buffers():
     # and 1.63 units before the row of ones, plus 0.12 units (0.8 MB).
     assert peaks[0] < 1.7
     assert peaks[1] < 1.75
+
+
+def test_traces_grow_with_the_iterations_that_ran():
+    # an EM fit that converges long before max_iters holds its traces for
+    # the iterations it ran: at max_iters = 10**6, traces allocated up front
+    # would peak at about 31 MB
+    data = mx.generate_synthetic(2, 3, 1500, 4.0, 3.0, np.random.default_rng(21))
+    model0 = optim.initialize(data, 3, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(22))
+    cfg = optim.OptimizerConfig(method="em", em_tol=1e-8, max_iters=10**6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = optim.fit(model0, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.failed and report.iterations <= 100
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("method", ("dadam", "em"))
@@ -910,16 +927,18 @@ def test_a_step_past_the_float_range_ends_the_fit(case, method):
 
 
 def test_a_scatter_step_past_the_float_range_keeps_the_scatter(case):
-    # one component has no weight step; dadam's scatter image overflows at
-    # alpha = 1e308, so the scatter stays where it was and the fit ends
+    # one component has no weight step, and dadam's location step stays in
+    # range; its scatter image overflows at alpha = 1e308, which ends the fit
+    # there with its start, location and scatter alike, and no warning
     data, _ = case
     model0 = optim.initialize(data, 1, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(3))
     cfg = dataclasses.replace(golden_config("dadam"), alpha=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = optim.fit(model0, data, cfg)
-    assert report.failure_reason == "pd safeguard exhausted at iteration 1"
-    assert report.final_model.sigmas.tobytes() == model0.sigmas.tobytes()
+    assert_ends_at(report, 1, "non-finite step", (model0, np.empty(0)))
+    assert report.events == []
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("h", (1, 3))
@@ -960,7 +979,7 @@ def test_fit_is_rebuilt_from_its_record(method):
 @pytest.mark.parametrize("method", GOLDEN_METHODS)
 def test_record_traces_every_iteration(case, method):
     report = golden_fit(method, *case)
-    for trace in (report.costs, report.wall_ms, report.weight_gap, report.min_eig_ratio):
+    for trace in (report.costs, report.wall_ms, report.min_eig_ratio):
         assert trace.shape == (report.iterations,)
     final = report.final_model
     lam_min = np.linalg.eigh(final.sigmas)[0][:, 0]

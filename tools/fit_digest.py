@@ -12,7 +12,7 @@ digest:
     <workload> setup                 <digest of every case's samples and start>
     <workload> case <c> model        <digest of the final weights, locations, scatters>
     <workload> case <c> costs        <digest of the cost trace>
-    <workload> case <c> record       <digest of the health traces and events>
+    <workload> case <c> record       <digest of the min_eig_ratio trace, the events and the failure reason>
     <workload> case 0 <method> ...   <the same three of case 0 fitted by vanilla, radam>
 
 Two checkouts that print the same lines for a seed set up and fit that
@@ -49,7 +49,7 @@ def fit_digests(optim, label: str, case, cfg) -> list[tuple[str, str]]:
     return [
         (f"{label} model", digest(final.weights, final.mus, final.sigmas)),
         (f"{label} costs", digest(report.costs)),
-        (f"{label} record", digest(report.weight_gap, report.min_eig_ratio, notes)),
+        (f"{label} record", digest(report.min_eig_ratio, notes)),
     ]
 
 
