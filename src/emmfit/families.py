@@ -17,7 +17,7 @@ family reads it from a PCHIP table built on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -184,8 +184,16 @@ class EllipticalFamily:
     has_gradient = True
 
     def __post_init__(self):
-        if int(self.m) < 1:
-            raise InvalidFamilyError("dimension m must be a positive integer")
+        # kept as Python numbers, so a model's record is JSON and a family's
+        # constants are computed in double precision, whatever numpy scalar
+        # types went in; a bool is not taken as a number
+        for f in fields(self):
+            value, integer = getattr(self, f.name), f.name == "m"
+            kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, kinds) or (integer and value < 1):
+                what = "dimension m must be a positive integer" if integer else f"{f.name} must be a number"
+                raise InvalidFamilyError(f"{what}, got {value!r}")
+            object.__setattr__(self, f.name, int(value) if integer else float(value))
 
     def log_gen(self, t) -> np.ndarray:
         """log of the normalized generator c_m*g(t), elementwise in t >= 0.

@@ -1,6 +1,6 @@
 """Product-manifold operations for mixture parameters.
 
-The square roots of the weights live on the unit sphere, locations in
+The square roots of the weights are a plain unit vector, locations in
 Euclidean space, and scatter matrices on the positive definite manifold
 whose metric is the Hessian of the elliptical Wasserstein distance.  Its
 tangent algebra runs through the Lyapunov operator L_A[C] = B with
@@ -43,36 +43,15 @@ TRUST_CAP = 0.3
 CAP_PRETEST = (1.0 - 1e-6) * TRUST_CAP
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """Unit-norm vector of weight square roots."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        # compared so that a NaN norm fails
-        if not abs(np.linalg.norm(s) - 1.0) <= 1e-12:
-            raise ValueError("sphere point must have unit norm")
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def _trusted(cls, s: np.ndarray) -> "SpherePoint":
-        """A point from a float vector just divided by its own norm,
-        unchecked: the check would re-read that division."""
-        point = object.__new__(cls)
-        point.__dict__["s"] = s
-        return point
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.s * self.s
-
-
-def sphere_from_weights(pi) -> SpherePoint:
-    pi = np.asarray(pi, dtype=float)
-    s = np.sqrt(np.maximum(pi, 0.0))
-    return SpherePoint(s / np.linalg.norm(s))
+def sphere_from_weights(pi) -> np.ndarray:
+    """The unit vector of the weights' square roots, a negative weight taken
+    as 0; weights with no positive finite mass are refused (``ValueError``)."""
+    s = np.sqrt(np.maximum(np.asarray(pi, dtype=float), 0.0))
+    norm = np.linalg.norm(s)
+    # compared so that a NaN norm fails
+    if not 0.0 < norm < math.inf:
+        raise ValueError("weights need a positive finite mass")
+    return s / norm
 
 
 @dataclass(frozen=True)
@@ -234,18 +213,17 @@ def _trust_cap(lyap: np.ndarray) -> None:
     lyap *= (TRUST_CAP / np.maximum(top, TRUST_CAP))[:, None, None]
 
 
-def exp_sphere(s: SpherePoint | np.ndarray, tangent: np.ndarray) -> SpherePoint:
-    """Great-circle step cos(|t|) s - sin(|t|) t/|t| (descends along +t).
-
-    The result is divided by its own norm, so it is built trusted."""
-    vec = s.s if isinstance(s, SpherePoint) else np.asarray(s, dtype=float)
+def exp_sphere(s: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """Great-circle step cos(|t|) s - sin(|t|) t/|t| (descends along +t) from
+    the unit vector s, taken as given; the result is divided by its norm."""
+    s = np.asarray(s, dtype=float)
     tangent = np.asarray(tangent, dtype=float)
     norm = _norm(tangent)
     if norm < 1e-300:
-        return SpherePoint(vec.copy())
-    out = np.cos(norm) * vec - (np.sin(norm) / norm) * tangent
+        return s.copy()
+    out = np.cos(norm) * s - (np.sin(norm) / norm) * tangent
     out /= _norm(out)
-    return SpherePoint._trusted(out)
+    return out
 
 
 def _norm(x: np.ndarray) -> float:
@@ -255,11 +233,11 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def project_sphere_grad(s: SpherePoint | np.ndarray, egrad: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the sphere tangent space at s."""
-    vec = s.s if isinstance(s, SpherePoint) else np.asarray(s, dtype=float)
+def project_sphere_grad(s: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+    """Project a Euclidean gradient onto the sphere tangent space at unit s."""
+    s = np.asarray(s, dtype=float)
     egrad = np.asarray(egrad, dtype=float)
-    return egrad - float(vec @ egrad) * vec
+    return egrad - float(s @ egrad) * s
 
 
 def transport_sigma(from_point: PdPoint | np.ndarray, to_sigma, u: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ set share it; each step's model is built from the ``PdPoint`` the
 retraction admitted, so no scatter is checked again inside the loop.
 Validation stays where data and models enter (``fit``, the public
 constructors, ``families.check_spd``); inside the loop a step trusts what
-it built.  A sphere point just divided by its own norm is not checked for
-unit norm again, the gradient triple is a plain named tuple, the
-scatter moments update in place with p p' formed once, the health record
-reads the eigenvalues and traces the retraction took, and events are
-looked for only in a step where one occurred.  A fit ends, ``failed``, at
+it built.  The weight square roots are a plain unit vector divided by its
+own norm, the gradient triple is a plain named tuple, the scatter moments
+update in place with p p' formed once, the health record reads the
+eigenvalues and traces the retraction took, and events are looked for
+only in a step where one occurred.  A fit ends, ``failed``, at
 the first iteration whose projection fails, whose cost or gradient triple
 is not finite (before it steps), whose step leaves a weight, location or
 scatter image that is not finite (with the model it started from) or
@@ -36,7 +36,8 @@ blocks, running the density kernel of
 coordinates per block, and each iterate is rebuilt from the eigenvalue
 floor's (lam, q) and admitted with its lam; it ends, ``failed``, at the
 first non-finite NLL, with the last model it reached.  A fit depends on its start, its
-data and the seven settings of ``OptimizerConfig`` and nothing else: each
+data and the five settings of ``OptimizerConfig`` (the moment decays are
+the constants ``BETA1`` and ``BETA2``) and nothing else: each
 engine draws from ``np.random.default_rng(cfg.seed)``, so
 ``fit(model0, data, OptimizerConfig(**report.config))`` rebuilds a fit
 from its record.
@@ -62,7 +63,7 @@ import numpy as np
 from . import families, manifold, transport
 from .errors import EmmfitError, MismatchError, UnsupportedGradientError
 from .gradients import euclidean_grad
-from .manifold import PdPoint, SpherePoint
+from .manifold import PdPoint
 from .mixture import (
     BlockBuffers,
     MixtureModel,
@@ -73,6 +74,9 @@ from .mixture import (
 
 METHODS = ("vanilla", "radam", "dadam", "em")
 
+# First- and second-moment decays of the adaptive methods (radam, dadam).
+BETA1 = 0.9
+BETA2 = 0.999
 # Added under every adaptive square root.
 EPS_ADP = 1e-12
 # Floor on the weight square roots after a sphere step so weights stay positive.
@@ -81,12 +85,10 @@ SQRTPI_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The seven settings of one fit."""
+    """The five settings of one fit, stored as Python numbers: a record is JSON."""
 
     method: str = "dadam"  # one of METHODS
     alpha: float = 0.1  # stepsize
-    beta1: float = 0.9  # first-moment decay (radam, dadam)
-    beta2: float = 0.999  # second-moment decay (radam, dadam)
     max_iters: int = 2000
     seed: int = 0  # projection stream; EM's collapse reseeding
     em_tol: float = 1e-8  # EM stops once its NLL moves by less than this
@@ -95,16 +97,17 @@ class OptimizerConfig:
         # refuses what no fit runs with, a record's config as well
         if self.method not in METHODS:
             raise MismatchError(f"unknown method {self.method!r}")
-        for name, hi in (("alpha", math.inf), ("beta1", 1.0), ("beta2", 1.0), ("em_tol", math.inf)):
+        for name in ("alpha", "em_tol"):
             value = getattr(self, name)
             real = not isinstance(value, bool) and isinstance(value, (float, int, np.floating, np.integer))
-            if not (real and 0.0 <= value < hi):  # NaN fails too
-                raise MismatchError(f"{name} must be a number in [0, {hi:g}), got {value!r}")
+            if not (real and 0.0 <= value < math.inf):  # NaN fails too
+                raise MismatchError(f"{name} must be a finite nonnegative number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name, lo in (("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
                 raise MismatchError(f"{name} must be an integer of at least {lo}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a record stays JSON
+            object.__setattr__(self, name, int(value))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,17 +117,24 @@ class OptimizerConfig:
 class FitReport:
     """Per-iteration trace and the final model of one fitting run.  Both
     engines write it: ``_record`` appends each iteration that ran to the
-    traces, and ``_end`` turns them into arrays."""
+    traces, and ``_end`` turns them into arrays.  ``method`` and ``seed``
+    are read from ``config``, the one copy of the settings."""
 
-    method: str
     final_model: MixtureModel
     costs: np.ndarray = field(default_factory=list)  # objective trace (sliced cost; NLL for EM)
     wall_ms: np.ndarray = field(default_factory=list)
     min_eig_ratio: np.ndarray = field(default_factory=list)  # per-iteration min_i lambda_min / (tr/m)
     events: list = field(default_factory=list)
     failure_reason: str | None = None  # the failure that ended the fit
-    seed: int | None = None
     config: dict = field(default_factory=dict)
+
+    @property
+    def method(self) -> str:
+        return self.config["method"]
+
+    @property
+    def seed(self) -> int:
+        return self.config["seed"]
 
     @property
     def failed(self) -> bool:
@@ -136,7 +146,7 @@ class FitReport:
 
     @classmethod
     def _start(cls, model0: MixtureModel, cfg: OptimizerConfig) -> "FitReport":
-        return cls(cfg.method, model0, seed=cfg.seed, config=cfg.to_dict())
+        return cls(model0, config=cfg.to_dict())
 
     def _record(self, cost: float, points: PdPoint, tic: float) -> None:
         """Append an iteration that started at ``tic`` and left the scatters
@@ -184,10 +194,10 @@ class _FactorMoments:
         self.v = np.zeros(shape[:-1])
         self.vhat = np.zeros(shape[:-1])
 
-    def step(self, grad, carried, beta1: float, beta2: float):
+    def step(self, grad, carried):
         """Blend the carried first moment with grad; return m / sqrt(vhat)."""
-        self.m = beta1 * carried + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * (grad * grad).sum(axis=-1)
+        self.m = BETA1 * carried + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * (grad * grad).sum(axis=-1)
         self.vhat = np.maximum(self.vhat, self.v)
         return self.m / np.sqrt(self.vhat + EPS_ADP)[..., None]
 
@@ -197,7 +207,7 @@ class _ScatterMoments:
     the running max S of one second moment per scatter: for radam the
     decayed mean v of w^2, the squared norm of the gradient image w p p';
     for dadam p' v p, v the decayed mean of g g' = w^2 p p'.  ``step`` takes
-    U to beta1 U + (1 - beta1) w p p' and returns the step's image
+    U to BETA1 U + (1 - BETA1) w p p' and returns the step's image
     -alpha U / sqrt(S), which ``manifold.exp_sigma`` takes."""
 
     def __init__(self, k: int, m: int, directional: bool):
@@ -206,13 +216,13 @@ class _ScatterMoments:
         self.v = np.zeros((k, m, m) if directional else k)
         self.second = np.zeros(k)
 
-    def step(self, grad, alpha: float, beta1: float, beta2: float):
+    def step(self, grad, alpha: float):
         # p p', formed once; g = w p p', and g g' = w^2 p p' for a unit p
         pp = grad.pp
-        self.u *= beta1
-        self.u += (1.0 - beta1) * (grad.w_sigma[:, None, None] * pp)
-        w2 = (1.0 - beta2) * grad.w_sigma**2
-        self.v *= beta2
+        self.u *= BETA1
+        self.u += (1.0 - BETA1) * (grad.w_sigma[:, None, None] * pp)
+        w2 = (1.0 - BETA2) * grad.w_sigma**2
+        self.v *= BETA2
         self.v += w2[:, None, None] * pp if self.directional else w2
         self.second = np.maximum((self.v @ grad.p) @ grad.p if self.directional else self.v, self.second)
         return -alpha * self.u / np.sqrt(self.second + EPS_ADP)[:, None, None]
@@ -225,8 +235,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
     samples, cov = dataset.samples, dataset.covariance
     family = model0.family
     k, m = model0.k, model0.m
-    method = cfg.method
-    alpha, beta1, beta2 = cfg.alpha, cfg.beta1, cfg.beta2
+    method, alpha = cfg.method, cfg.alpha
 
     sphere = manifold.sphere_from_weights(model0.weights)
     mus = model0.mus.copy()
@@ -270,15 +279,15 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
             if method == "radam":
                 # carried by projection and scaled by a scalar, it stays tangent
                 carried = manifold.project_sphere_grad(sphere, pi_moments.m)
-                tangent = pi_moments.step(tangent, carried, beta1, beta2)
-            g_mu = mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2) if method == "radam" else grad.g_mu
+                tangent = pi_moments.step(tangent, carried)
+            g_mu = mu_moments.step(grad.g_mu, mu_moments.m) if method == "radam" else grad.g_mu
             # a step too long for the float range leaves a weight, location
             # or scatter image non-finite, which ends the fit here, with the
             # model this iteration started from
             with np.errstate(over="ignore", invalid="ignore"):
-                s = manifold.exp_sphere(sphere, alpha * tangent).s
+                s = manifold.exp_sphere(sphere, alpha * tangent)
                 mus = mus - alpha * g_mu
-                lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha, beta1, beta2)
+                lyap = -alpha * grad.g_sigma if method == "vanilla" else scatter.step(grad, alpha)
             if not (np.isfinite(s).all() and np.isfinite(mus).all() and np.isfinite(lyap).all()):
                 report.failure_reason = f"non-finite step at iteration {h}"
         if not report.failed:
@@ -288,7 +297,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
                 for i in np.flatnonzero(low):
                     events.append(f"iter {h}: weight floor for component {i}")
                 s = np.maximum(s, SQRTPI_FLOOR)
-            sphere = SpherePoint._trusted(s / manifold._norm(s))
+            sphere = s / manifold._norm(s)
             points, halvings = manifold.exp_sigma(points, lyap)
             if halvings.any():
                 exhausted = halvings > manifold.PD_RETRIES
@@ -300,7 +309,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
                     events.append(f"iter {h}: pd safeguard exhausted for component {i}")
                     report.failure_reason = f"pd safeguard exhausted at iteration {h}"
 
-            current = MixtureModel(family, sphere.weights, mus, points)
+            current = MixtureModel(family, sphere * sphere, mus, points)
 
         report._record(cost, points, tic)
         if report.failed:

@@ -94,10 +94,10 @@ def w2_elliptical(
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A bijective component matching with its objective decomposition."""
+    """A bijective component matching and the arccos summand of its
+    objective, whose full value ``d_u`` returns beside it."""
 
     permutation: np.ndarray  # component i of the first mixture -> permutation[i]
-    cost: float  # full objective value at this matching
     probability_term: float  # the arccos summand
 
     def __post_init__(self):
@@ -240,7 +240,7 @@ def d_u(
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.size)
         perm = inverse
-    return value, TransportPlan(perm, value, angle)
+    return value, TransportPlan(perm, angle)
 
 
 def _check_unit(p: np.ndarray) -> None:

@@ -305,7 +305,7 @@ def ambient_step_fit(model0, data, cfg):
     rng = np.random.default_rng(cfg.seed)
     dataset = mx.as_dataset(data, model0.m)
     k, m, method = model0.k, model0.m, cfg.method
-    alpha, beta1, beta2 = cfg.alpha, cfg.beta1, cfg.beta2
+    alpha, beta1, beta2 = cfg.alpha, optim.BETA1, optim.BETA2
     sphere, mus, point = mf.sphere_from_weights(model0.weights), model0.mus.copy(), mf.PdPoint(model0.sigmas)
     pi_moments, mu_moments = optim._FactorMoments((k,)), optim._FactorMoments((k, m))
     u, v, second = np.zeros((k, m, m)), np.zeros(k if method == "radam" else (k, m, m)), np.zeros(k)
@@ -319,12 +319,12 @@ def ambient_step_fit(model0, data, cfg):
 
         tangent = mf.project_sphere_grad(sphere, grad.g_sqrtpi)
         if method == "radam":
-            tangent = pi_moments.step(tangent, mf.project_sphere_grad(sphere, pi_moments.m), beta1, beta2)
-            mus = mus - alpha * mu_moments.step(grad.g_mu, mu_moments.m, beta1, beta2)
+            tangent = pi_moments.step(tangent, mf.project_sphere_grad(sphere, pi_moments.m))
+            mus = mus - alpha * mu_moments.step(grad.g_mu, mu_moments.m)
         else:
             mus = mus - alpha * grad.g_mu
-        clamped = np.maximum(mf.exp_sphere(sphere, alpha * tangent).s, optim.SQRTPI_FLOOR)
-        sphere = mf.SpherePoint(clamped / np.linalg.norm(clamped))
+        clamped = np.maximum(mf.exp_sphere(sphere, alpha * tangent), optim.SQRTPI_FLOOR)
+        sphere = clamped / np.linalg.norm(clamped)
 
         rgrad = mf.riem_grad_sigma(point, grad.w_sigma, p)
         if method == "vanilla":
@@ -340,7 +340,7 @@ def ambient_step_fit(model0, data, cfg):
                 second = np.maximum((v @ p) @ p, second)
             step = -alpha * u / np.sqrt(second + optim.EPS_ADP)[:, None, None]
         point, _ = mf.exp_sigma(point, mf.lyapunov_solve(point, step))
-        model = mx.MixtureModel(model0.family, sphere.weights, mus, point)
+        model = mx.MixtureModel(model0.family, sphere * sphere, mus, point)
     return np.array(costs), model
 
 

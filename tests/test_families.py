@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import warnings
 
@@ -324,6 +325,28 @@ class TestNormalization:
             pdf[~np.isfinite(pdf)] = 0.0
             mass = area * np.trapezoid(pdf, r)
             assert mass == pytest.approx(1.0, abs=1e-3)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    # a model's record is JSON, and a family's constants are those of the
+    # Python-number family, bit for bit
+    assert type(fam.gaussian(np.int64(2)).m) is int
+    family = fam.PearsonVII(m=2, v=np.float32(3.0), s=np.float32(2.5))
+    assert type(family.v) is float and type(family.s) is float
+    assert family == fam.PearsonVII(m=2, v=3.0, s=2.5)
+    assert family._log_const == fam.PearsonVII(m=2, v=3.0, s=2.5)._log_const
+    for family in (fam.gaussian(np.int64(2)), fam.PearsonVII(m=np.int32(2), v=np.float32(3.0), s=np.float32(2.5))):
+        model = mx.MixtureModel(family, [0.5, 0.5], np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+        doc = json.loads(json.dumps(model.to_dict(), allow_nan=False))
+        assert mx.MixtureModel.from_dict(doc).family == family
+
+
+@pytest.mark.parametrize(
+    "kwargs", ({"m": True}, {"m": 2.0}, {"m": "2"}, {"m": 2, "v": True}, {"m": 2, "s": "2.5"}, {"m": 2, "v": None})
+)
+def test_a_family_refuses_bools_and_non_numbers(kwargs):
+    with pytest.raises(InvalidFamilyError):
+        fam.PearsonVII(**{"v": 3.0, "s": 2.5, **kwargs})
 
 
 def test_make_family_and_aliases():

@@ -58,7 +58,7 @@ class TestEuclideanGrad:
         s = np.sqrt(model.weights)
         radial = float(s @ grad.g_sqrtpi) / max(np.linalg.norm(grad.g_sqrtpi), 1e-30)
         assert abs(radial) < 1e-10
-        projected_grad = mf.project_sphere_grad(mf.SpherePoint(s), grad.g_sqrtpi)
+        projected_grad = mf.project_sphere_grad(s, grad.g_sqrtpi)
         assert abs(s @ projected_grad) < 1e-12
 
     def test_unsupported_family(self):
