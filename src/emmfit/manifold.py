@@ -215,8 +215,12 @@ def _trust_cap(lyap: np.ndarray) -> None:
 
 def exp_sphere(s: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Great-circle step cos(|t|) s - sin(|t|) t/|t| (descends along +t) from
-    the unit vector s, taken as given; the result is divided by its norm."""
+    the unit vector s; an s off the unit sphere is refused (``ValueError``).
+    The result is divided by its norm."""
     s = np.asarray(s, dtype=float)
+    # compared so that a NaN norm fails
+    if not abs(_norm(s) - 1.0) <= 1e-12:
+        raise ValueError("sphere point must have unit norm")
     tangent = np.asarray(tangent, dtype=float)
     norm = _norm(tangent)
     if norm < 1e-300:

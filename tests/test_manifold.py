@@ -367,6 +367,12 @@ class TestSphereFromWeights:
 
 
 class TestExpSphere:
+    @pytest.mark.parametrize("s", ([np.nan, np.nan], [1.0, np.nan], [2.0, 0.0]))
+    def test_a_point_off_the_sphere_is_refused(self, s):
+        for tangent in (np.zeros(2), np.array([0.0, 0.1])):
+            with pytest.raises(ValueError, match="unit norm"):
+                mf.exp_sphere(np.array(s), tangent)
+
     def test_zero_tangent(self):
         s = np.array([1.0, 0.0])
         out = mf.exp_sphere(s, np.zeros(2))
