@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule for every number a caller passes in."""
+
+import math
+from numbers import Integral, Real
 
 
 class EmmfitError(Exception):
@@ -39,8 +42,23 @@ class DegenerateGridError(EmmfitError):
 
 
 class GenerationError(EmmfitError):
-    """Synthetic dataset construction failed after bounded retries."""
+    """A sampling or synthetic dataset argument is refused, or construction failed after bounded retries."""
 
 
 class MismatchError(EmmfitError):
     """Operands disagree in dimension, component count, or family."""
+
+
+def _integer(value, name: str, error: type[EmmfitError], lo: int = 0) -> int:
+    """value, numpy's too, as an int; a bool, a non-integer or one below lo raises error."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+        raise error(f"{name} must be an integer of at least {lo}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, error: type[EmmfitError], lo: float = -math.inf) -> float:
+    """value, numpy's too, as a float; a bool, a non-number, a non-finite one or one below lo raises error."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and lo <= value and abs(value) < math.inf):
+        at_least = f" of at least {lo}" if lo > -math.inf else ""
+        raise error(f"{name} must be a finite number{at_least}, got {value!r}")
+    return float(value)

@@ -26,10 +26,13 @@ from scipy import special
 
 from .errors import (
     DensityUnavailableError,
+    GenerationError,
     InvalidFamilyError,
     NotPositiveDefiniteError,
     SupportError,
     UnsupportedGradientError,
+    _integer,
+    _real,
 )
 
 # Relative floor on the smallest eigenvalue of an admissible scatter matrix.
@@ -184,16 +187,9 @@ class EllipticalFamily:
     has_gradient = True
 
     def __post_init__(self):
-        # kept as Python numbers, so a model's record is JSON and a family's
-        # constants are computed in double precision, whatever numpy scalar
-        # types went in; a bool is not taken as a number
         for f in fields(self):
-            value, integer = getattr(self, f.name), f.name == "m"
-            kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-            if isinstance(value, bool) or not isinstance(value, kinds) or (integer and value < 1):
-                what = "dimension m must be a positive integer" if integer else f"{f.name} must be a number"
-                raise InvalidFamilyError(f"{what}, got {value!r}")
-            object.__setattr__(self, f.name, int(value) if integer else float(value))
+            rule, lo = (_integer, 1) if f.name == "m" else (_real, -math.inf)
+            object.__setattr__(self, f.name, rule(getattr(self, f.name), f.name, InvalidFamilyError, lo))
 
     def log_gen(self, t) -> np.ndarray:
         """log of the normalized generator c_m*g(t), elementwise in t >= 0.
@@ -568,10 +564,8 @@ class PearsonII(EllipticalFamily):
 def _positive_stable(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard positive stable draws, Laplace transform exp(-lambda^alpha).
 
-    Chambers-Mallows-Stuck / Kanter construction for alpha in (0, 1).
+    Chambers-Mallows-Stuck / Kanter construction for alpha in (0, 1), as AlphaStable ensures.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidFamilyError("positive stable index must lie in (0, 1)")
     u = rng.uniform(0.0, math.pi, size=n)
     w = rng.standard_exponential(size=n)
     a_u = (np.sin(alpha * u) ** alpha * np.sin((1.0 - alpha) * u) ** (1.0 - alpha) / np.sin(u)) ** (
@@ -663,7 +657,7 @@ def sample(component: EllipticalComponent, rng: np.random.Generator, n: int) -> 
     s is a standard normal row z over its length, whose square ``row_sums``
     takes in numpy's pairwise order over column views: the bits of
     ``np.linalg.norm(z, axis=1)``, without its inner loop per row."""
-    n = int(n)
+    n = _integer(n, "n", GenerationError)
     m = component.family.m
     if n == 0:
         return np.empty((0, m))

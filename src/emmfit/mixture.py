@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families
-from .errors import GenerationError, InvalidFamilyError, MismatchError
+from .errors import GenerationError, InvalidFamilyError, MismatchError, _integer, _real
 from .families import EllipticalComponent, EllipticalFamily
 from .manifold import PdPoint
 
@@ -163,7 +163,7 @@ class MixtureModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "MixtureModel":
-        family = families.make_family(doc["family"]["name"], int(doc["m"]), **doc["family"]["params"])
+        family = families.make_family(doc["family"]["name"], doc["m"], **doc["family"]["params"])
         return MixtureModel(family, np.array(doc["pi"]), np.array(doc["mu"]), np.array(doc["sigma"]))
 
     def save(self, path) -> None:
@@ -344,7 +344,7 @@ def nll(model: MixtureModel, data) -> float:
 
 def sample_mixture(model: MixtureModel, rng: np.random.Generator, n: int) -> Dataset:
     """Draw n samples: categorical component choice, then the elliptical law."""
-    return Dataset(_draw_rows(model, rng, n), truth=model)
+    return Dataset(_draw_rows(model, rng, _integer(n, "n", GenerationError)), truth=model)
 
 
 def _draw_rows(model: MixtureModel, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -352,7 +352,6 @@ def _draw_rows(model: MixtureModel, rng: np.random.Generator, n: int) -> np.ndar
     its labels name.  The scatter goes through a 1-D view whose items are
     whole rows, so it moves one item per index, not m doubles through 2-D
     fancy indexing: the same bytes."""
-    n = int(n)
     labels = rng.choice(model.k, size=n, p=model.weights)
     out = np.empty((n, model.m))
     row = np.dtype((np.void, out.itemsize * model.m))
@@ -389,13 +388,10 @@ def generate_synthetic(
     invariant, so the mixture is finally standardized to unit average
     variance per dimension; stepsize grids then carry across datasets.
     """
-    for name, size in (("m", m), ("k", k), ("n", n)):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise GenerationError(f"{name} must be an integer, got {size!r}")
-    if m < 1 or k < 1 or n < 1:
-        raise GenerationError("m, k, n must be positive")
-    if not (1.0 <= eccentricity < np.inf and 0.0 < separation < np.inf):  # NaN fails too
-        raise GenerationError(f"need finite eccentricity >= 1 and separation > 0, not {eccentricity}, {separation}")
+    m, k, n = (_integer(size, name, GenerationError, 1) for name, size in (("m", m), ("k", k), ("n", n)))
+    eccentricity = _real(eccentricity, "eccentricity", GenerationError, 1.0)
+    if _real(separation, "separation", GenerationError, 0.0) == 0.0:
+        raise GenerationError("separation must be positive, got 0.0")
     lam_lo, lam_hi = 1.0 / eccentricity, eccentricity
     sigmas = np.empty((k, m, m))
     for i in range(k):

@@ -61,7 +61,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import families, manifold, transport
-from .errors import EmmfitError, MismatchError, UnsupportedGradientError
+from .errors import EmmfitError, MismatchError, UnsupportedGradientError, _integer, _real
 from .gradients import euclidean_grad
 from .manifold import PdPoint
 from .mixture import (
@@ -97,17 +97,9 @@ class OptimizerConfig:
         # refuses what no fit runs with, a record's config as well
         if self.method not in METHODS:
             raise MismatchError(f"unknown method {self.method!r}")
-        for name in ("alpha", "em_tol"):
-            value = getattr(self, name)
-            real = not isinstance(value, bool) and isinstance(value, (float, int, np.floating, np.integer))
-            if not (real and 0.0 <= value < math.inf):  # NaN fails too
-                raise MismatchError(f"{name} must be a finite nonnegative number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name, lo in (("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-                raise MismatchError(f"{name} must be an integer of at least {lo}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, rule, lo in (("alpha", _real, 0.0), ("em_tol", _real, 0.0), ("max_iters", _integer, 1),
+                               ("seed", _integer, 0)):
+            object.__setattr__(self, name, rule(getattr(self, name), name, MismatchError, lo))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -486,8 +478,7 @@ def initialize(data, k: int, family, strategy: str, rng: np.random.Generator) ->
     covariance overflows leave them infinite; each raises ``MismatchError``,
     as does a k that is not a positive integer.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise MismatchError(f"k must be a positive integer, got {k!r}")
+    k = _integer(k, "k", MismatchError, 1)
     dataset = as_dataset(data, family.m)
     samples = dataset.samples
     n, m = samples.shape

@@ -716,7 +716,7 @@ def test_initialize_refuses_data_without_spread(rows, k, strategy):
 @pytest.mark.parametrize("k", (0, -1, 2.0, True, "2"))
 def test_initialize_refuses_a_k_that_is_not_a_positive_integer(case, k):
     data, _ = case
-    with pytest.raises(MismatchError, match="k must be a positive integer"):
+    with pytest.raises(MismatchError, match="k must be an integer of at least 1"):
         optim.initialize(data, k, fam.gaussian(2), "kmeanspp-lite", np.random.default_rng(0))
 
 
