@@ -668,7 +668,7 @@ def sample(component: EllipticalComponent, rng: np.random.Generator, n: int) -> 
 
 
 # Entries per block of ``row_sums``, so that a block's column passes read it
-# from cache.  On a 2-core Xeon (4 MiB L2 per core), one BLAS thread, a
+# from cache.  On a 2-core Xeon (2 MiB L2 per core), one BLAS thread, a
 # (50 000, 16) array took 1.1 ms in blocks of 2^16 entries, 2.6 ms in whole
 # columns and 1.4 ms in numpy's row loop; a (100 000, 2) one 0.16, 0.18 and
 # 2.0 ms.

@@ -280,9 +280,11 @@ def _biased_cov(samples: np.ndarray) -> np.ndarray:
 
 # Columns per block of the density kernel.  A block's whitened samples,
 # k * (m + 1) * BLOCK doubles, take 2.25 MiB at k = 4, m = 8 (the EM
-# benchmark shape), so the EM M-step sums read them from cache.  Timed on a
-# 2-core Xeon with 2 MiB of L2 per core, one BLAS thread, an EM benchmark
-# fit took 0.21 s at 8192 columns against 0.25 s at 4096 and 0.35 s at 16384.
+# benchmark shape), so the EM M-step sums read them from cache.  On a
+# 2-core Xeon with 2 MiB of L2 per core, one BLAS thread, the best EM
+# benchmark iterations took 5.83-5.96 ms at 8192 columns and 5.54-5.69 ms at
+# 4096, within noise of each other, against 5.97 ms at 2048 and 8.27 ms at
+# 16384.
 BLOCK = 8192
 
 

@@ -15,6 +15,7 @@ from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit.errors import (
     DensityUnavailableError,
+    GenerationError,
     InvalidFamilyError,
     NotPositiveDefiniteError,
     SupportError,
@@ -211,6 +212,12 @@ class TestComponentSampler:
         comp = fam.EllipticalComponent(np.zeros(3), np.eye(3), fam.laplace(3))
         assert fam.sample(comp, rng, 0).shape == (0, 3)
 
+    @pytest.mark.parametrize("n", (3.9, 3.0, True, -1, "3"))
+    def test_a_size_that_is_not_a_count_is_refused_not_truncated(self, n):
+        comp = fam.EllipticalComponent(np.zeros(2), np.eye(2), fam.gaussian(2))
+        with pytest.raises(GenerationError, match="n must be an integer of at least 0"):
+            fam.sample(comp, np.random.default_rng(6), n)
+
     def test_location_shift(self):
         rng = np.random.default_rng(7)
         comp = fam.EllipticalComponent([3.0, -1.0], np.diag([4.0, 1.0]), fam.gaussian(2))
@@ -342,11 +349,33 @@ def test_numpy_scalars_are_stored_as_python_numbers():
 
 
 @pytest.mark.parametrize(
-    "kwargs", ({"m": True}, {"m": 2.0}, {"m": "2"}, {"m": 2, "v": True}, {"m": 2, "s": "2.5"}, {"m": 2, "v": None})
+    "kwargs",
+    (
+        {"m": True}, {"m": 2.0}, {"m": "2"}, {"m": 2, "v": True}, {"m": 2, "s": "2.5"}, {"m": 2, "v": None},
+        {"m": 2, "v": math.nan}, {"m": 2, "v": math.inf},
+    ),
 )
 def test_a_family_refuses_bools_and_non_numbers(kwargs):
     with pytest.raises(InvalidFamilyError):
         fam.PearsonVII(**{"v": 3.0, "s": 2.5, **kwargs})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [
+        (fam.Kotz, {"b": math.inf}),
+        (fam.PearsonVII, {"v": math.inf, "s": 2.5}),
+        (fam.Hyperbolic, {"a": 1.0, "lam": math.nan}),
+        (fam.PearsonII, {"s": math.inf}),
+    ],
+)
+def test_a_family_refuses_non_finite_parameters(family, kwargs):
+    # each clears its family's range check; unrefused, it would carry a
+    # normalising constant of +inf, -inf, NaN and NaN, PearsonII's with a
+    # RuntimeWarning
+    with pytest.raises(InvalidFamilyError, match="must be a finite number"):
+        family(m=2, **kwargs)
 
 
 def test_make_family_and_aliases():

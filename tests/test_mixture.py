@@ -403,6 +403,19 @@ class TestSampleMixture:
         ) - np.outer(mean, mean)
         assert np.allclose(np.cov(data.samples.T, bias=True), expect, atol=0.05)
 
+    @pytest.mark.parametrize("n", (2.7, True, np.bool_(True)))
+    def test_a_size_that_is_not_an_integer_is_refused_not_truncated(self, n):
+        with pytest.raises(GenerationError, match="n must be an integer"):
+            mx.sample_mixture(small_model(), np.random.default_rng(6), n)
+
+    def test_a_negative_size_is_refused_with_the_library_error(self):
+        with pytest.raises(GenerationError, match="n must be an integer of at least 0, got -1"):
+            mx.sample_mixture(small_model(), np.random.default_rng(6), -1)
+
+    def test_no_rows_is_refused_by_the_dataset(self):
+        with pytest.raises(InvalidFamilyError, match="at least one sample row"):
+            mx.sample_mixture(small_model(), np.random.default_rng(6), np.int64(0))
+
 
 class TestGenerateSynthetic:
     def test_single_component(self):
@@ -680,6 +693,12 @@ class TestIO:
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.mus, model.mus)
         assert np.array_equal(back.sigmas, model.sigmas)
+
+    @pytest.mark.parametrize("m", (2.7, 2.0, "2", True))
+    def test_a_record_with_a_non_integer_m_is_refused_not_truncated(self, m):
+        doc = small_model(m=2, k=3).to_dict()
+        with pytest.raises(InvalidFamilyError, match="m must be an integer of at least 1"):
+            mx.MixtureModel.from_dict({**doc, "m": m})
 
     def test_dataset_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(16)
