@@ -57,8 +57,14 @@ def _integer(value, name: str, error: type[EmmfitError], lo: int = 0) -> int:
 
 
 def _real(value, name: str, error: type[EmmfitError], lo: float = -math.inf) -> float:
-    """value, numpy's too, as a float; a bool, a non-number, a non-finite one or one below lo raises error."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and lo <= value and abs(value) < math.inf):
+    """value, numpy's too, as a float; a bool, a non-number, a non-finite one, an int past the
+    float range or one below lo raises error."""
+    shown = None
+    try:
+        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:  # an int past the float range, whose digits may be too many to print
+        number, shown = math.nan, "a number past the float range"
+    if not (lo <= number and abs(number) < math.inf):
         at_least = f" of at least {lo}" if lo > -math.inf else ""
-        raise error(f"{name} must be a finite number{at_least}, got {value!r}")
-    return float(value)
+        raise error(f"{name} must be a finite number{at_least}, got {shown or repr(value)}")
+    return number

@@ -581,6 +581,7 @@ def gaussian(m: int) -> Kotz:
 
 def cauchy(m: int) -> PearsonVII:
     """The Cauchy member of the Pearson VII family."""
+    m = _integer(m, "m", InvalidFamilyError, 1)  # before s is computed from it
     return PearsonVII(m=m, v=1.0, s=(m + 1) / 2.0)
 
 

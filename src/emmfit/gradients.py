@@ -43,13 +43,9 @@ class EuclideanGrad(NamedTuple):
     w_sigma: np.ndarray  # (k,)
 
     @property
-    def pp(self) -> np.ndarray:
-        """p p', with the bits of ``np.outer(p, p)``."""
-        return self.p[:, None] * self.p
-
-    @property
     def g_sigma(self) -> np.ndarray:
-        return self.w_sigma[:, None, None] * self.pp
+        # p p' with the bits of np.outer(p, p), formed once
+        return self.w_sigma[:, None, None] * (self.p[:, None] * self.p)
 
 
 def euclidean_grad(model: MixtureModel, ctx: ProjectionContext, projected: ProjectedMixture) -> EuclideanGrad:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError
+from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError, _integer
 from .families import EllipticalComponent
 from .mixture import MixtureModel, as_dataset
 
@@ -512,7 +512,13 @@ def sliced_cost(model: MixtureModel, data, projections) -> float:
 
 
 def random_projections(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count unit vectors in R^m (deterministic given the generator state)."""
+    """count unit vectors in R^m (deterministic given the generator state);
+    an m below 1 or a count below 0 raises ``MismatchError``."""
+    return _draw_projections(_integer(m, "m", MismatchError, 1), _integer(count, "count", MismatchError), rng)
+
+
+def _draw_projections(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``random_projections`` on sizes it has checked, as each fit step draws."""
     p = rng.standard_normal((count, m))
     # the row norms np.linalg.norm(p, axis=1) takes, without its dispatch
     return p / np.sqrt(np.add.reduce(p * p, axis=1, keepdims=True))

@@ -294,9 +294,10 @@ def ambient_step_fit(model0, data, cfg):
     """A Riemannian fit (vanilla, radam or dadam) whose scatters step as the
     engine stepped them with an ambient momentum: the gradient through
     ``riem_grad_sigma``, the momentum carried to each new point by
-    ``transport_sigma``, scaled by one scalar per scatter (radam's running
-    max of the decayed mean of w^2, dadam's of p' v p), and each step solved
-    for its Lyapunov image at the point it leaves before the retraction.
+    ``transport_sigma``, scaled by one scalar per scatter (the running max
+    of the decayed mean of w^2, for radam and dadam alike), and each step
+    solved for its Lyapunov image at the point it leaves before the
+    retraction.
     Weights and locations move as in ``optim``.  Returns (costs, final
     model)."""
     from emmfit import manifold as mf
@@ -308,7 +309,7 @@ def ambient_step_fit(model0, data, cfg):
     alpha, beta1, beta2 = cfg.alpha, optim.BETA1, optim.BETA2
     sphere, mus, point = mf.sphere_from_weights(model0.weights), model0.mus.copy(), mf.PdPoint(model0.sigmas)
     pi_moments, mu_moments = optim._FactorMoments((k,)), optim._FactorMoments((k, m))
-    u, v, second = np.zeros((k, m, m)), np.zeros(k if method == "radam" else (k, m, m)), np.zeros(k)
+    u, v, second = np.zeros((k, m, m)), np.zeros(k), np.zeros(k)
     prev, model, costs = None, model0, []
     for _ in range(cfg.max_iters):
         p = tp.random_projections(m, 1, rng)[0]
@@ -332,12 +333,8 @@ def ambient_step_fit(model0, data, cfg):
         else:
             carried = np.zeros_like(u) if prev is None else mf.transport_sigma(prev, point.sigma, u)
             u, prev = beta1 * carried + (1.0 - beta1) * rgrad, point
-            if method == "radam":
-                v = beta2 * v + (1.0 - beta2) * grad.w_sigma**2
-                second = np.maximum(second, v)
-            else:
-                v = beta2 * v + ((1.0 - beta2) * grad.w_sigma**2)[:, None, None] * np.outer(p, p)
-                second = np.maximum((v @ p) @ p, second)
+            v = beta2 * v + (1.0 - beta2) * grad.w_sigma**2
+            second = np.maximum(second, v)
             step = -alpha * u / np.sqrt(second + optim.EPS_ADP)[:, None, None]
         point, _ = mf.exp_sigma(point, mf.lyapunov_solve(point, step))
         model = mx.MixtureModel(model0.family, sphere * sphere, mus, point)

@@ -2,8 +2,8 @@
 
 Each entry passes one argument to a public boundary.  A count refuses a
 bool, a string and a non-integer float; a real refuses a bool, a string,
-NaN and an infinity; each with its boundary's own error type and the
-rule's message.  A numpy scalar goes in, and what the entry keeps of it is
+NaN, an infinity and an integer past the float range; each with its
+boundary's own error type and the rule's message.  A numpy scalar goes in, and what the entry keeps of it is
 a Python int or float.
 """
 
@@ -15,9 +15,10 @@ import pytest
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
+from emmfit import transport as tp
 from emmfit.errors import GenerationError, InvalidFamilyError, MismatchError
 
-BAD = {int: (True, "2", 2.5), float: (True, "2", math.nan, math.inf)}
+BAD = {int: (True, "2", 2.5), float: (True, "2", math.nan, math.inf, 10**400)}
 
 MODEL = mx.MixtureModel(fam.gaussian(2), [0.5, 0.5], [[0.0, 0.0], [3.0, 0.0]], np.stack([np.eye(2)] * 2))
 
@@ -65,6 +66,7 @@ def sample_n(value):
 # where it keeps nothing
 ENTRIES = [
     ("family", "m", lambda v: fam.PearsonVII(m=v, v=3.0, s=2.5).m, InvalidFamilyError, int, 2),
+    ("make_family cauchy", "m", lambda v: fam.make_family("cauchy", v).m, InvalidFamilyError, int, 2),
     *[
         (cls.__name__, name, family_param(cls, name), InvalidFamilyError, float, good)
         for cls, params in FAMILY_PARAMS.items()
@@ -82,6 +84,10 @@ ENTRIES = [
     ("generate_synthetic", "separation", synthetic_argument("separation"), GenerationError, float, 3.0),
     ("sample_mixture", "n", sample_mixture_n, GenerationError, int, 5),
     ("families.sample", "n", sample_n, GenerationError, int, 5),
+    ("random_projections", "m", lambda v: tp.random_projections(v, 1, np.random.default_rng(0)).shape[1],
+     MismatchError, int, 2),
+    ("random_projections", "count", lambda v: tp.random_projections(2, v, np.random.default_rng(0)).shape[0],
+     MismatchError, int, 3),
     ("from_dict", "m", lambda v: mx.MixtureModel.from_dict({**MODEL.to_dict(), "m": v}).family.m,
      InvalidFamilyError, int, 2),
 ]

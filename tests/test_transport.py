@@ -431,6 +431,15 @@ def test_random_projections_divide_by_numpys_row_norms():
         assert got.tobytes() == (raw / np.linalg.norm(raw, axis=1, keepdims=True)).tobytes()
 
 
+def test_random_projections_refuse_sizes_below_their_floor():
+    # no direction lives in R^0, and no count is negative; no direction at all
+    # is an empty stack
+    for m, count, name in ((0, 1, "m"), (-1, 1, "m"), (2, -1, "count")):
+        with pytest.raises(MismatchError, match=f"^{name} must be an integer of at least"):
+            tp.random_projections(m, count, np.random.default_rng(0))
+    assert tp.random_projections(3, 0, np.random.default_rng(0)).shape == (0, 3)
+
+
 @pytest.mark.parametrize("ratio", [10**9, 0], ids=["table", "segments"])
 def test_quantile_prefixes_never_write_the_levels(ratio, monkeypatch):
     # a fit step reads the levels of projected.bounds twice, once whole and
