@@ -232,7 +232,8 @@ class EllipticalFamily:
         raise NotImplementedError
 
     def params(self) -> dict:
-        return {}
+        """The family's own fields after m, by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
 
 @dataclass(frozen=True)
@@ -304,9 +305,6 @@ class Kotz(EllipticalFamily):
             special.gammaln(k0 + 1.0 / self.s) - special.gammaln(k0) - math.log(self.b) / self.s
         )
 
-    def params(self):
-        return {"a": self.a, "b": self.b, "s": self.s}
-
 
 @dataclass(frozen=True)
 class PearsonVII(EllipticalFamily):
@@ -347,9 +345,6 @@ class PearsonVII(EllipticalFamily):
         if self.s <= self.m / 2.0 + 1.0:
             return None
         return self.m * self.v / (2.0 * self.s - self.m - 2.0)
-
-    def params(self):
-        return {"v": self.v, "s": self.s}
 
 
 @dataclass(frozen=True)
@@ -427,9 +422,6 @@ class Hyperbolic(EllipticalFamily):
         z0 = math.sqrt(self.a * self.v)
         mean_k = math.sqrt(self.a / self.v) * special.kve(self.lam + 1.0, z0) / special.kve(self.lam, z0)
         return self.m * mean_k
-
-    def params(self):
-        return {"v": self.v, "a": self.a, "lam": self.lam}
 
 
 @dataclass(frozen=True)
@@ -521,9 +513,6 @@ class AlphaStable(EllipticalFamily):
     def mean_r2(self):
         return None
 
-    def params(self):
-        return {"alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class PearsonII(EllipticalFamily):
@@ -556,9 +545,6 @@ class PearsonII(EllipticalFamily):
 
     def mean_r2(self):
         return self.m / (self.m + 2.0 * self.s)
-
-    def params(self):
-        return {"s": self.s}
 
 
 def _positive_stable(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -218,8 +218,7 @@ def exp_sphere(s: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     the unit vector s; an s off the unit sphere is refused (``ValueError``).
     The result is divided by its norm."""
     s = np.asarray(s, dtype=float)
-    # compared so that a NaN norm fails
-    if not abs(_norm(s) - 1.0) <= 1e-12:
+    if not _is_unit(s):
         raise ValueError("sphere point must have unit norm")
     tangent = np.asarray(tangent, dtype=float)
     norm = _norm(tangent)
@@ -235,6 +234,11 @@ def _norm(x: np.ndarray) -> float:
     dispatch: sqrt(x . x) over the raveled x."""
     flat = x.ravel(order="K")
     return math.sqrt(flat.dot(flat))
+
+
+def _is_unit(x: np.ndarray) -> bool:
+    """Whether the float array x has unit norm, to 1e-12; a NaN norm has not."""
+    return abs(_norm(x) - 1.0) <= 1e-12
 
 
 def project_sphere_grad(s: np.ndarray, egrad: np.ndarray) -> np.ndarray:

@@ -15,8 +15,6 @@ from .families import EllipticalComponent, EllipticalFamily
 from .manifold import PdPoint
 
 WEIGHT_TOL = 1e-12
-# Draws of the synthetic means before their separation is given up.
-MAX_RETRIES = 20
 # Widest rows whose covariance ``_biased_cov`` takes by column passes.
 # numpy's mean over C-ordered (n, m) rows runs one inner loop per row; the
 # column folds win while m is small.  Timed on a 2-core Xeon, one BLAS
@@ -402,22 +400,18 @@ def generate_synthetic(
         sigmas[i] = (q * lam) @ q.T
     min_sep = separation * np.sqrt(max(np.trace(s) for s in sigmas))
 
-    mus = None
-    for _ in range(MAX_RETRIES):
-        direction = rng.standard_normal((k, m))
-        direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
-        radius = min_sep * rng.random(k) ** (1.0 / m)
-        cand = direction * radius[:, None]
-        if k == 1:
-            mus = cand
-            break
-        dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
+    direction = rng.standard_normal((k, m))
+    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
+    radius = min_sep * rng.random(k) ** (1.0 / m)
+    mus = direction * radius[:, None]
+    if k > 1:
+        dists = np.linalg.norm(mus[:, None, :] - mus[None, :, :], axis=-1)
         dmin = dists[np.triu_indices(k, 1)].min()
-        if dmin > 0.0:
-            mus = cand if dmin >= min_sep else cand * (min_sep / dmin)
-            break
-    if mus is None:
-        raise GenerationError("could not place separated means")
+        # compared so that a NaN distance fails; two equal draws have probability 0
+        if not dmin > 0.0:
+            raise GenerationError(f"could not place separated means: the closest two are {dmin} apart")
+        if dmin < min_sep:
+            mus = mus * (min_sep / dmin)
 
     pi = np.full(k, 1.0 / k)
 

@@ -6,8 +6,9 @@ Euclidean gradients are formed, converted to tangent directions, and the
 parameters move through the manifold retractions.  They differ only in
 which factors scale their steps by a moment, one scalar second moment
 per factor (``_FactorMoments``, Riemannian AMSGrad after Becigneul &
-Ganea, ICLR 2019): none (vanilla), the scatters (dadam, whose weights
-and locations step plainly) or all three (radam).  dadam's scatters once
+Ganea, ICLR 2019), as the table ``MOMENTS`` lists: none (vanilla), the
+scatters (dadam, whose weights and locations step plainly) or all three
+(radam).  dadam's scatters once
 read a (k, m, m) accumulator v as p' v p; on the benchmark's ``wide``
 fits (m = 16, seeds 1-3) that ended at a min-eigenvalue ratio near 1e-4
 and an NLL gap of 340-670 nats, the scalar near 0.05 and at 17-20 nats.
@@ -74,7 +75,10 @@ from .mixture import (
     normalize_columns,
 )
 
-METHODS = ("vanilla", "radam", "dadam", "em")
+# The factors whose steps each manifold method scales by a moment; the
+# others step along their plain gradients.  EM is the one other method.
+MOMENTS = {"vanilla": (), "dadam": ("scatters",), "radam": ("weights", "locations", "scatters")}
+METHODS = (*MOMENTS, "em")
 
 # First- and second-moment decays of the adaptive methods (radam, dadam).
 BETA1 = 0.9
@@ -90,7 +94,7 @@ class OptimizerConfig:
     """The five settings of one fit, stored as Python numbers: a record is JSON."""
 
     method: str = "dadam"  # one of METHODS
-    alpha: float = 0.1  # stepsize
+    alpha: float = 0.03  # stepsize
     max_iters: int = 2000
     seed: int = 0  # projection stream; EM's collapse reseeding
     em_tol: float = 1e-8  # EM stops once its NLL moves by less than this
@@ -208,17 +212,14 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
     samples, cov = dataset.samples, dataset.covariance
     family = model0.family
     k, m = model0.k, model0.m
-    method, alpha = cfg.method, cfg.alpha
+    alpha = cfg.alpha
 
     sphere = manifold.sphere_from_weights(model0.weights)
     mus = model0.mus.copy()
     points = PdPoint(model0.sigmas)
 
-    # the factors whose steps each method scales by a moment; the others
-    # step along their plain gradients
-    adaptive = {"vanilla": (), "dadam": ("scatters",), "radam": ("weights", "locations", "scatters")}[method]
     shapes = {"weights": (k,), "locations": (k, m), "scatters": (k, m * m)}
-    moments = {name: _FactorMoments(shapes[name]) for name in adaptive}
+    moments = {name: _FactorMoments(shapes[name]) for name in MOMENTS[cfg.method]}
 
     report = FitReport._start(model0, cfg)
     events = report.events
@@ -423,7 +424,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
             mus[i] = model.mus[i] + chol[i] @ d
             covs[i] = chol[i] @ (moments[i, :, :m] / mass[i] - np.outer(d, d)) @ chol[i].T
         weights = weights / weights.sum()
-        lam, q = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))
+        lam, q = np.linalg.eigh(manifold._sym(covs))
         lam = np.maximum(lam, floor)
         sigmas = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         sigmas[collapsed] = iso

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError, _integer
 from .families import EllipticalComponent
+from .manifold import _is_unit, _sym, sphere_from_weights
 from .mixture import MixtureModel, as_dataset
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
@@ -52,8 +53,7 @@ def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
 def _bures_gap(root1: np.ndarray, sigma2: np.ndarray, traces: float) -> float:
     """``bures_gap`` given root1 = ``_sqrtm_spd(sigma1)`` and
     traces = tr(S1) + tr(S2)."""
-    inner = root1 @ sigma2 @ root1
-    lam = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)
+    lam = np.clip(np.linalg.eigvalsh(_sym(root1 @ sigma2 @ root1)), 0.0, None)
     gap = float(traces - 2.0 * np.sum(np.sqrt(lam)))
     return max(gap, 0.0)
 
@@ -85,11 +85,8 @@ def w2_elliptical(
     """
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
-    weight = _scatter_weight(c1.family, unit_weight)
-    if not _first_in_order(c1.mu, c1.sigma, c2.mu, c2.sigma):
-        c1, c2 = c2, c1
-    delta = c1.mu - c2.mu
-    return float(delta @ delta) + weight * bures_gap(c1.sigma, c2.sigma)
+    pair = _pairwise_w2(c1.family, (c1.mu[None], c1.sigma[None]), (c2.mu[None], c2.sigma[None]), unit_weight)
+    return float(pair[0, 0])
 
 
 @dataclass(frozen=True)
@@ -107,21 +104,20 @@ class TransportPlan:
         object.__setattr__(self, "permutation", perm)
 
 
-def _pairwise_w2(model1: MixtureModel, model2: MixtureModel, unit_weight: bool) -> np.ndarray:
-    """The (k, k) ``w2_elliptical`` values between the components of two
-    same-family mixtures, bit for bit, each scatter's square root and trace
-    taken once."""
-    weight = _scatter_weight(model1.family, unit_weight)
-    roots1 = [_sqrtm_spd(s) for s in model1.sigmas]
-    roots2 = [_sqrtm_spd(s) for s in model2.sigmas]
-    traces1 = [np.trace(s) for s in model1.sigmas]
-    traces2 = [np.trace(s) for s in model2.sigmas]
-    k = model1.k
-    cost = np.empty((k, k))
-    for i in range(k):
-        mu1, s1 = model1.mus[i], model1.sigmas[i]
-        for j in range(k):
-            mu2, s2 = model2.mus[j], model2.sigmas[j]
+def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
+    """The (k1, k2) squared W2 values between the components (mus1[i],
+    sigmas1[i]) of first = (mus1, sigmas1) and those of second, all of one
+    family, each scatter's square root and trace taken once.  Each pair is
+    taken in the canonical operand order, so the value is bitwise symmetric."""
+    (mus1, sigmas1), (mus2, sigmas2) = first, second
+    weight = _scatter_weight(family, unit_weight)
+    roots1 = [_sqrtm_spd(s) for s in sigmas1]
+    roots2 = [_sqrtm_spd(s) for s in sigmas2]
+    traces1 = [np.trace(s) for s in sigmas1]
+    traces2 = [np.trace(s) for s in sigmas2]
+    cost = np.empty((len(mus1), len(mus2)))
+    for i, (mu1, s1) in enumerate(zip(mus1, sigmas1)):
+        for j, (mu2, s2) in enumerate(zip(mus2, sigmas2)):
             if _first_in_order(mu1, s1, mu2, s2):
                 delta = mu1 - mu2
                 gap = _bures_gap(roots1[i], s2, traces1[i] + traces2[j])
@@ -230,11 +226,8 @@ def d_u(
         raise MismatchError("mixtures must agree in k, m and family")
     swapped = _model_key(model2) < _model_key(model1)
     lo, hi = (model2, model1) if swapped else (model1, model2)
-    cost = _pairwise_w2(lo, hi, unit_weight)
-    sq1 = np.sqrt(lo.weights)
-    sq2 = np.sqrt(hi.weights)
-    sq1 /= np.linalg.norm(sq1)
-    sq2 /= np.linalg.norm(sq2)
+    cost = _pairwise_w2(lo.family, (lo.mus, lo.sigmas), (hi.mus, hi.sigmas), unit_weight)
+    sq1, sq2 = sphere_from_weights(lo.weights), sphere_from_weights(hi.weights)
     value, perm, angle = _solve_matching(cost, sq1, sq2)
     if swapped:
         inverse = np.empty_like(perm)
@@ -244,7 +237,7 @@ def d_u(
 
 
 def _check_unit(p: np.ndarray) -> None:
-    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+    if not _is_unit(p):
         raise MismatchError("projection direction must be unit norm")
 
 
@@ -279,7 +272,7 @@ class ProjectionContext:
     grid: np.ndarray
 
     def __post_init__(self):
-        _check_unit(self.p)
+        _check_unit(np.asarray(self.p, dtype=float))
         if np.any(np.diff(self.projected_samples) < 0.0):
             raise MismatchError("projected samples must be sorted")
 

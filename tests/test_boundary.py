@@ -1,10 +1,11 @@
 """The one rule for the numbers a caller passes in, at every entry it guards.
 
 Each entry passes one argument to a public boundary.  A count refuses a
-bool, a string and a non-integer float; a real refuses a bool, a string,
-NaN, an infinity and an integer past the float range; each with its
-boundary's own error type and the rule's message.  A numpy scalar goes in, and what the entry keeps of it is
-a Python int or float.
+bool, a string, a non-integer float and an integer past the float range,
+even one too long to print; a real refuses a bool, a string, NaN, an
+infinity and an integer past the float range; each with its boundary's own
+error type and the rule's message.  A numpy scalar goes in, and what the
+entry keeps of it is a Python int or float.
 """
 
 import math
@@ -18,7 +19,8 @@ from emmfit import optim
 from emmfit import transport as tp
 from emmfit.errors import GenerationError, InvalidFamilyError, MismatchError
 
-BAD = {int: (True, "2", 2.5), float: (True, "2", math.nan, math.inf, 10**400)}
+# -10**5000 has more digits than Python prints by default
+BAD = {int: (True, "2", 2.5, 10**400, -(10**5000)), float: (True, "2", math.nan, math.inf, 10**400)}
 
 MODEL = mx.MixtureModel(fam.gaussian(2), [0.5, 0.5], [[0.0, 0.0], [3.0, 0.0]], np.stack([np.eye(2)] * 2))
 
@@ -103,3 +105,4 @@ def test_every_entry_refuses_the_same_bad_values_and_keeps_python_numbers(arg, c
     value = np.int64(good) if kind is int else np.float32(good)
     kept = call(value)
     assert kept is None or (type(kept) is kind and kept == value)
+

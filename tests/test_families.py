@@ -139,6 +139,29 @@ class TestGeneratorValues:
         with pytest.raises(InvalidFamilyError):
             fam.Hyperbolic(m=1, v=2.0, a=0.0, lam=-1.0)
 
+    def test_hyperbolic_needs_a_positive_v_and_a_nonnegative_a(self):
+        for v, a in ((0.0, 1.0), (-1.0, 1.0), (2.0, -0.5)):
+            with pytest.raises(InvalidFamilyError, match="Hyperbolic requires v > 0 and a >= 0"):
+                fam.Hyperbolic(m=2, v=v, a=a, lam=1.0)
+
+    def test_named_special_cases_take_no_parameters(self):
+        with pytest.raises(InvalidFamilyError, match="gaussian takes no parameters"):
+            fam.make_family("gaussian", 2, a=1.0)
+
+    def test_params_are_the_fields_after_m_in_order(self):
+        # what MixtureModel.to_dict writes, and make_family takes back
+        want = {
+            fam.Kotz(m=2, a=1.5, b=0.25, s=2.0): {"a": 1.5, "b": 0.25, "s": 2.0},
+            fam.PearsonVII(m=2, v=3.0, s=2.5): {"v": 3.0, "s": 2.5},
+            fam.Hyperbolic(m=2, v=2.0, a=1.0, lam=0.5): {"v": 2.0, "a": 1.0, "lam": 0.5},
+            fam.Logistic(m=2): {},
+            fam.AlphaStable(m=2, alpha=1.2): {"alpha": 1.2},
+            fam.PearsonII(m=2, s=3.0): {"s": 3.0},
+        }
+        for family, params in want.items():
+            assert list(family.params().items()) == list(params.items())
+            assert fam.make_family(family.name, 2, **family.params()) == family
+
     def test_alpha_stable_density_unavailable(self):
         with pytest.raises(DensityUnavailableError):
             fam.AlphaStable(m=2, alpha=1.5).log_gen(1.0)
@@ -244,6 +267,17 @@ class TestComponentSampler:
         for n in (1, 2, 1001):
             got = fam.sample(comp, np.random.default_rng([m, n]), n)
             assert got.tobytes() == sample_oracle(comp, np.random.default_rng([m, n]), n).tobytes()
+
+    def test_component_shapes_must_match_the_family(self):
+        with pytest.raises(InvalidFamilyError, match="component shapes"):
+            fam.EllipticalComponent(np.zeros(3), np.eye(2), fam.gaussian(2))
+        with pytest.raises(InvalidFamilyError, match="component shapes"):
+            fam.EllipticalComponent(np.zeros(2), np.eye(3), fam.gaussian(2))
+
+    @pytest.mark.parametrize("sigma", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 3)), np.ones((1, 1, 1, 1))])
+    def test_check_spd_refuses_what_is_not_a_square_matrix_or_stack(self, sigma):
+        with pytest.raises(NotPositiveDefiniteError, match="expected a square matrix or a stack"):
+            fam.check_spd(sigma)
 
     def test_rejects_non_pd_scatter(self):
         # indefinite, singular and asymmetric

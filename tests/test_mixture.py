@@ -460,13 +460,35 @@ class TestGenerateSynthetic:
         with pytest.raises(GenerationError):
             mx.generate_synthetic(2, 2, 10, 0.5, 10.0, rng)
 
+    def test_zero_separation_is_refused(self):
+        with pytest.raises(GenerationError, match="separation must be positive, got 0.0"):
+            mx.generate_synthetic(2, 3, 10, 4.0, 0.0, np.random.default_rng(14))
+
+    def test_coinciding_means_are_refused(self):
+        # the means are drawn once: equal directions and radii, which a real
+        # generator gives with probability 0, leave nothing to rescale
+        class EqualDraws:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                return np.ones(size) if size == (3, 2) else self.rng.standard_normal(size)
+
+            def random(self, size):
+                return np.full(size, 0.5)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        with pytest.raises(GenerationError, match="could not place separated means"):
+            mx.generate_synthetic(2, 3, 10, 4.0, 3.0, EqualDraws(np.random.default_rng(14)))
+
     @pytest.mark.parametrize(
         "eccentricity, separation",
         [(np.nan, 3.0), (np.inf, 3.0), (4.0, np.nan), (4.0, np.inf), (4.0, -np.inf), (-np.inf, 3.0)],
     )
     def test_non_finite_shape_arguments(self, eccentricity, separation):
-        # unrefused, each would overflow, warn, or retry the mean placement
-        # until it gives up
+        # unrefused, each would overflow, warn, or leave the means unplaced
         with pytest.raises(GenerationError, match="(eccentricity|separation) must be a finite number"):
             mx.generate_synthetic(2, 3, 10, eccentricity, separation, np.random.default_rng(14))
 

@@ -282,6 +282,16 @@ def test_dadam_keeps_a_wide_fit_off_the_floor():
     assert report.min_eig_ratio[-1] > 1e-3
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_dadam_keeps_the_m8_scatters_off_the_floor(seed):
+    # At the former default alpha = 0.1 the fit of seed 1 exhausted the PD
+    # safeguard at iteration 332 and seeds 2-3 ended near a ratio of 1e-4.
+    data, model0 = m8_case(seed)
+    report = optim.fit(model0, data, optim.OptimizerConfig(max_iters=1000, seed=seed))
+    assert not report.failed and report.iterations == 1000
+    assert report.min_eig_ratio[-1] > 1e-3
+
+
 @pytest.mark.parametrize("method", ("radam", "dadam"))
 def test_adaptive_steps_do_not_depend_on_coordinates(method):
     # Turning the coordinates by an orthogonal Q turns every adaptive step
@@ -734,6 +744,27 @@ def test_kmeanspp_refuses_fewer_distinct_rows_than_k(k, rows):
 def test_initialize_refuses_data_without_spread(rows, k, strategy):
     with pytest.raises(MismatchError, match=f"{strategy} start needs data with spread"):
         optim.initialize(rows, k, fam.gaussian(2), strategy, np.random.default_rng(0))
+
+
+def test_initialize_needs_k_rows_and_a_known_strategy(case):
+    data, _ = case
+    with pytest.raises(MismatchError, match="need at least k=3 samples, got 2"):
+        optim.initialize(data.samples[:2], 3, fam.gaussian(2), "random", np.random.default_rng(0))
+    with pytest.raises(MismatchError, match="unknown initialization strategy 'kmeans'"):
+        optim.initialize(data, 2, fam.gaussian(2), "kmeans", np.random.default_rng(0))
+
+
+def test_config_refuses_an_unknown_method():
+    with pytest.raises(MismatchError, match="unknown method 'adam'"):
+        optim.OptimizerConfig(method="adam")
+
+
+def test_em_refuses_a_family_other_than_the_gaussian(case):
+    data, model0 = case
+    kotz = fam.Kotz(m=2, a=1.5, b=0.5, s=1.0)
+    start = mx.MixtureModel(kotz, model0.weights, model0.mus, model0.sigmas)
+    with pytest.raises(MismatchError, match="Gaussian family only"):
+        optim.fit(start, data, optim.OptimizerConfig(method="em", max_iters=3))
 
 
 @pytest.mark.parametrize("k", (0, -1, 2.0, True, "2"))

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import timeit
 import tracemalloc
@@ -24,6 +25,7 @@ from _helpers import (
 )
 from emmfit import families as fam
 from emmfit import gradients as gr
+from emmfit import manifold as mf
 from emmfit import mixture as mx
 from emmfit import optim
 from emmfit import transport as tp
@@ -177,10 +179,15 @@ class TestDU:
             assert exact <= tp.d_u(a, b)[0] + 1e-6
 
 
+def pairwise_w2(a, b):
+    """``_pairwise_w2`` between the components of two same-family mixtures."""
+    return tp._pairwise_w2(a.family, (a.mus, a.sigmas), (b.mus, b.sigmas), False)
+
+
 def matching_inputs(a, b):
     """The pairwise costs and unit sqrt-weight vectors ``d_u`` matches over."""
     sq1, sq2 = np.sqrt(a.weights), np.sqrt(b.weights)
-    return tp._pairwise_w2(a, b, False), sq1 / np.linalg.norm(sq1), sq2 / np.linalg.norm(sq2)
+    return pairwise_w2(a, b), sq1 / np.linalg.norm(sq1), sq2 / np.linalg.norm(sq2)
 
 
 def with_duplicate(model, i, j):
@@ -194,11 +201,20 @@ class TestExactMatching:
     """The permutations scored with numpy against a loop over them."""
 
     def test_pairwise_costs_are_w2_elliptical_bitwise(self):
+        # each pair in the canonical operand order, each Bures gap taken by
+        # bures_gap from scratch
         rng = np.random.default_rng(30)
         for m, k in ((1, 3), (4, 5), (16, 8)):
             a, b = random_gmm(m, k, rng), random_gmm(m, k, rng)
-            want = [[tp.w2_elliptical(a.component(i), b.component(j)) for j in range(k)] for i in range(k)]
-            assert tp._pairwise_w2(a, b, False).tobytes() == np.array(want).tobytes()
+            weight = a.family.mean_r2() / m
+            want = np.empty((k, k))
+            for i, j in itertools.product(range(k), repeat=2):
+                (mu1, s1), (mu2, s2) = (a.mus[i], a.sigmas[i]), (b.mus[j], b.sigmas[j])
+                if not tp._first_in_order(mu1, s1, mu2, s2):
+                    (mu1, s1), (mu2, s2) = (mu2, s2), (mu1, s1)
+                want[i, j] = float((mu1 - mu2) @ (mu1 - mu2)) + weight * tp.bures_gap(s1, s2)
+            assert pairwise_w2(a, b).tobytes() == want.tobytes()
+            assert tp.w2_elliptical(a.component(1), b.component(2)) == want[1, 2]
 
     def test_pairwise_costs_take_each_trace_once(self, monkeypatch):
         # 2k traces for the k^2 Bures gaps, with the bits of the gap that
@@ -209,7 +225,7 @@ class TestExactMatching:
         traced = []
         real_trace = np.trace
         monkeypatch.setattr(np, "trace", lambda s, *args, **kw: traced.append(s) or real_trace(s, *args, **kw))
-        assert tp._pairwise_w2(a, b, False).tobytes() == np.array(want).tobytes()
+        assert pairwise_w2(a, b).tobytes() == np.array(want).tobytes()
         assert len(traced) == 16
 
     @pytest.mark.parametrize("k", range(2, 9))
@@ -246,6 +262,19 @@ class TestExactMatching:
         value, plan = tp.d_u(a, a)
         assert value == 0.0
         assert sorted(plan.permutation.tolist()) == list(range(8))
+
+    def test_a_swap_improves_on_the_assignment_past_k_exact(self, monkeypatch):
+        # The assignment on the transport costs alone keeps the diagonal,
+        # whose weights are mismatched; swapping components 0 and 1 matches
+        # the weights for a slightly larger transport cost.
+        monkeypatch.setattr(tp, "K_EXACT", 2)
+        cost = np.array([[0.0, 0.01, 1.0], [0.01, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        sq1 = mf.sphere_from_weights([0.8, 0.1, 0.1])
+        sq2 = mf.sphere_from_weights([0.1, 0.8, 0.1])
+        value, perm, angle = tp._solve_matching(cost, sq1, sq2)
+        want_value, want_perm, want_angle = solve_matching_loop(cost, sq1, sq2)
+        assert perm.tolist() == want_perm.tolist() == [1, 0, 2]
+        assert (value, angle) == (want_value, want_angle)
 
     def test_eight_components_take_under_10_ms(self):
         rng = np.random.default_rng(61)
@@ -380,6 +409,17 @@ class TestProjectionContextChecks:
         with pytest.raises(MismatchError, match="unit norm"):
             tp.make_projection_context(np.array([1.0, 1.0]), np.zeros((4, 2)), cov=np.eye(2))
 
+    def test_a_nan_direction_is_refused_as_not_unit(self):
+        # NaN compares false with the tolerance: a NaN norm is not unit
+        nan = np.array([np.nan, np.nan])
+        with pytest.raises(MismatchError, match="unit norm"):
+            tp.ProjectionContext(nan, np.array([-0.5, 0.5]), self.GRID)
+        with pytest.raises(MismatchError, match="unit norm"):
+            tp.make_projection_context(nan, np.zeros((4, 2)), cov=np.eye(2))
+        model = mx.MixtureModel(fam.gaussian(2), [1.0], [[0.0, 0.0]], [np.eye(2)])
+        with pytest.raises(MismatchError, match="unit norm"):
+            tp.sliced_cost(model, np.eye(2), [nan])
+
     def test_covariance_is_required(self):
         with pytest.raises(TypeError, match="cov"):
             tp.make_projection_context(np.array([1.0]), np.zeros((4, 1)))
@@ -422,6 +462,17 @@ class TestProjectionContextChecks:
     def test_keeps_no_grid_weights(self):
         ctx = line_ctx(np.arange(5.0))
         assert "grid_weights" not in vars(ctx)
+
+
+def test_transport_plan_refuses_a_repeated_component():
+    with pytest.raises(MismatchError, match="not a permutation"):
+        tp.TransportPlan([0, 0], 0.0)
+
+
+def test_zero_scatters_have_no_projected_variance():
+    ctx = line_ctx(np.array([-1.0, 0.0, 1.0]))
+    with pytest.raises(DegenerateGridError, match="projected variance must be positive"):
+        tp.project_components(fam.gaussian(1), np.ones(2) / 2, np.zeros((2, 1)), np.zeros((2, 1, 1)), ctx)
 
 
 def test_random_projections_divide_by_numpys_row_norms():
@@ -549,6 +600,11 @@ def test_cost_and_gradient_hold_no_n_sized_tables():
 
 
 class TestSlicedCost:
+    def test_needs_a_projection(self):
+        model = mx.MixtureModel(fam.gaussian(2), [1.0], [[0.0, 0.0]], [np.eye(2)])
+        with pytest.raises(MismatchError, match="at least one projection"):
+            tp.sliced_cost(model, np.eye(2), [])
+
     def test_near_zero_at_truth(self):
         rng = np.random.default_rng(13)
         model = random_gmm(2, 2, rng)
