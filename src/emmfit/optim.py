@@ -8,10 +8,10 @@ which factors scale their steps by a moment, one scalar second moment
 per factor (``_FactorMoments``, Riemannian AMSGrad after Becigneul &
 Ganea, ICLR 2019), as the table ``MOMENTS`` lists: none (vanilla), the
 scatters (dadam, whose weights and locations step plainly) or all three
-(radam).  dadam's scatters once
-read a (k, m, m) accumulator v as p' v p; on the benchmark's ``wide``
-fits (m = 16, seeds 1-3) that ended at a min-eigenvalue ratio near 1e-4
-and an NLL gap of 340-670 nats, the scalar near 0.05 and at 17-20 nats.
+(radam).  dadam's scatters once read a (k, m, m) accumulator v as
+p' v p; on the benchmark's ``wide`` fits (m = 16, seeds 1-3) that ended
+at a min-eigenvalue ratio near 1e-4 and an NLL gap of 340-670 nats, the
+scalar near 0.05 and at 17-20 nats.
 All k scatters take one step together: one ``manifold.exp_sigma`` call
 retracts the (k, m, m) stack of their images, capping and halving each
 step as it needs.  Each thing is decided

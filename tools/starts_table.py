@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -60,13 +61,11 @@ def cell_fits(m: int, strategy: str, methods, datasets: int, starts: int, iters:
 
 def summarize(rows) -> dict:
     """Successes, fits, median d_u, failed fits and weight-floor events."""
-    import numpy as np
-
-    du = np.array([row[0] for row in rows])
+    du = [row[0] for row in rows]
     return {
-        "successes": int((du < TARGET).sum()),
+        "successes": sum(value < TARGET for value in du),
         "fits": len(rows),
-        "median_du": float(np.median(du)),
+        "median_du": statistics.median(du),
         "failed": sum(row[1] for row in rows),
         "floor_events": sum(row[2] for row in rows),
     }
