@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StepTooLargeError
+from .errors import MismatchError, StepTooLargeError
 from .families import above_pd_floor, check_spd
 
 # Halvings of a scatter step tried before the scatter is left where it was.
@@ -152,6 +152,8 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     before handing one over.  A norm that overflows from finite entries is
     capped like any other.
 
+    An image whose shape is not the point's is refused (``MismatchError``).
+
     Returns (point, halvings): the halvings each matrix took, an int for
     one matrix and a (k,) array for a stack; PD_RETRIES + 1 marks a matrix
     left where it was.
@@ -159,7 +161,10 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     point = sigma if isinstance(sigma, PdPoint) else PdPoint(sigma)
     shape, m = point.sigma.shape, point.sigma.shape[-1]
     # not copied: the usual step neither scans nor writes it
-    lyap = np.asarray(lyap, dtype=float).reshape(-1, m, m)
+    lyap = np.asarray(lyap, dtype=float)
+    if lyap.shape != shape:
+        raise MismatchError(f"a step image of shape {lyap.shape} for a point of shape {shape}")
+    lyap = lyap.reshape(-1, m, m)
     halvings = np.zeros(lyap.shape[0], dtype=int)
     sq = np.einsum("kij,kij->k", lyap, lyap)
     # NaN compares false: a NaN or infinite norm takes both branches

@@ -86,8 +86,11 @@ class MixtureModel:
         the whitened block into log densities, written into the (k, n)
         output.  Centring before whitening keeps L_i^-1 (x - mu_i) exactly 0
         at x = mu_i, where the generator of a Kotz law with a > 1 is 0.
+        Rows that do not have m entries are refused (``MismatchError``).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.m:
+            raise MismatchError(f"points must be rows of {self.m} entries, got shape {x.shape}")
         blocks = column_blocks(x)
         out = np.empty((self.k, x.shape[0]))
         if not blocks:

@@ -142,10 +142,6 @@ class FitReport:
     def iterations(self) -> int:
         return len(self.costs)
 
-    @classmethod
-    def _start(cls, model0: MixtureModel, cfg: OptimizerConfig) -> "FitReport":
-        return cls(model0, config=cfg.to_dict())
-
     def _record(self, cost: float, points: PdPoint, tic: float) -> None:
         """Append an iteration that started at ``tic`` and left the scatters
         ``points``: their ascending eigenvalues and traces are read from the
@@ -221,7 +217,7 @@ def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport
     shapes = {"weights": (k,), "locations": (k, m), "scatters": (k, m * m)}
     moments = {name: _FactorMoments(shapes[name]) for name in MOMENTS[cfg.method]}
 
-    report = FitReport._start(model0, cfg)
+    report = FitReport(model0, config=cfg.to_dict())
     events = report.events
     current = model0
     for h in range(1, cfg.max_iters + 1):
@@ -379,7 +375,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         blocks.append(xc)
     buffers = BlockBuffers(k, m, blocks[0].shape[1])
 
-    report = FitReport._start(model0, cfg)
+    report = FitReport(model0, config=cfg.to_dict())
     prev_nll = np.inf
     model = model0
     for h in range(1, cfg.max_iters + 1):

@@ -26,7 +26,6 @@ from .manifold import _is_unit, _sym, sphere_from_weights
 from .mixture import MixtureModel, as_dataset
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
-NEAR_TIES_RESCORED = 64  # most matchings within rounding of the best rescored exactly
 # A projection context with at most this many projections per asked
 # quantile level reads its prefix sums from the n-long cumulative sum, built
 # once per direction (about 4 ns per projection); a larger one sums the
@@ -85,8 +84,10 @@ def w2_elliptical(
     """
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
-    pair = _pairwise_w2(c1.family, (c1.mu[None], c1.sigma[None]), (c2.mu[None], c2.sigma[None]), unit_weight)
-    return float(pair[0, 0])
+    first, second = (c1.mu[None], c1.sigma[None]), (c2.mu[None], c2.sigma[None])
+    if not _first_in_order(c1.mu, c1.sigma, c2.mu, c2.sigma):
+        first, second = second, first
+    return float(_pairwise_w2(c1.family, first, second, unit_weight)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -107,24 +108,17 @@ class TransportPlan:
 def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
     """The (k1, k2) squared W2 values between the components (mus1[i],
     sigmas1[i]) of first = (mus1, sigmas1) and those of second, all of one
-    family, each scatter's square root and trace taken once.  Each pair is
-    taken in the canonical operand order, so the value is bitwise symmetric."""
+    family, each pair taken in the order given: the square roots of first's
+    scatters only, and every trace once."""
     (mus1, sigmas1), (mus2, sigmas2) = first, second
     weight = _scatter_weight(family, unit_weight)
-    roots1 = [_sqrtm_spd(s) for s in sigmas1]
-    roots2 = [_sqrtm_spd(s) for s in sigmas2]
-    traces1 = [np.trace(s) for s in sigmas1]
     traces2 = [np.trace(s) for s in sigmas2]
     cost = np.empty((len(mus1), len(mus2)))
     for i, (mu1, s1) in enumerate(zip(mus1, sigmas1)):
+        root1, trace1 = _sqrtm_spd(s1), np.trace(s1)
         for j, (mu2, s2) in enumerate(zip(mus2, sigmas2)):
-            if _first_in_order(mu1, s1, mu2, s2):
-                delta = mu1 - mu2
-                gap = _bures_gap(roots1[i], s2, traces1[i] + traces2[j])
-            else:
-                delta = mu2 - mu1
-                gap = _bures_gap(roots2[j], s1, traces2[j] + traces1[i])
-            cost[i, j] = float(delta @ delta) + weight * gap
+            delta = mu1 - mu2
+            cost[i, j] = float(delta @ delta) + weight * _bures_gap(root1, s2, trace1 + traces2[j])
     return cost
 
 
@@ -163,22 +157,11 @@ def _matching_scores(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> np.n
 def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple[float, np.ndarray, float]:
     k = cost.shape[0]
     if k <= K_EXACT:
-        # Score every permutation with numpy, then rescore those within
-        # rounding of the best with ``_matching_objective`` and keep the first
-        # strict minimum in lexicographic order, as a loop over
-        # ``itertools.permutations`` would.  Past NEAR_TIES_RESCORED ties the
-        # lowest scores are rescored.
-        scores = _matching_scores(cost, sq1, sq2)
-        near = np.flatnonzero(scores <= scores.min() * (1.0 + 1e-12))
-        if near.size > NEAR_TIES_RESCORED:
-            near = np.sort(near[np.argsort(scores[near], kind="stable")[:NEAR_TIES_RESCORED]])
-        best = (np.inf, None, 0.0)
-        for j in near:
-            perm = _orders(k)[:, j].astype(np.intp)
-            value, angle = _matching_objective(cost, sq1, sq2, perm)
-            if value < best[0]:
-                best = (value, perm, angle)
-        return best
+        # Score every permutation with numpy and value the first with the
+        # lowest score, in lexicographic order, with ``_matching_objective``.
+        perm = _orders(k)[:, int(np.argmin(_matching_scores(cost, sq1, sq2)))].astype(np.intp)
+        value, angle = _matching_objective(cost, sq1, sq2, perm)
+        return value, perm, angle
     # Stage 1: assignment on the transport matrix alone; stage 2: pairwise
     # swaps on the full objective (the arccos term couples the matching).
     # imported here: it would add about 0.2 s and 22 MB of RSS to every
@@ -203,12 +186,7 @@ def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple
 
 
 def _model_key(model: MixtureModel) -> bytes:
-    return (
-        model.weights.tobytes()
-        + model.mus.tobytes()
-        + model.sigmas.tobytes()
-        + repr(model.family).encode()
-    )
+    return model.weights.tobytes() + model.mus.tobytes() + model.sigmas.tobytes()
 
 
 def d_u(
@@ -218,11 +196,12 @@ def d_u(
 
     Minimizes (1/k) sum of matched component W2 values plus
     arccos(sum of matched sqrt(pi_i pi_j)).  Exact for k <= 8 (every
-    matching scored with numpy, the best rescored as a loop over the
-    permutations would), two-stage heuristic beyond.  Symmetric bitwise:
-    the operand pair is ordered canonically before solving.
+    matching scored with numpy, the best-scored one valued exactly),
+    two-stage heuristic beyond.  Symmetric bitwise: the two models are
+    ordered canonically, and each component pair is taken in that order.
     """
-    if model1.k != model2.k or model1.m != model2.m or model1.family != model2.family:
+    # the family carries m
+    if model1.k != model2.k or model1.family != model2.family:
         raise MismatchError("mixtures must agree in k, m and family")
     swapped = _model_key(model2) < _model_key(model1)
     lo, hi = (model2, model1) if swapped else (model1, model2)
@@ -230,9 +209,7 @@ def d_u(
     sq1, sq2 = sphere_from_weights(lo.weights), sphere_from_weights(hi.weights)
     value, perm, angle = _solve_matching(cost, sq1, sq2)
     if swapped:
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(perm.size)
-        perm = inverse
+        perm = np.argsort(perm)
     return value, TransportPlan(perm, angle)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emmfit import manifold as mf
-from emmfit.errors import NotPositiveDefiniteError, StepTooLargeError
+from emmfit.errors import MismatchError, NotPositiveDefiniteError, StepTooLargeError
 from emmfit.families import PD_FLOOR
 
 
@@ -221,6 +221,17 @@ class TestExpSigma:
         with pytest.raises(StepTooLargeError, match="not finite"):
             mf.exp_sigma(np.stack([np.eye(2), np.eye(2)]), images)
         assert retractions == []
+
+    @pytest.mark.parametrize(
+        "point_shape, image_shape",
+        [((3, 2, 2), (2, 2)), ((3, 2, 2), (1, 2, 2)), ((3, 2, 2), (2, 2, 2)), ((3, 2, 2), (4, 2, 2)),
+         ((3, 2, 2), (3, 3, 3)), ((3, 2, 2), (12,)), ((2, 2), (1, 2, 2))],
+    )
+    def test_an_image_of_another_shape_is_refused(self, point_shape, image_shape):
+        # one (m, m) image would step all three scatters of a stack alike
+        point = np.broadcast_to(np.eye(2), point_shape).copy()
+        with pytest.raises(MismatchError, match="shape"):
+            mf.exp_sigma(point, np.zeros(image_shape))
 
     @pytest.mark.filterwarnings("error")
     def test_finite_image_whose_norm_overflows_is_capped(self):

@@ -191,6 +191,25 @@ class TestComponentLogpdf:
             # near zero still carries the rounding of its O(1) terms
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_no_rows_give_an_empty_array(self):
+        model = random_gmm(2, 3, np.random.default_rng(9))
+        got = model.component_logpdf(np.empty((0, 2)))
+        assert got.shape == (3, 0)
+        assert model.logpdf(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 3), (3,), (1,), (2, 5, 2)])
+    def test_rows_without_m_entries_are_refused(self, shape):
+        # a one-column x would broadcast into both coordinates, a silently
+        # wrong density; other widths would fail inside numpy
+        model = random_gmm(2, 3, np.random.default_rng(10))
+        x = np.random.default_rng(11).normal(size=shape)
+        with pytest.raises(MismatchError, match="2 entries"):
+            model.component_logpdf(x)
+        with pytest.raises(MismatchError, match="2 entries"):
+            model.logpdf(x)
+        with pytest.raises(MismatchError, match="2 entries"):
+            mx.pdf(model, x)
+
     @pytest.mark.parametrize("name", ["gaussian", "pearson2"])
     def test_several_blocks_match_per_component_oracle(self, name, monkeypatch):
         # 2 full blocks and a ragged one, and a single block of every row

@@ -201,32 +201,53 @@ class TestExactMatching:
     """The permutations scored with numpy against a loop over them."""
 
     def test_pairwise_costs_are_w2_elliptical_bitwise(self):
-        # each pair in the canonical operand order, each Bures gap taken by
-        # bures_gap from scratch
+        # each pair in the order given, each Bures gap taken by bures_gap
+        # from scratch; w2_elliptical takes its pair in the canonical order
         rng = np.random.default_rng(30)
         for m, k in ((1, 3), (4, 5), (16, 8)):
             a, b = random_gmm(m, k, rng), random_gmm(m, k, rng)
             weight = a.family.mean_r2() / m
             want = np.empty((k, k))
             for i, j in itertools.product(range(k), repeat=2):
-                (mu1, s1), (mu2, s2) = (a.mus[i], a.sigmas[i]), (b.mus[j], b.sigmas[j])
-                if not tp._first_in_order(mu1, s1, mu2, s2):
-                    (mu1, s1), (mu2, s2) = (mu2, s2), (mu1, s1)
-                want[i, j] = float((mu1 - mu2) @ (mu1 - mu2)) + weight * tp.bures_gap(s1, s2)
+                delta = a.mus[i] - b.mus[j]
+                want[i, j] = float(delta @ delta) + weight * tp.bures_gap(a.sigmas[i], b.sigmas[j])
             assert pairwise_w2(a, b).tobytes() == want.tobytes()
-            assert tp.w2_elliptical(a.component(1), b.component(2)) == want[1, 2]
+            (mu1, s1), (mu2, s2) = (a.mus[1], a.sigmas[1]), (b.mus[2], b.sigmas[2])
+            if not tp._first_in_order(mu1, s1, mu2, s2):
+                (mu1, s1), (mu2, s2) = (mu2, s2), (mu1, s1)
+            want_12 = float((mu1 - mu2) @ (mu1 - mu2)) + weight * tp.bures_gap(s1, s2)
+            assert tp.w2_elliptical(a.component(1), b.component(2)) == want_12
 
     def test_pairwise_costs_take_each_trace_once(self, monkeypatch):
         # 2k traces for the k^2 Bures gaps, with the bits of the gap that
-        # takes both traces per pair
+        # takes both traces per pair, in the order given
         rng = np.random.default_rng(31)
         a, b = random_gmm(16, 8, rng), random_gmm(16, 8, rng)
-        want = [[tp.w2_elliptical(a.component(i), b.component(j)) for j in range(8)] for i in range(8)]
+        weight = a.family.mean_r2() / 16
+        want = [
+            [float((mu1 - mu2) @ (mu1 - mu2)) + weight * tp.bures_gap(s1, s2) for mu2, s2 in zip(b.mus, b.sigmas)]
+            for mu1, s1 in zip(a.mus, a.sigmas)
+        ]
         traced = []
         real_trace = np.trace
         monkeypatch.setattr(np, "trace", lambda s, *args, **kw: traced.append(s) or real_trace(s, *args, **kw))
         assert pairwise_w2(a, b).tobytes() == np.array(want).tobytes()
         assert len(traced) == 16
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_one_eigh_per_square_root(self, k, monkeypatch):
+        # the square roots of one operand's scatters only: one eigh for a
+        # component pair, k for a pair of k-component mixtures
+        rng = np.random.default_rng(32)
+        a, b = random_gmm(16, k, rng), random_gmm(16, k, rng)
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda s, *args, **kw: calls.append(s) or real_eigh(s, *args, **kw))
+        tp.w2_elliptical(a.component(0), b.component(0))
+        assert len(calls) == 1
+        calls.clear()
+        tp.d_u(a, b)
+        assert len(calls) == k
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_unique_minimiser_keeps_the_loop_bits(self, k):
