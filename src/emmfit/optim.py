@@ -1,58 +1,29 @@
 """Fitting loops.
 
-Three stochastic Riemannian methods share one engine: per iteration one
-random unit projection is drawn, the semi-discrete 1-D cost and its
-Euclidean gradients are formed, converted to tangent directions, and the
-parameters move through the manifold retractions.  They differ only in
-which factors scale their steps by a moment, one scalar second moment
-per factor (``_FactorMoments``, Riemannian AMSGrad after Becigneul &
-Ganea, ICLR 2019), as the table ``MOMENTS`` lists: none (vanilla), the
-scatters (dadam, whose weights and locations step plainly) or all three
-(radam).  dadam's scatters once read a (k, m, m) accumulator v as
-p' v p; on the benchmark's ``wide`` fits (m = 16, seeds 1-3) that ended
-at a min-eigenvalue ratio near 1e-4 and an NLL gap of 340-670 nats, the
-scalar near 0.05 and at 17-20 nats.
-All k scatters take one step together: one ``manifold.exp_sigma`` call
-retracts the (k, m, m) stack of their images, capping and halving each
-step as it needs.  Each thing is decided
-once: the samples are validated at the ``fit`` boundary and their
-covariance, which sets every direction's grid margin, is taken once per
-``Dataset`` (``Dataset.covariance``), so the starts and fits of one data
-set share it; each step's model is built from the ``PdPoint`` the
-retraction admitted, so no scatter is checked again inside the loop.
+Three stochastic Riemannian methods share one engine, ``_fit_manifold``:
+each iteration takes the sliced cost along one random direction and its
+Euclidean gradient triple from ``_direction_source``, and
+``_ManifoldStep`` moves the parameters through the manifold retractions
+(its docstring sets out the iteration).  The methods differ only in which
+factors scale their steps by a moment, one scalar second moment per factor
+(``_FactorMoments``, Riemannian AMSGrad after Becigneul & Ganea, ICLR
+2019), as the table ``MOMENTS`` lists: none (vanilla), the scatters
+(dadam, whose weights and locations step plainly) or all three (radam).
+An EM baseline covers the Gaussian family (``fit_em_gmm``).  Both engines
+write one record, ``FitReport``: it appends each iteration's cost and
+health as the iteration ends, and names the failure that ended the fit.
+
 Validation stays where data and models enter (``fit``, the public
-constructors, ``families.check_spd``); inside the loop a step trusts what
-it built.  The weight square roots are a plain unit vector divided by its
-own norm, the gradient triple is a plain named tuple, the health record
-reads the eigenvalues and traces the retraction took, and events are
-looked for only in a step where one occurred.  A fit ends, ``failed``, at
-the first iteration whose projection fails, whose cost or gradient triple
-is not finite (before it steps), whose step leaves a weight, location or
-scatter image that is not finite (with the model it started from) or
-whose retraction leaves a scatter on the PD floor after every halving.
-Both engines write one record, ``FitReport``: it appends each iteration's
-cost and health as the iteration ends, and names the failure that ended
-the fit.  An EM baseline covers the Gaussian family: each iteration is
-one pass over a centred copy of the samples in cache-sized column
-blocks, running the density kernel of
-``MixtureModel.component_logpdf`` and taking the M-step sums in whitened
-coordinates per block, and each iterate is rebuilt from the eigenvalue
-floor's (lam, q) and admitted with its lam; it ends, ``failed``, at the
-first non-finite NLL, with the last model it reached.  A fit depends on its start, its
-data and the five settings of ``OptimizerConfig`` (the moment decays are
-the constants ``BETA1`` and ``BETA2``) and nothing else: each
-engine draws from ``np.random.default_rng(cfg.seed)``, so
+constructors, ``families.check_spd``).  The samples are validated at the
+``fit`` boundary, and their covariance, which sets every direction's grid
+margin, is taken once per ``Dataset`` (``Dataset.covariance``), so the
+starts and fits of one data set share it; inside the loop a step trusts
+what it built.  A fit depends on its start, its data and the five settings
+of ``OptimizerConfig`` (the moment decays are the constants ``BETA1`` and
+``BETA2``) and nothing else: each engine draws from
+``np.random.default_rng(cfg.seed)``, so
 ``fit(model0, data, OptimizerConfig(**report.config))`` rebuilds a fit
 from its record.
-
-The scatter momentum is kept as its Lyapunov image U = L_Sigma[u], the
-coordinates ``manifold.exp_sigma`` steps in: there vector transport is
-the identity and the Riemannian gradient's image is the Euclidean
-w p p'.  Both adaptive methods step by -alpha U / sqrt(S) with one scalar
-S per scatter, the running max of the decayed mean of ||w p p'||_F^2, and
-a scalar scale commutes with the solve, so no step makes a Lyapunov solve
-or needs an eigenbasis, and the retraction admits each step's scatters
-with one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -180,13 +151,10 @@ class FitReport:
 class _FactorMoments:
     """Riemannian AMSGrad moments of a stack of factors, one per row: the
     weight sphere (k,), the k locations (k, m), or the k scatters as their
-    Lyapunov images w p p' flattened to (k, m^2), which a scalar scale
-    carries through the Lyapunov solve.  Each factor keeps its first moment
-    and the running max vhat of one scalar second moment, the decayed mean
-    of its squared gradient norm (w^2 for a scatter, up to rounding), which
-    no change of coordinates moves.  radam keeps one for every factor,
-    dadam one for the scatters alone, in place of its former p' v p (the
-    module docstring says why)."""
+    Lyapunov images flattened to (k, m^2), which a scalar scale carries
+    through the Lyapunov solve.  Each factor keeps its first moment and the
+    running max vhat of one scalar second moment, the decayed mean of its
+    squared gradient norm, which no change of coordinates moves."""
 
     def __init__(self, shape: tuple):
         self.m = np.zeros(shape)
@@ -201,97 +169,124 @@ class _FactorMoments:
         return self.m / np.sqrt(self.vhat + EPS_ADP)[..., None]
 
 
+def _direction_source(model: MixtureModel, dataset, rng: np.random.Generator) -> tuple[float, tuple]:
+    """The semi-discrete cost of model along one direction drawn from rng,
+    and its Euclidean triple (``_ManifoldStep`` says what it holds).  A
+    projection that fails raises its ``EmmfitError``; a triple that is not
+    finite is returned unwarned."""
+    # one direction per step; seeded fits depend on this exact draw
+    p = transport._draw_projections(model.m, 1, rng)[0]
+    ctx = transport.make_projection_context(p, dataset.samples, cov=dataset.covariance)
+    projected = transport.project_model(model, ctx)
+    cost = transport.projected_w2(ctx, projected)
+    grad = euclidean_grad(model, ctx, projected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cost, (grad.g_sqrtpi, grad.g_mu, grad.g_sigma)
+
+
+class _ManifoldStep:
+    """One step of a manifold fit along a Euclidean triple, and the model it
+    reaches (``model``, with its scatters ``points``).
+
+    Each iteration of ``_fit_manifold`` runs source, check, step, record.
+    The source (``_direction_source``) gives the cost of ``model`` and its
+    Euclidean triple: the sqrt-weight gradient (k,), the location gradient
+    (k, m) and the scatter image g_sigma, a dense (k, m, m) stack.  A failed
+    projection, or a cost or triple that is not finite, ends the fit before
+    its step.  Calling the step moves along the triple, and
+    ``FitReport._record`` appends the cost and the health of ``points``.
+    Any source of such a triple drives the step unchanged.
+
+    The weight square roots step on the sphere, the locations in Euclidean
+    space, and all k scatters in one ``manifold.exp_sigma`` call along
+    their Lyapunov images U = L_Sigma[u], the coordinates in which vector
+    transport is the identity and the Riemannian gradient's image is
+    g_sigma itself.  The factors ``MOMENTS`` names step by -alpha m /
+    sqrt(vhat) with one scalar vhat per factor (``_FactorMoments``), and a
+    scalar scale commutes with the solve, so no step makes a Lyapunov solve
+    or needs an eigenbasis.  A weight square root below SQRTPI_FLOOR is
+    floored, an event, and the sphere renormalised; each halving of a
+    scatter step is an event too.  A step that leaves a weight, location or
+    scatter image that is not finite ends the fit with the model it started
+    from; a scatter left on the PD floor after every halving ends it with
+    the model it reached, built from the ``PdPoint`` the retraction
+    admitted and not checked again.  Events go to ``events``."""
+
+    def __init__(self, model0: MixtureModel, cfg: OptimizerConfig, events: list):
+        k, m = model0.k, model0.m
+        shapes = {"weights": (k,), "locations": (k, m), "scatters": (k, m * m)}
+        self.moments = {name: _FactorMoments(shapes[name]) for name in MOMENTS[cfg.method]}
+        self.alpha, self.events = cfg.alpha, events
+        self.model, self.mus = model0, model0.mus.copy()
+        self.sphere, self.points = manifold.sphere_from_weights(model0.weights), PdPoint(model0.sigmas)
+
+    def __call__(self, h: int, g_sqrtpi, g_mu, g_sigma) -> str | None:
+        """Step along a finite triple at iteration h; return the failure
+        that ends the fit here, or None."""
+        k, m = g_mu.shape
+        steps = {
+            "weights": manifold.project_sphere_grad(self.sphere, g_sqrtpi),
+            "locations": g_mu,
+            "scatters": g_sigma.reshape(k, m * m),
+        }
+        for name, moment in self.moments.items():
+            # the sphere's first moment is carried by projection and, scaled
+            # by a scalar, stays tangent; the other factors carry theirs
+            # unchanged
+            carried = manifold.project_sphere_grad(self.sphere, moment.m) if name == "weights" else moment.m
+            steps[name] = moment.step(steps[name], carried)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = manifold.exp_sphere(self.sphere, self.alpha * steps["weights"])
+            mus = self.mus - self.alpha * steps["locations"]
+            lyap = -self.alpha * steps["scatters"].reshape(k, m, m)
+        if not (np.isfinite(s).all() and np.isfinite(mus).all() and np.isfinite(lyap).all()):
+            return "non-finite step"
+        low = s < SQRTPI_FLOOR
+        if low.any():
+            for i in np.flatnonzero(low):
+                self.events.append(f"iter {h}: weight floor for component {i}")
+            s = np.maximum(s, SQRTPI_FLOOR)
+        # renormalised whether or not a weight was floored
+        self.sphere, self.mus = s / manifold._norm(s), mus
+        self.points, halvings = manifold.exp_sigma(self.points, lyap)
+        failure = None
+        if halvings.any():
+            exhausted = halvings > manifold.PD_RETRIES
+            for i in np.flatnonzero(~exhausted & (halvings > 0)):
+                self.events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
+            for i in np.flatnonzero(exhausted):
+                self.events.append(f"iter {h}: pd safeguard exhausted for component {i}")
+                failure = "pd safeguard exhausted"
+        self.model = MixtureModel(self.model.family, self.sphere * self.sphere, mus, self.points)
+        return failure
+
+
+def _iterate(step: _ManifoldStep, dataset, rng: np.random.Generator, h: int) -> tuple[float, str | None]:
+    """Iteration h of a manifold fit: its cost, and the failure that ends the fit there or None."""
+    try:
+        cost, triple = _direction_source(step.model, dataset, rng)
+    except EmmfitError as exc:
+        step.events.append(f"iter {h}: projection failed ({exc})")
+        return math.nan, "projection failure"
+    if not (math.isfinite(cost) and all(np.isfinite(g).all() for g in triple)):
+        return cost, "non-finite cost or gradient"
+    return cost, step(h, *triple)
+
+
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
-    rng = np.random.default_rng(cfg.seed)
     dataset = as_dataset(data, model0.m)
     _covariance_trace(dataset)  # refuses a covariance that overflows
-    samples, cov = dataset.samples, dataset.covariance
-    family = model0.family
-    k, m = model0.k, model0.m
-    alpha = cfg.alpha
-
-    sphere = manifold.sphere_from_weights(model0.weights)
-    mus = model0.mus.copy()
-    points = PdPoint(model0.sigmas)
-
-    shapes = {"weights": (k,), "locations": (k, m), "scatters": (k, m * m)}
-    moments = {name: _FactorMoments(shapes[name]) for name in MOMENTS[cfg.method]}
-
+    rng = np.random.default_rng(cfg.seed)
     report = FitReport(model0, config=cfg.to_dict())
-    events = report.events
-    current = model0
+    step = _ManifoldStep(model0, cfg, report.events)
     for h in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        # one direction per step; seeded fits depend on this exact draw
-        p = transport._draw_projections(m, 1, rng)[0]
-        try:
-            ctx = transport.make_projection_context(p, samples, cov=cov)
-            projected = transport.project_model(current, ctx)
-            cost = transport.projected_w2(ctx, projected)
-            grad = euclidean_grad(current, ctx, projected)
-        except EmmfitError as exc:
-            events.append(f"iter {h}: projection failed ({exc})")
-            report.failure_reason = f"projection failure at iteration {h}"
-            cost = np.nan
-        else:
-            if not (
-                math.isfinite(cost)
-                and np.isfinite(grad.g_sqrtpi).all()
-                and np.isfinite(grad.g_mu).all()
-                and np.isfinite(grad.w_sigma).all()
-            ):
-                report.failure_reason = f"non-finite cost or gradient at iteration {h}"
-        # after a failure there is nothing to step along: the fit ends at
-        # this iteration, with the model it started from
-        if not report.failed:
-            # ---- weights on the sphere, locations in Euclidean space, and
-            # all k scatters in one step along Lyapunov images: the
-            # Riemannian gradient's is g_sigma
-            steps = {
-                "weights": manifold.project_sphere_grad(sphere, grad.g_sqrtpi),
-                "locations": grad.g_mu,
-                "scatters": grad.g_sigma.reshape(k, m * m),
-            }
-            for name, moment in moments.items():
-                # the sphere's first moment is carried by projection and,
-                # scaled by a scalar, stays tangent; the other factors carry
-                # theirs unchanged
-                carried = manifold.project_sphere_grad(sphere, moment.m) if name == "weights" else moment.m
-                steps[name] = moment.step(steps[name], carried)
-            # a step too long for the float range leaves a weight, location
-            # or scatter image non-finite, which ends the fit here, with the
-            # model this iteration started from
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = manifold.exp_sphere(sphere, alpha * steps["weights"])
-                mus = mus - alpha * steps["locations"]
-                lyap = -alpha * steps["scatters"].reshape(k, m, m)
-            if not (np.isfinite(s).all() and np.isfinite(mus).all() and np.isfinite(lyap).all()):
-                report.failure_reason = f"non-finite step at iteration {h}"
-        if not report.failed:
-            # renormalised whether or not a weight was floored
-            low = s < SQRTPI_FLOOR
-            if low.any():
-                for i in np.flatnonzero(low):
-                    events.append(f"iter {h}: weight floor for component {i}")
-                s = np.maximum(s, SQRTPI_FLOOR)
-            sphere = s / manifold._norm(s)
-            points, halvings = manifold.exp_sigma(points, lyap)
-            if halvings.any():
-                exhausted = halvings > manifold.PD_RETRIES
-                for i in np.flatnonzero(~exhausted & (halvings > 0)):
-                    events.append(f"iter {h}: step halved {halvings[i]}x for component {i}")
-                # a scatter that no halving lifts off the floor ends the fit
-                # at this iteration, with the model this step reached
-                for i in np.flatnonzero(exhausted):
-                    events.append(f"iter {h}: pd safeguard exhausted for component {i}")
-                    report.failure_reason = f"pd safeguard exhausted at iteration {h}"
-
-            current = MixtureModel(family, sphere * sphere, mus, points)
-
-        report._record(cost, points, tic)
-        if report.failed:
+        cost, failure = _iterate(step, dataset, rng, h)
+        report._record(cost, step.points, tic)
+        if failure is not None:
+            report.failure_reason = f"{failure} at iteration {h}"
             break
-    return report._end(current)
+    return report._end(step.model)
 
 
 def fit(model0, data, cfg: OptimizerConfig) -> FitReport:

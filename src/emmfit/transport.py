@@ -356,11 +356,15 @@ def make_projection_context(p: np.ndarray, samples: np.ndarray, *, cov: np.ndarr
     many times passes ``Dataset.covariance``, which each ``mixture.Dataset``
     computes once.  Constant projections fall back to a spread of
     max(1, |x|).  The context is built trusted: p is checked here and the
-    projections are sorted here, so nothing is re-scanned.
+    projections are sorted here, so nothing is re-scanned.  (n, m) samples
+    take an m-vector p and an (m, m) cov; others raise ``MismatchError``.
     """
     p = np.asarray(p, dtype=float)
-    _check_unit(p)
     samples = np.asarray(samples, dtype=float)
+    if (samples.ndim, p.shape, np.shape(cov)) != (2, samples.shape[1:], 2 * samples.shape[1:]):
+        shapes = f"{samples.shape}, {p.shape} and {np.shape(cov)}"
+        raise MismatchError(f"(n, m) samples take an m-vector p and an (m, m) cov, not shapes {shapes}")
+    _check_unit(p)
     projected = samples @ p
     projected.sort()
     var = float(p @ cov @ p)

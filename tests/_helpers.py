@@ -292,16 +292,16 @@ def solve_matching_loop(cost, sq1, sq2):
 
 def ambient_step_fit(model0, data, cfg):
     """A Riemannian fit (vanilla, radam or dadam) whose scatters step as the
-    engine stepped them with an ambient momentum: the gradient through
-    ``riem_grad_sigma``, the momentum carried to each new point by
+    engine stepped them with an ambient momentum: the gradient g Sigma +
+    Sigma g of each scatter's image g, ``riem_grad_sigma``'s printed
+    operation, the momentum carried to each new point by
     ``transport_sigma``, scaled by one scalar per scatter (the running max
-    of the decayed mean of w^2, for radam and dadam alike), and each step
-    solved for its Lyapunov image at the point it leaves before the
-    retraction.
-    Weights and locations move as in ``optim``.  Returns (costs, final
-    model)."""
+    of the decayed mean of ||g||_F^2, for radam and dadam alike), and each
+    step solved for its Lyapunov image at the point it leaves before the
+    retraction.  The cost and the Euclidean triple come from the engine's
+    own source, ``optim._direction_source``; weights and locations move as
+    in ``optim``.  Returns (costs, final model)."""
     from emmfit import manifold as mf
-    from emmfit.gradients import euclidean_grad
 
     rng = np.random.default_rng(cfg.seed)
     dataset = mx.as_dataset(data, model0.m)
@@ -312,28 +312,25 @@ def ambient_step_fit(model0, data, cfg):
     u, v, second = np.zeros((k, m, m)), np.zeros(k), np.zeros(k)
     prev, model, costs = None, model0, []
     for _ in range(cfg.max_iters):
-        p = tp.random_projections(m, 1, rng)[0]
-        ctx = tp.make_projection_context(p, dataset.samples, cov=dataset.covariance)
-        projected = tp.project_model(model, ctx)
-        costs.append(tp.projected_w2(ctx, projected))
-        grad = euclidean_grad(model, ctx, projected)
+        cost, (g_sqrtpi, g_mu, g_sigma) = optim._direction_source(model, dataset, rng)
+        costs.append(cost)
 
-        tangent = mf.project_sphere_grad(sphere, grad.g_sqrtpi)
+        tangent = mf.project_sphere_grad(sphere, g_sqrtpi)
         if method == "radam":
             tangent = pi_moments.step(tangent, mf.project_sphere_grad(sphere, pi_moments.m))
-            mus = mus - alpha * mu_moments.step(grad.g_mu, mu_moments.m)
+            mus = mus - alpha * mu_moments.step(g_mu, mu_moments.m)
         else:
-            mus = mus - alpha * grad.g_mu
+            mus = mus - alpha * g_mu
         clamped = np.maximum(mf.exp_sphere(sphere, alpha * tangent), optim.SQRTPI_FLOOR)
         sphere = clamped / np.linalg.norm(clamped)
 
-        rgrad = mf.riem_grad_sigma(point, grad.w_sigma, p)
+        rgrad = g_sigma @ point.sigma + point.sigma @ g_sigma
         if method == "vanilla":
             step = -alpha * rgrad
         else:
             carried = np.zeros_like(u) if prev is None else mf.transport_sigma(prev, point.sigma, u)
             u, prev = beta1 * carried + (1.0 - beta1) * rgrad, point
-            v = beta2 * v + (1.0 - beta2) * grad.w_sigma**2
+            v = beta2 * v + (1.0 - beta2) * np.einsum("kij,kij->k", g_sigma, g_sigma)
             second = np.maximum(second, v)
             step = -alpha * u / np.sqrt(second + optim.EPS_ADP)[:, None, None]
         point, _ = mf.exp_sigma(point, mf.lyapunov_solve(point, step))

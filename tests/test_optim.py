@@ -39,7 +39,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import ambient_step_fit, em_oracle, golden_case, golden_config, golden_fit, initialize_oracle
+from _helpers import (
+    ambient_step_fit,
+    em_oracle,
+    golden_case,
+    golden_config,
+    golden_fit,
+    initialize_oracle,
+    random_gmm,
+)
 from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
@@ -290,6 +298,25 @@ def test_default_dadam_keeps_the_m8_scatters_off_the_floor(seed):
     report = optim.fit(model0, data, optim.OptimizerConfig(max_iters=1000, seed=seed))
     assert not report.failed and report.iterations == 1000
     assert report.min_eig_ratio[-1] > 1e-3
+
+
+@pytest.mark.parametrize("m", (2, 8))
+@pytest.mark.parametrize("method", ("vanilla", "radam", "dadam"))
+def test_the_step_fed_a_zero_triple_stays_where_it_is(method, m):
+    # The step takes its triple from any source.  Fed zeros for 50 steps it
+    # logs no event, fails nowhere and keeps the locations and scatters to
+    # the bit; renormalising the sphere may move a weight by an ulp.
+    k = 4
+    start = random_gmm(m, k, np.random.default_rng(m))
+    model0 = mx.MixtureModel(start.family, start.weights, start.mus, optim.manifold._sym(start.sigmas))
+    events = []
+    step = optim._ManifoldStep(model0, golden_config(method), events)
+    zero = (np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m)))
+    assert [step(h, *zero) for h in range(1, 51)] == [None] * 50
+    assert events == []
+    assert step.model.mus.tobytes() == model0.mus.tobytes()
+    assert step.model.sigmas.tobytes() == model0.sigmas.tobytes()
+    np.testing.assert_allclose(step.model.weights, model0.weights, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", ("radam", "dadam"))

@@ -441,6 +441,22 @@ class TestProjectionContextChecks:
         with pytest.raises(MismatchError, match="unit norm"):
             tp.sliced_cost(model, np.eye(2), [nan])
 
+    @pytest.mark.parametrize(
+        "p, cov",
+        [([1.0, 0.0, 0.0], np.eye(2)), ([[1.0, 0.0]], np.eye(2)), (1.0, np.eye(2)), ([1.0, 0.0], np.eye(3)),
+         ([1.0, 0.0], np.ones(2)), ([1.0, 0.0], 1.0)],
+    )
+    def test_a_misshaped_direction_or_covariance_is_refused(self, p, cov):
+        with pytest.raises(MismatchError, match="take an m-vector p and an \\(m, m\\) cov"):
+            tp.make_projection_context(np.array(p), np.zeros((4, 2)), cov=cov)
+
+    @pytest.mark.parametrize("projections", ([[1.0, 0.0, 0.0]], np.array([1.0, 0.0])))
+    def test_sliced_cost_refuses_directions_of_another_dimension(self, projections):
+        # a 1-D array's rows are scalars, not 2-vectors
+        model = mx.MixtureModel(fam.gaussian(2), [1.0], [[0.0, 0.0]], [np.eye(2)])
+        with pytest.raises(MismatchError, match="take an m-vector p"):
+            tp.sliced_cost(model, np.eye(2), projections)
+
     def test_covariance_is_required(self):
         with pytest.raises(TypeError, match="cov"):
             tp.make_projection_context(np.array([1.0]), np.zeros((4, 1)))

@@ -1,6 +1,6 @@
 """SHA-256 digests of a benchmark workload's set-up and of every fit it runs.
 
-    python3 tools/fit_digest.py --workload all --seed 1
+    python3 tools/fit_digest.py --workload all --seed 1 2 3
 
 Run from the root of a checkout.  For each workload, ``bench/harness.py``'s
 ``set_up`` builds the datasets and starting models from the seed, and each
@@ -15,6 +15,8 @@ digest:
     <workload> case <c> record       <digest of the min_eig_ratio trace, the events and the failure reason>
     <workload> case 0 <method> ...   <the same three of case 0 fitted by vanilla, radam>
 
+Given several seeds, the lines of each seed follow those of the one
+before, in the order given, exactly as the single-seed calls print them.
 Two checkouts that print the same lines for a seed set up and fit that
 seed's workloads to the same bits.  The script only reads ``bench/``; like
 ``bench/run.py`` it runs numpy on one BLAS thread.
@@ -74,7 +76,7 @@ def workload_digests(harness, optim, name: str, seed: int) -> list[tuple[str, st
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("tall", "wide", "em", "all"))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
 
     # read by BLAS when numpy loads
@@ -85,9 +87,10 @@ def main(argv=None) -> int:
     from emmfit import optim
 
     names = list(harness.WORKLOADS) if args.workload == "all" else [args.workload]
-    for name in names:
-        for label, value in workload_digests(harness, optim, name, args.seed):
-            print(f"{name:<5} {label:<20} {value}")
+    for seed in args.seed:
+        for name in names:
+            for label, value in workload_digests(harness, optim, name, seed):
+                print(f"{name:<5} {label:<20} {value}")
     return 0
 
 
