@@ -23,35 +23,19 @@ triple that is not finite is the fit step's to end the fit on.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .mixture import MixtureModel
 from .transport import ProjectedMixture, ProjectionContext
 
 
-class EuclideanGrad(NamedTuple):
-    """Euclidean gradient triple for one projection direction.
-
-    Scatter gradients are rank one: g_sigma[i] = w_sigma[i] * p p'.
-    """
-
-    p: np.ndarray
-    g_sqrtpi: np.ndarray  # (k,)
-    g_mu: np.ndarray  # (k, m)
-    w_sigma: np.ndarray  # (k,)
-
-    @property
-    def g_sigma(self) -> np.ndarray:
-        # p p' with the bits of np.outer(p, p), formed once
-        return self.w_sigma[:, None, None] * (self.p[:, None] * self.p)
-
-
-def euclidean_grad(model: MixtureModel, ctx: ProjectionContext, projected: ProjectedMixture) -> EuclideanGrad:
-    """Gradients of the projection cost w.r.t. sqrt-weights, mus, sigmas,
-    given the model projected on ctx (``transport.project_model``, which
-    raises ``UnsupportedGradientError`` for a family with no gradient)."""
+def euclidean_grad(model: MixtureModel, ctx: ProjectionContext, projected: ProjectedMixture) -> tuple:
+    """The Euclidean triple of the projection cost given the model projected
+    on ctx (``transport.project_model``, which raises
+    ``UnsupportedGradientError`` for a family with no gradient): the
+    sqrt-weight gradient (k,), the location gradient (k, m), g_loc[i] p, and
+    the dense scatter gradient (k, m, m), w_sigma[i] p p'.  The triple is
+    computed unwarned: one that is not finite is the fit step's to refuse."""
     grid = ctx.grid
     pi = model.weights
 
@@ -80,9 +64,10 @@ def euclidean_grad(model: MixtureModel, ctx: ProjectionContext, projected: Proje
     # / root_v_i for the location coefficient (the vector gradient is this
     # times p) and -pi_i diff(slope_offset_i) / (2 v_i) for the scatter one
     # (times p p').
-    g_sqrtpi = 2.0 * np.sqrt(pi) * (projected.cells @ vec)
-    # a result that is not finite is the fit step's to refuse, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
+        g_sqrtpi = 2.0 * np.sqrt(pi) * (projected.cells @ vec)
         g_loc = -pi * (projected.slope @ dvec) / projected.root_v
         w_sigma = -pi * (projected.slope_offset @ dvec) / (2.0 * projected.proj_var)
-    return EuclideanGrad(ctx.p, g_sqrtpi, g_loc[:, None] * ctx.p, w_sigma)
+        p = ctx.p
+        # p p' with the bits of np.outer(p, p), formed once
+        return g_sqrtpi, g_loc[:, None] * p, w_sigma[:, None, None] * (p[:, None] * p)

@@ -11,7 +11,7 @@ these coordinates needs no solve: the image of the Riemannian gradient
 ``transport_sigma`` leaves the image unchanged.  Every fit step keeps its
 tangent vectors so, and none calls ``lyapunov_solve``, ``riem_grad_sigma``
 or ``transport_sigma``: they map ambient tangent vectors to and between
-points, in the eigenbasis that a ``PdPoint`` computes on first use, and
+points, in an eigenbasis that ``lyapunov_solve`` takes on each call, and
 are the ambient algebra the fit steps are tested against.  Scatter
 operations take one (m, m) matrix or a (k, m, m) stack; the retraction
 owns the trust region.  The constant metric weight E[R^2]/m is omitted
@@ -56,15 +56,15 @@ def sphere_from_weights(pi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PdPoint:
-    """Positive definite matrix or (k, m, m) stack, sigma = q diag(lam) q^T.
+    """Positive definite matrix or (k, m, m) stack.
 
     ``PdPoint(sigma)`` validates with ``check_spd``; ``exp_sigma`` builds
     its result with ``_admitted`` from the ascending eigenvalues lam that
     admitted it.  Either way a PdPoint is an admitted point:
     ``MixtureModel`` takes one in place of a scatter stack without deciding
-    positive definiteness again.  lam (``eigvalsh``) and the traces
-    (``trace``) are computed on first use where they were not handed over,
-    the eigenbasis q (``eigh``) on first use; each is kept."""
+    positive definiteness again.  Its ascending eigenvalues lam
+    (``eigvalsh``) and traces (``trace``) are computed on first use where
+    they were not handed over, and kept."""
 
     sigma: np.ndarray
 
@@ -90,10 +90,6 @@ class PdPoint:
         """tr(sigma), one per matrix of a stack."""
         return self.sigma.trace(axis1=-2, axis2=-1)
 
-    @cached_property
-    def q(self) -> np.ndarray:
-        return np.linalg.eigh(self.sigma)[1]
-
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
@@ -101,11 +97,12 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def lyapunov_solve(a: PdPoint | np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve A B + B A = C for symmetric C and positive definite A (or
-    stacks), in the eigenbasis of A, which a ``PdPoint`` takes on first use.
-    No fit step calls it: the steps are taken as Lyapunov images."""
+    stacks), in the eigenbasis of A, taken by one ``eigh`` per call, with
+    the point's eigenvalues.  No fit step calls it: the steps are taken as
+    Lyapunov images."""
     if not isinstance(a, PdPoint):
         a = PdPoint(a)
-    lam, q = a.lam, a.q
+    lam, q = a.lam, np.linalg.eigh(a.sigma)[1]
     qt = np.swapaxes(q, -1, -2)
     c_tilde = qt @ np.asarray(c, dtype=float) @ q
     b_tilde = c_tilde / (lam[..., :, None] + lam[..., None, :])
@@ -137,9 +134,9 @@ def exp_sigma(sigma: PdPoint | np.ndarray, lyap: np.ndarray) -> tuple[PdPoint, i
     read (``_trust_cap``) only in a step where one does.  One stacked
     ``eigvalsh`` of the images is their PD-floor test, the same read
     ``check_spd`` makes, and gives the new point its lam and, with their
-    traces, the health record its ratio; the eigenbasis is left to first
-    use.  An image below the floor is retried with L halved, at most
-    PD_RETRIES times; a matrix that never passes keeps its input value.
+    traces, the health record its ratio; no eigenbasis is taken.  An image
+    below the floor is retried with L halved, at most PD_RETRIES times; a
+    matrix that never passes keeps its input value.
 
     The step trusts what it is given and what it builds.  One pass takes
     the squared Frobenius norms of the images.  When all are at most

@@ -211,10 +211,19 @@ class Dataset:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """``sample_covariance(samples)``, computed once per Dataset."""
+        """``sample_covariance(samples)``, computed once per Dataset; one
+        whose trace overflows the float range is refused (``MismatchError``)."""
         cov = sample_covariance(self.samples)
+        if not np.isfinite(np.trace(cov)):
+            raise _overflow_error("the data covariance overflows", self.samples)
         cov.flags.writeable = False
         return cov
+
+
+def _overflow_error(what: str, samples: np.ndarray) -> MismatchError:
+    """The refusal of samples at whose scale ``what`` leaves the float range."""
+    scale = float(np.max(np.abs(samples)))
+    return MismatchError(f"{what} at the scale of the data (largest |entry| {scale:.3g}); rescale it")
 
 
 def as_dataset(data, m: int) -> Dataset:
@@ -235,7 +244,7 @@ def sample_covariance(samples: np.ndarray) -> np.ndarray:
     2^2e after.  Scaling by a power of two is exact, so the scaled rows give
     the bits the plain ones would wherever those stay in range, and finite
     rows never overflow inside ``np.cov``; a covariance beyond the float
-    range comes back as inf, which the fits refuse at their boundary.
+    range comes back as inf, which ``Dataset.covariance`` refuses.
     Both branches take ``_biased_cov``, the bits of ``np.cov``."""
     samples = np.asarray(samples, dtype=float)
     m = samples.shape[1]

@@ -16,10 +16,12 @@ health as the iteration ends, and names the failure that ended the fit.
 Validation stays where data and models enter (``fit``, the public
 constructors, ``families.check_spd``).  The samples are validated at the
 ``fit`` boundary, and their covariance, which sets every direction's grid
-margin, is taken once per ``Dataset`` (``Dataset.covariance``), so the
-starts and fits of one data set share it; inside the loop a step trusts
-what it built.  A fit depends on its start, its data and the five settings
-of ``OptimizerConfig`` (the moment decays are the constants ``BETA1`` and
+margin, is taken once per ``Dataset`` (``Dataset.covariance``, which
+refuses one that overflows), so the starts and fits of one data set share
+it.  Inside the loop a step trusts what it built: the source hands it the
+triple that ``gradients.euclidean_grad`` made, as it was made.  A fit
+depends on its start, its data and the five settings of
+``OptimizerConfig`` (the moment decays are the constants ``BETA1`` and
 ``BETA2``) and nothing else: each engine draws from
 ``np.random.default_rng(cfg.seed)``, so
 ``fit(model0, data, OptimizerConfig(**report.config))`` rebuilds a fit
@@ -41,6 +43,7 @@ from .manifold import PdPoint
 from .mixture import (
     BlockBuffers,
     MixtureModel,
+    _overflow_error,
     as_dataset,
     column_blocks,
     normalize_columns,
@@ -171,17 +174,15 @@ class _FactorMoments:
 
 def _direction_source(model: MixtureModel, dataset, rng: np.random.Generator) -> tuple[float, tuple]:
     """The semi-discrete cost of model along one direction drawn from rng,
-    and its Euclidean triple (``_ManifoldStep`` says what it holds).  A
-    projection that fails raises its ``EmmfitError``; a triple that is not
-    finite is returned unwarned."""
+    and the Euclidean triple that ``euclidean_grad`` returns for it
+    (``_ManifoldStep`` says what it holds).  A projection that fails raises
+    its ``EmmfitError``; a triple that is not finite is returned unwarned."""
     # one direction per step; seeded fits depend on this exact draw
     p = transport._draw_projections(model.m, 1, rng)[0]
     ctx = transport.make_projection_context(p, dataset.samples, cov=dataset.covariance)
     projected = transport.project_model(model, ctx)
     cost = transport.projected_w2(ctx, projected)
-    grad = euclidean_grad(model, ctx, projected)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return cost, (grad.g_sqrtpi, grad.g_mu, grad.g_sigma)
+    return cost, euclidean_grad(model, ctx, projected)
 
 
 class _ManifoldStep:
@@ -275,7 +276,7 @@ def _iterate(step: _ManifoldStep, dataset, rng: np.random.Generator, h: int) -> 
 
 def _fit_manifold(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     dataset = as_dataset(data, model0.m)
-    _covariance_trace(dataset)  # refuses a covariance that overflows
+    dataset.covariance  # refuses a covariance that overflows, before the loop
     rng = np.random.default_rng(cfg.seed)
     report = FitReport(model0, config=cfg.to_dict())
     step = _ManifoldStep(model0, cfg, report.events)
@@ -300,21 +301,6 @@ def fit(model0, data, cfg: OptimizerConfig) -> FitReport:
             f"{family.name} {family.params()} has no sliced-cost gradient for {cfg.method}"
         )
     return _fit_manifold(model0, data, cfg)
-
-
-def _covariance_trace(dataset) -> float:
-    """The trace of the data covariance, refused with ``MismatchError`` where
-    it overflows the float range."""
-    trace = float(np.trace(dataset.covariance))
-    if not np.isfinite(trace):
-        raise _overflow_error("the data covariance overflows", dataset.samples)
-    return trace
-
-
-def _overflow_error(what: str, samples: np.ndarray) -> MismatchError:
-    """The refusal of samples at whose scale ``what`` leaves the float range."""
-    scale = float(np.max(np.abs(samples)))
-    return MismatchError(f"{what} at the scale of the data (largest |entry| {scale:.3g}); rescale it")
 
 
 def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
@@ -356,7 +342,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     k = model0.k
     rng = np.random.default_rng(cfg.seed)
 
-    data_cov_trace = _covariance_trace(dataset)
+    data_cov_trace = float(np.trace(dataset.covariance))
     floor = 1e-6 * data_cov_trace / m
     iso = np.eye(m) * data_cov_trace / m
 
@@ -466,7 +452,7 @@ def initialize(data, k: int, family, strategy: str, rng: np.random.Generator) ->
         raise MismatchError(f"need at least k={k} samples, got {n}")
 
     pi = rng.dirichlet(np.ones(k))
-    trace = _covariance_trace(dataset)
+    trace = float(np.trace(dataset.covariance))
     if strategy == "random":
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         mus = rng.uniform(lo, hi, size=(k, m))

@@ -357,7 +357,8 @@ def make_projection_context(p: np.ndarray, samples: np.ndarray, *, cov: np.ndarr
     computes once.  Constant projections fall back to a spread of
     max(1, |x|).  The context is built trusted: p is checked here and the
     projections are sorted here, so nothing is re-scanned.  (n, m) samples
-    take an m-vector p and an (m, m) cov; others raise ``MismatchError``.
+    take an m-vector p and an (m, m) cov whose projected variance p' cov p
+    is finite; others raise ``MismatchError``.
     """
     p = np.asarray(p, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -365,9 +366,13 @@ def make_projection_context(p: np.ndarray, samples: np.ndarray, *, cov: np.ndarr
         shapes = f"{samples.shape}, {p.shape} and {np.shape(cov)}"
         raise MismatchError(f"(n, m) samples take an m-vector p and an (m, m) cov, not shapes {shapes}")
     _check_unit(p)
+    # refused below, unwarned, where it is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(p @ cov @ p)
+    if not math.isfinite(var):
+        raise MismatchError(f"cov gives the direction a projected variance p' cov p of {var}")
     projected = samples @ p
     projected.sort()
-    var = float(p @ cov @ p)
     # constant projections have var 0, or a rounding-negative one
     spread = math.sqrt(var) if var > 0.0 else max(1.0, abs(float(projected[0])))
     lo = projected[0] - GRID_MARGIN * spread
@@ -471,7 +476,8 @@ def projected_w2(ctx: ProjectionContext, projected: ProjectedMixture) -> float:
 
 def sliced_cost(model: MixtureModel, data, projections) -> float:
     """Average semi-discrete 1-D cost over the given unit projections, on the
-    rows of a Dataset or of a raw (n, m) array given the Dataset checks."""
+    rows of a Dataset or of a raw (n, m) array given the Dataset checks;
+    data whose covariance overflows are refused (``Dataset.covariance``)."""
     dataset = as_dataset(data, model.m)
     samples, cov = dataset.samples, dataset.covariance
     total = 0.0

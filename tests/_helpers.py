@@ -486,7 +486,7 @@ def fd_gradient_errors(model, ctx, h=1e-5):
     """
     from emmfit import gradients as gr
     projected = tp.project_model(model, ctx)
-    grad = gr.euclidean_grad(model, ctx, projected)
+    g_sqrtpi, g_mu, g_sigma = gr.euclidean_grad(model, ctx, projected)
 
     family = model.family
     sqrtpi = np.sqrt(model.weights)
@@ -514,7 +514,7 @@ def fd_gradient_errors(model, ctx, h=1e-5):
             s[i] = value
             return s * s, model.mus, model.sigmas
 
-        probe(set_sqrtpi, sqrtpi[i], grad.g_sqrtpi[i])
+        probe(set_sqrtpi, sqrtpi[i], g_sqrtpi[i])
 
     for i in range(model.k):
         for d in range(model.m):
@@ -523,9 +523,8 @@ def fd_gradient_errors(model, ctx, h=1e-5):
                 mus[i, d] = value
                 return model.weights, mus, model.sigmas
 
-            probe(set_mu, model.mus[i, d], grad.g_mu[i, d])
+            probe(set_mu, model.mus[i, d], g_mu[i, d])
 
-    g_sigma = grad.g_sigma
     for i in range(model.k):
         for r in range(model.m):
             for c in range(model.m):

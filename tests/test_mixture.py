@@ -591,6 +591,17 @@ class TestDataset:
         assert data.covariance.tobytes() == original(data.samples).tobytes()
         assert not data.covariance.flags.writeable
 
+    def test_overflowing_covariance_is_refused_where_it_is_taken(self):
+        # finite rows whose covariance exceeds the float range: refused with
+        # the fits' refusal, by the dataset and by the sliced cost, unwarned
+        rows = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+        message = r"covariance overflows .* \(largest \|entry\| 1e\+200\)"
+        with pytest.raises(MismatchError, match=message):
+            mx.Dataset(rows).covariance
+        model = mx.MixtureModel(fam.gaussian(2), np.ones(1), np.zeros((1, 2)), np.eye(2)[None])
+        with pytest.raises(MismatchError, match=message):
+            tp.sliced_cost(model, rows, tp.random_projections(2, 2, np.random.default_rng(0)))
+
     def test_covariance_keeps_every_bit_of_np_cov(self, data):
         assert data.covariance.tobytes() == np.cov(data.samples.T, bias=True).tobytes()
 

@@ -52,7 +52,6 @@ from emmfit import families as fam
 from emmfit import mixture as mx
 from emmfit import optim
 from emmfit.errors import DegenerateGridError, InvalidFamilyError, MismatchError, UnsupportedGradientError
-from emmfit.gradients import EuclideanGrad
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fits.json"
 GOLDEN_METHODS = ("vanilla", "radam", "dadam", "em")
@@ -340,7 +339,7 @@ def test_adaptive_steps_do_not_depend_on_coordinates(method):
         p = rng.normal(size=m)
         p /= np.linalg.norm(p)
         w, g_mu = rng.normal(size=k), rng.normal(size=(k, m))
-        images = (EuclideanGrad(d, None, None, w).g_sigma.reshape(k, m * m) for d in (p, q @ p))
+        images = ((w[:, None, None] * np.outer(d, d)).reshape(k, m * m) for d in (p, q @ p))
         step, turned = (moments.step(g, moments.m).reshape(k, m, m) for moments, g in zip(scatter, images))
         close(turned, q @ step @ q.T)
         close(scatter[1].vhat, scatter[0].vhat)
@@ -468,6 +467,20 @@ def test_overflowing_covariance_is_refused_at_the_boundary():
     for method in ("dadam", "em"):
         with pytest.raises(MismatchError, match=message):
             optim.fit(model0, rows, optim.OptimizerConfig(method=method, max_iters=3))
+
+
+def test_the_source_hands_the_step_the_triple_euclidean_grad_returned(case, monkeypatch):
+    data, model0 = case
+    real_grad = optim.euclidean_grad
+    made = []
+
+    def recording(*args):
+        made.append(real_grad(*args))
+        return made[-1]
+
+    monkeypatch.setattr(optim, "euclidean_grad", recording)
+    _, triple = optim._direction_source(model0, data, np.random.default_rng(0))
+    assert len(made) == 1 and triple is made[0]
 
 
 def test_em_takes_no_triangular_solve_or_scipy_logsumexp(case, monkeypatch):
@@ -972,19 +985,21 @@ def test_non_finite_cost_ends_the_fit_before_its_step(case, method, h, bad, monk
     np.testing.assert_equal(report.costs[-1], bad)
 
 
-@pytest.mark.parametrize("field", ("g_sqrtpi", "g_mu", "w_sigma"))
-def test_non_finite_gradient_ends_the_fit_before_its_step(case, field, monkeypatch):
+@pytest.mark.parametrize("index", (0, 1, 2))
+def test_non_finite_gradient_ends_the_fit_before_its_step(case, index, monkeypatch):
+    # one NaN in the sqrt-weight gradient, the location gradient or the
+    # scatter image of iteration 3
     data, model0 = case
     before = first_iterations(model0, data, golden_config("dadam"), 3)
     real_grad = optim.euclidean_grad
     calls = []
 
     def nan_at_iteration_3(model, ctx, projected):
-        grad = real_grad(model, ctx, projected)
+        triple = real_grad(model, ctx, projected)
         calls.append(None)
         if len(calls) == 3:
-            getattr(grad, field).flat[0] = np.nan
-        return grad
+            triple[index].flat[0] = np.nan
+        return triple
 
     monkeypatch.setattr(optim, "euclidean_grad", nan_at_iteration_3)
     report = golden_fit("dadam", data, model0)

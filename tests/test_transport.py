@@ -457,6 +457,16 @@ class TestProjectionContextChecks:
         with pytest.raises(MismatchError, match="take an m-vector p"):
             tp.sliced_cost(model, np.eye(2), projections)
 
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    @pytest.mark.parametrize("entry", ((0, 0), (0, 1)))
+    def test_a_covariance_with_no_finite_projected_variance_is_refused(self, bad, entry):
+        # refused unwarned: no grid from a NaN spread or an infinite one, and
+        # no fallback to the constant-projection spread
+        cov = np.eye(2)
+        cov[entry] = cov[entry[::-1]] = bad
+        with pytest.raises(MismatchError, match="projected variance"):
+            tp.make_projection_context(np.array([0.6, 0.8]), np.zeros((4, 2)), cov=cov)
+
     def test_covariance_is_required(self):
         with pytest.raises(TypeError, match="cov"):
             tp.make_projection_context(np.array([1.0]), np.zeros((4, 1)))
