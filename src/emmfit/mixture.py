@@ -228,10 +228,11 @@ def _overflow_error(what: str, samples: np.ndarray) -> MismatchError:
 
 def as_dataset(data, m: int) -> Dataset:
     """data itself if it is a Dataset, else a Dataset over the raw array,
-    which must pass the Dataset checks; either way it must have m columns."""
+    which must pass the Dataset checks; either way it must have the m
+    columns of the model or direction it is taken with."""
     dataset = data if isinstance(data, Dataset) else Dataset(data)
     if dataset.m != m:
-        raise MismatchError(f"data has {dataset.m} columns, the model has dimension {m}")
+        raise MismatchError(f"data has {dataset.m} columns, the model or direction has dimension {m}")
     return dataset
 
 

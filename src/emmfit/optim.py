@@ -179,7 +179,7 @@ def _direction_source(model: MixtureModel, dataset, rng: np.random.Generator) ->
     its ``EmmfitError``; a triple that is not finite is returned unwarned."""
     # one direction per step; seeded fits depend on this exact draw
     p = transport._draw_projections(model.m, 1, rng)[0]
-    ctx = transport.make_projection_context(p, dataset.samples, cov=dataset.covariance)
+    ctx = transport.make_projection_context(p, dataset)
     projected = transport.project_model(model, ctx)
     cost = transport.projected_w2(ctx, projected)
     return cost, euclidean_grad(model, ctx, projected)

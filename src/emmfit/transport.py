@@ -1,14 +1,16 @@
 """Distance machinery.
 
 Three layers: the closed-form Wasserstein distance between two elliptical
-laws, the matching-based approximate distance between mixtures, and the
-sliced semi-discrete objective (projected model density vs. the empirical
-measure on one direction), evaluated in closed form in the quantile domain.
-The empirical quantile function is read straight from the sorted
-projections and their prefix sums, at the few levels the cost and its
-gradient ask for: from the n-long cumulative sum when the projections
-are few per level, else from sums of the projections between the asked
-ranks.
+laws, the matching-based approximate distance d_u between mixtures (its
+value and its component matching), and the sliced semi-discrete objective
+(projected model density vs. the empirical measure on one direction),
+evaluated in closed form in the quantile domain.  A projection context
+projects the rows of a ``mixture.Dataset`` and reads its grid's spread
+from the covariance the Dataset keeps.  The empirical quantile function
+is read straight from the sorted projections and their prefix sums, at
+the few levels the cost and its gradient ask for: from the n-long
+cumulative sum when the projections are few per level, else from sums of
+the projections between the asked ranks.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ def _scatter_weight(family, unit_weight: bool) -> float:
     return mean_r2 / family.m
 
 
-def _first_in_order(mu1, sigma1, mu2, sigma2) -> bool:
-    """Whether (mu1, sigma1) comes first in the canonical operand order,
-    which makes ``w2_elliptical`` bitwise symmetric despite the asymmetric
-    Bures evaluation."""
-    return not (mu2.tobytes() + sigma2.tobytes()) < (mu1.tobytes() + sigma1.tobytes())
+def _key(*arrays) -> bytes:
+    """The bytes of the arrays in turn.  ``w2_elliptical`` and ``d_u`` put
+    their operands in the order of these keys, which makes each bitwise
+    symmetric despite the asymmetric Bures evaluation."""
+    return b"".join(a.tobytes() for a in arrays)
 
 
 def w2_elliptical(
@@ -85,24 +87,9 @@ def w2_elliptical(
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
     first, second = (c1.mu[None], c1.sigma[None]), (c2.mu[None], c2.sigma[None])
-    if not _first_in_order(c1.mu, c1.sigma, c2.mu, c2.sigma):
+    if _key(c2.mu, c2.sigma) < _key(c1.mu, c1.sigma):
         first, second = second, first
     return float(_pairwise_w2(c1.family, first, second, unit_weight)[0, 0])
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A bijective component matching and the arccos summand of its
-    objective, whose full value ``d_u`` returns beside it."""
-
-    permutation: np.ndarray  # component i of the first mixture -> permutation[i]
-    probability_term: float  # the arccos summand
-
-    def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=int)
-        if sorted(perm.tolist()) != list(range(perm.size)):
-            raise MismatchError("not a permutation")
-        object.__setattr__(self, "permutation", perm)
 
 
 def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
@@ -122,7 +109,7 @@ def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
     return cost
 
 
-def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm) -> tuple[float, float]:
+def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm) -> float:
     k = cost.shape[0]
     idx = np.arange(k)
     transport = float(cost[idx, perm].sum()) / k
@@ -130,8 +117,7 @@ def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm
     # angle 2 arcsin(|s1 - s2 o sigma| / 2); near-1 overlaps would lose all
     # precision inside arccos and the identity axiom asks for exact zero.
     gap = float(np.linalg.norm(sq1 - sq2[perm]))
-    angle = 2.0 * float(np.arcsin(0.5 * gap))
-    return transport + angle, angle
+    return transport + 2.0 * float(np.arcsin(0.5 * gap))
 
 
 @lru_cache(maxsize=None)
@@ -154,14 +140,13 @@ def _matching_scores(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> np.n
     return transport / k + 2.0 * np.arcsin(0.5 * np.sqrt(gap2))
 
 
-def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple[float, np.ndarray, float]:
+def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple[float, np.ndarray]:
     k = cost.shape[0]
     if k <= K_EXACT:
         # Score every permutation with numpy and value the first with the
         # lowest score, in lexicographic order, with ``_matching_objective``.
         perm = _orders(k)[:, int(np.argmin(_matching_scores(cost, sq1, sq2)))].astype(np.intp)
-        value, angle = _matching_objective(cost, sq1, sq2, perm)
-        return value, perm, angle
+        return _matching_objective(cost, sq1, sq2, perm), perm
     # Stage 1: assignment on the transport matrix alone; stage 2: pairwise
     # swaps on the full objective (the arccos term couples the matching).
     # imported here: it would add about 0.2 s and 22 MB of RSS to every
@@ -170,7 +155,7 @@ def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple
 
     _, perm = linear_sum_assignment(cost)
     perm = np.asarray(perm)
-    value, angle = _matching_objective(cost, sq1, sq2, perm)
+    value = _matching_objective(cost, sq1, sq2, perm)
     improved = True
     while improved:
         improved = False
@@ -178,39 +163,35 @@ def _solve_matching(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray) -> tuple
             for j in range(i + 1, k):
                 cand = perm.copy()
                 cand[i], cand[j] = cand[j], cand[i]
-                cand_value, cand_angle = _matching_objective(cost, sq1, sq2, cand)
+                cand_value = _matching_objective(cost, sq1, sq2, cand)
                 if cand_value < value - 1e-15:
-                    value, perm, angle = cand_value, cand, cand_angle
+                    value, perm = cand_value, cand
                     improved = True
-    return value, perm, angle
+    return value, perm
 
 
-def _model_key(model: MixtureModel) -> bytes:
-    return model.weights.tobytes() + model.mus.tobytes() + model.sigmas.tobytes()
-
-
-def d_u(
-    model1: MixtureModel, model2: MixtureModel, unit_weight: bool = False
-) -> tuple[float, TransportPlan]:
+def d_u(model1: MixtureModel, model2: MixtureModel, unit_weight: bool = False) -> tuple[float, np.ndarray]:
     """Approximate mixture distance: best bijective matching of components.
 
     Minimizes (1/k) sum of matched component W2 values plus
-    arccos(sum of matched sqrt(pi_i pi_j)).  Exact for k <= 8 (every
-    matching scored with numpy, the best-scored one valued exactly),
-    two-stage heuristic beyond.  Symmetric bitwise: the two models are
-    ordered canonically, and each component pair is taken in that order.
+    arccos(sum of matched sqrt(pi_i pi_j)), and returns (value,
+    permutation): component i of model1 is matched to component
+    permutation[i] of model2.  Exact for k <= 8 (every matching scored with
+    numpy, the best-scored one valued exactly), two-stage heuristic beyond.
+    Symmetric bitwise: the two models are ordered canonically, and each
+    component pair is taken in that order.
     """
     # the family carries m
     if model1.k != model2.k or model1.family != model2.family:
         raise MismatchError("mixtures must agree in k, m and family")
-    swapped = _model_key(model2) < _model_key(model1)
+    swapped = _key(model2.weights, model2.mus, model2.sigmas) < _key(model1.weights, model1.mus, model1.sigmas)
     lo, hi = (model2, model1) if swapped else (model1, model2)
     cost = _pairwise_w2(lo.family, (lo.mus, lo.sigmas), (hi.mus, hi.sigmas), unit_weight)
     sq1, sq2 = sphere_from_weights(lo.weights), sphere_from_weights(hi.weights)
-    value, perm, angle = _solve_matching(cost, sq1, sq2)
+    value, perm = _solve_matching(cost, sq1, sq2)
     if swapped:
         perm = np.argsort(perm)
-    return value, TransportPlan(perm, angle)
+    return value, perm
 
 
 def _check_unit(p: np.ndarray) -> None:
@@ -233,15 +214,16 @@ class ProjectionContext:
     uniform; its trapezoid weights are the widths of ``cell_edges``, which
     ``project_components`` integrates over, so the context keeps none.
 
-    ``make_projection_context`` lays the one grid a fit uses, of GRID_NODES
-    nodes reaching GRID_MARGIN spreads past the extreme projections; it
-    checks p and sorts the projections itself, so the context it returns
-    is trusted and skips the O(n) sortedness re-scan (``_trusted``).  Any
-    other grid goes through this constructor, which checks that p is a
-    unit vector and that the projections are sorted.  A fit step reads
-    Q twice from its context, at the cell bounds of its projected model
-    (``projected_w2``) and at their interior (``euclidean_grad``), and
-    ``quantile_prefixes`` never writes into the levels it is given.
+    ``make_projection_context`` lays the one grid a fit uses over the rows
+    of a Dataset, of GRID_NODES nodes reaching GRID_MARGIN spreads past the
+    extreme projections; it checks p and sorts the projections itself, so
+    the context it returns is trusted and skips the O(n) sortedness
+    re-scan (``_trusted``).  Any other grid goes through this constructor,
+    which checks that p is a unit vector and that the projections are
+    sorted.  A fit step reads Q twice from its context, at the cell bounds
+    of its projected model (``projected_w2``) and at their interior
+    (``euclidean_grad``), and ``quantile_prefixes`` never writes into the
+    levels it is given.
     """
 
     p: np.ndarray
@@ -345,33 +327,31 @@ class ProjectionContext:
         return float((2.0 / 3.0) * (x @ x) + ends / 6.0 + (x[:-1] @ x[1:]) / 3.0) / x.size
 
 
-def make_projection_context(p: np.ndarray, samples: np.ndarray, *, cov: np.ndarray) -> ProjectionContext:
-    """Project the data along the unit vector p and lay a uniform trapezoid
-    grid of GRID_NODES nodes over it, reaching GRID_MARGIN spreads past the
-    extreme projections.
+def make_projection_context(p: np.ndarray, data) -> ProjectionContext:
+    """Project the rows of a Dataset, or of a raw (n, m) array given the
+    Dataset checks, along the unit m-vector p and lay a uniform trapezoid
+    grid of GRID_NODES nodes over them, reaching GRID_MARGIN spreads past
+    the extreme projections.
 
     The spread is the projections' standard deviation, read as
-    sqrt(p' cov p) from the samples' biased covariance ``cov``
-    (``mixture.sample_covariance``).  A caller projecting the same samples
-    many times passes ``Dataset.covariance``, which each ``mixture.Dataset``
-    computes once.  Constant projections fall back to a spread of
-    max(1, |x|).  The context is built trusted: p is checked here and the
-    projections are sorted here, so nothing is re-scanned.  (n, m) samples
-    take an m-vector p and an (m, m) cov whose projected variance p' cov p
-    is finite; others raise ``MismatchError``.
+    sqrt(p' C p) from the data's covariance C (``Dataset.covariance``),
+    which a Dataset takes once however often it is projected.  Constant
+    projections fall back to a spread of max(1, |x|).  The context is
+    built trusted: p is checked here and the projections are sorted here,
+    so nothing is re-scanned.  A p that is not an m-vector of unit norm,
+    and a direction whose p' C p is not finite, raise ``MismatchError``.
     """
     p = np.asarray(p, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    if (samples.ndim, p.shape, np.shape(cov)) != (2, samples.shape[1:], 2 * samples.shape[1:]):
-        shapes = f"{samples.shape}, {p.shape} and {np.shape(cov)}"
-        raise MismatchError(f"(n, m) samples take an m-vector p and an (m, m) cov, not shapes {shapes}")
+    if p.ndim != 1:
+        raise MismatchError(f"a projection direction is an m-vector p, not an array of shape {p.shape}")
+    dataset = as_dataset(data, p.size)
     _check_unit(p)
     # refused below, unwarned, where it is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        var = float(p @ cov @ p)
+        var = float(p @ dataset.covariance @ p)
     if not math.isfinite(var):
-        raise MismatchError(f"cov gives the direction a projected variance p' cov p of {var}")
-    projected = samples @ p
+        raise MismatchError(f"the data covariance C gives the direction a projected variance p' C p of {var}")
+    projected = dataset.samples @ p
     projected.sort()
     # constant projections have var 0, or a rounding-negative one
     spread = math.sqrt(var) if var > 0.0 else max(1.0, abs(float(projected[0])))
@@ -479,11 +459,10 @@ def sliced_cost(model: MixtureModel, data, projections) -> float:
     rows of a Dataset or of a raw (n, m) array given the Dataset checks;
     data whose covariance overflows are refused (``Dataset.covariance``)."""
     dataset = as_dataset(data, model.m)
-    samples, cov = dataset.samples, dataset.covariance
     total = 0.0
     count = 0
     for p in projections:
-        ctx = make_projection_context(p, samples, cov=cov)
+        ctx = make_projection_context(p, dataset)
         total += projected_w2(ctx, project_model(model, ctx))
         count += 1
     if count == 0:

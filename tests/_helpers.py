@@ -280,13 +280,13 @@ def quantile_prefixes_oracle(x, q):
 def solve_matching_loop(cost, sq1, sq2):
     """The exact matching of ``transport.d_u`` as a loop over every
     permutation in ``itertools.permutations`` order, keeping the first
-    strict minimum: (value, permutation, angle)."""
-    best = (np.inf, None, 0.0)
+    strict minimum: (value, permutation)."""
+    best = (np.inf, None)
     for perm in itertools.permutations(range(cost.shape[0])):
         perm = np.array(perm)
-        value, angle = tp._matching_objective(cost, sq1, sq2, perm)
+        value = tp._matching_objective(cost, sq1, sq2, perm)
         if value < best[0]:
-            best = (value, perm, angle)
+            best = (value, perm)
     return best
 
 
@@ -436,8 +436,7 @@ def line_ctx(x, n_grid=None):
     """``make_projection_context`` along the one direction of 1-D samples x;
     given n_grid, its grid's span laid with n_grid nodes instead, through
     the validated ``ProjectionContext``."""
-    samples = np.asarray(x, dtype=float)[:, None]
-    ctx = tp.make_projection_context(np.array([1.0]), samples, cov=mx.sample_covariance(samples))
+    ctx = tp.make_projection_context(np.array([1.0]), np.asarray(x, dtype=float)[:, None])
     if n_grid is None:
         return ctx
     return tp.ProjectionContext(ctx.p, ctx.projected_samples, np.linspace(ctx.grid[0], ctx.grid[-1], n_grid))

@@ -1,8 +1,7 @@
 """Fitting loops: golden traces, determinism, invariants and fail-fast stops.
 
-The golden fixture ``data/golden_fits.json`` holds seeded fits recorded
-before the optimiser was reduced to its seven settings.  The ``radam``
-entry was re-recorded when the scatter trust cap began to bound
+The golden fixture ``data/golden_fits.json`` holds seeded fits.  The
+``radam`` entry was re-recorded when the scatter trust cap began to bound
 contracting steps as well as expanding ones.  The ``vanilla``, ``radam``
 and ``dadam`` entries were re-recorded when the Gaussian projected kernel
 came to be evaluated in closed form (erf) instead of from its PCHIP table,
@@ -838,20 +837,6 @@ def test_importing_emmfit_leaves_scipy_optimize_and_integrate_unloaded():
     assert run.stdout.split() == ["emmfit.families", "emmfit.optim", "emmfit.transport"]
 
 
-if __name__ == "__main__":
-    methods = sys.argv[1:]
-    if not methods or not set(methods) <= set(GOLDEN_METHODS):
-        sys.exit(
-            "usage: PYTHONPATH=src python tests/test_optim.py METHOD [METHOD ...]\n"
-            f"re-records the named entries of {GOLDEN.name}; METHOD is one of {', '.join(GOLDEN_METHODS)}"
-        )
-    data, model0 = golden_case()
-    doc = json.loads(GOLDEN.read_text())
-    for method in methods:
-        doc[method] = fit_record(golden_fit(method, data, model0))
-    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
-
-
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -859,7 +844,7 @@ if __name__ == "__main__":
         ("alpha", True), ("alpha", "0.1"),
     ],
 )
-def test_config_refuses_decays_outside_the_unit_interval(name, value):
+def test_config_refuses_settings_no_fit_runs_with(name, value):
     # every setting no fit can run with; the decays are the constants
     # optim.BETA1 and optim.BETA2, not settings
     with pytest.raises(MismatchError, match=name):
@@ -1146,3 +1131,17 @@ def test_record_traces_every_iteration(case, method):
     lam_min = np.linalg.eigh(final.sigmas)[0][:, 0]
     want = np.min(lam_min / (np.trace(final.sigmas, axis1=1, axis2=2) / final.m))
     assert report.min_eig_ratio[-1] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+if __name__ == "__main__":
+    methods = sys.argv[1:]
+    if not methods or not set(methods) <= set(GOLDEN_METHODS):
+        sys.exit(
+            "usage: PYTHONPATH=src python tests/test_optim.py METHOD [METHOD ...]\n"
+            f"re-records the named entries of {GOLDEN.name}; METHOD is one of {', '.join(GOLDEN_METHODS)}"
+        )
+    data, model0 = golden_case()
+    doc = json.loads(GOLDEN.read_text())
+    for method in methods:
+        doc[method] = fit_record(golden_fit(method, data, model0))
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")

@@ -1,4 +1,5 @@
-"""SHA-256 digests of a benchmark workload's set-up and of every fit it runs.
+"""SHA-256 digests of a benchmark workload's set-up, of every fit it runs and
+of each case's d_u to the truth.
 
     python3 tools/fit_digest.py --workload all --seed 1 2 3
 
@@ -13,13 +14,17 @@ digest:
     <workload> case <c> model        <digest of the final weights, locations, scatters>
     <workload> case <c> costs        <digest of the cost trace>
     <workload> case <c> record       <digest of the min_eig_ratio trace, the events and the failure reason>
+    <workload> case <c> d_u          <digest of the float d_u(final model, truth)[0]>
     <workload> case 0 <method> ...   <the same three of case 0 fitted by vanilla, radam>
 
-Given several seeds, the lines of each seed follow those of the one
-before, in the order given, exactly as the single-seed calls print them.
-Two checkouts that print the same lines for a seed set up and fit that
-seed's workloads to the same bits.  The script only reads ``bench/``; like
-``bench/run.py`` it runs numpy on one BLAS thread.
+Each d_u is read as ``transport.d_u(...)[0]``, as the harness reads it,
+so checkouts whose ``d_u`` returns other things beside its value print
+comparable lines.  Given several seeds, the lines of each seed follow
+those of the one before, in the order given, exactly as the single-seed
+calls print them.  Two checkouts that print the same lines for a seed set
+up and fit that seed's workloads, and take d_u of each fit, to the same
+bits.  The script only reads ``bench/``; like ``bench/run.py`` it runs
+numpy on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -43,21 +49,23 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def fit_digests(optim, label: str, case, cfg) -> list[tuple[str, str]]:
-    """(label, digest) pairs of the fit of one case by cfg."""
+def fit_digests(optim, label: str, case, cfg) -> tuple[object, list[tuple[str, str]]]:
+    """The final model of the fit of one case by cfg, and its (label,
+    digest) pairs."""
     report = optim.fit(case.model0, case.data, cfg)
     final = report.final_model
     notes = "\n".join([*report.events, str(report.failure_reason)]).encode()
-    return [
+    return final, [
         (f"{label} model", digest(final.weights, final.mus, final.sigmas)),
         (f"{label} costs", digest(report.costs)),
         (f"{label} record", digest(report.min_eig_ratio, notes)),
     ]
 
 
-def workload_digests(harness, optim, name: str, seed: int) -> list[tuple[str, str]]:
-    """(label, digest) pairs of one workload's set-up, of each case's fit and,
-    for a dadam workload, of its first case fitted by vanilla and radam."""
+def workload_digests(harness, optim, transport, name: str, seed: int) -> list[tuple[str, str]]:
+    """(label, digest) pairs of one workload's set-up, of each case's fit and
+    its d_u to the truth and, for a dadam workload, of its first case fitted
+    by vanilla and radam."""
     cases = harness.set_up(harness.WORKLOADS[name], seed)
     setup = []
     for case in cases:
@@ -65,11 +73,13 @@ def workload_digests(harness, optim, name: str, seed: int) -> list[tuple[str, st
         setup += [case.data.samples, start.weights, start.mus, start.sigmas]
     lines = [("setup", digest(*setup))]
     for c, case in enumerate(cases):
-        lines += fit_digests(optim, f"case {c}", case, case.cfg)
+        final, fit_lines = fit_digests(optim, f"case {c}", case, case.cfg)
+        du = transport.d_u(final, case.data.truth)[0]
+        lines += [*fit_lines, (f"case {c} d_u", digest(struct.pack("d", du)))]
     if cases[0].cfg.method == "dadam":
         for method in ("vanilla", "radam"):
             cfg = dataclasses.replace(cases[0].cfg, method=method)
-            lines += fit_digests(optim, f"case 0 {method}", cases[0], cfg)
+            lines += fit_digests(optim, f"case 0 {method}", cases[0], cfg)[1]
     return lines
 
 
@@ -84,12 +94,12 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import harness
-    from emmfit import optim
+    from emmfit import optim, transport
 
     names = list(harness.WORKLOADS) if args.workload == "all" else [args.workload]
     for seed in args.seed:
         for name in names:
-            for label, value in workload_digests(harness, optim, name, seed):
+            for label, value in workload_digests(harness, optim, transport, name, seed):
                 print(f"{name:<5} {label:<20} {value}")
     return 0
 
