@@ -308,29 +308,32 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
 
     The samples are copied once per fit into contiguous (m + 1, b) blocks of
     ``mixture.BLOCK`` columns: the samples less their mean c, over a row of
-    ones.  Each iteration makes one pass over them.  Per block and
-    component one (m x (m + 1)) @ ((m + 1) x b) product with
-    [L_i^-1 | -L_i^-1 (mu_i - c)] centres and whitens at once, giving
-    W_i = L_i^-1 (x - mu_i) in the first m rows of a (k, m + 1, b) buffer
-    whose last row stays ones.  The density kernel of
-    ``MixtureModel.component_logpdf`` turns W into the (k, b) log
-    densities; their squared norms are nonnegative by construction, so the
-    Gaussian generator takes them unchecked, in place.  ``normalize_columns``
-    turns them into the responsibilities r in place while adding their
-    log-sum-exp to the NLL.  While the block is still in cache the M-step
-    sums are taken in whitened coordinates: N_i = sum r, and one product
-    (W_i * r_i) [W_i; 1]^T gives S_i = (W_i * r) W_i^T and s_i = W_i r
-    together.  After the pass, with d = s_i / N_i, the location is
-    mu_i + L_i d and the scatter L_i (S_i / N_i - d d^T) L_i^T.  The sums
-    are shifted by the current mu_i, which is exact for any shift; d is
-    small once the fit settles, so the subtraction loses little to
+    ones.  Each iteration makes one pass over them.  Per block one stacked
+    ``np.matmul`` of the k (m x (m + 1)) matrices [L_i^-1 | -L_i^-1 (mu_i - c)]
+    with the block centres and whitens at once, giving W_i = L_i^-1 (x - mu_i)
+    in the first m rows of a (k, m + 1, b) buffer whose last rows stay ones.
+    The density kernel of ``MixtureModel.component_logpdf`` turns W into the
+    (k, b) log densities; their squared norms are nonnegative by
+    construction, so the Gaussian generator takes them unchecked, in place.
+    ``normalize_columns`` turns them into the responsibilities r in place
+    while adding their log-sum-exp to the NLL.  While the block is still in
+    cache the M-step sums are taken in whitened coordinates: N_i = sum r,
+    and one product (W_i * r_i) [W_i; 1]^T per component gives
+    S_i = (W_i * r) W_i^T and s_i = W_i r together.  After the pass, with
+    d = s_i / N_i, the location is mu_i + L_i d and the scatter
+    L_i (S_i / N_i - d d^T) L_i^T, in stacked calls over the components
+    that have not collapsed (N_i >= 1e-8), so no zero mass is divided by.
+    The sums are shifted by the current mu_i, which is exact for any shift;
+    d is small once the fit settles, so the subtraction loses little to
     cancellation.  The folded centring errs by about eps |L_i^-1 (x - c)|
     in W_i, not eps |W_i|: harmless for the Gaussian, whose log generator
     is linear in t, and with c the data mean it does not grow with a
     translation of the data.  One stacked ``eigh`` floors the eigenvalues
     of all k scatters, and the next model is rebuilt from them and
     admitted with its floored lam, with no further check; its smallest
-    floored eigenvalue is also the health record's.  A reseeded component takes an isotropic scatter.
+    floored eigenvalue is also the health record's.  A collapsed component
+    is reseeded at a drawn row with an isotropic scatter and weight 1/k,
+    one at a time in component order, each logging an event.
     Data whose covariance overflows are refused with ``MismatchError``.  A
     non-finite NLL ends the fit, ``failed``, with the model that gave it.
     """
@@ -369,8 +372,7 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
         log_lik = 0.0
         for xc in blocks:
             weighted, white, t = buffers.views(xc.shape[1])
-            for i in range(k):
-                np.matmul(whiten[i], xc, out=white[i, :m])
+            np.matmul(whiten, xc, out=white[:, :m])
             # E-step: the log densities become the responsibilities in place
             resp = model._block_logdens(white, offset, t)
             log_lik += normalize_columns(resp).sum()
@@ -385,21 +387,22 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
             report._record(nll, PdPoint(model.sigmas), tic)
             break
 
-        # M-step from the whitened sums
+        # M-step from the whitened sums, of the live components at once
         weights = mass / n
         mus = np.empty((k, m))
         covs = np.empty((k, m, m))
         collapsed = mass < 1e-8
-        for i in range(k):
-            if collapsed[i]:
-                report.events.append(f"iter {h}: component {i} collapsed, reseeded")
-                mus[i] = samples[rng.integers(n)]
-                covs[i] = iso
-                weights[i] = 1.0 / k
-                continue
-            d = moments[i, :, m] / mass[i]
-            mus[i] = model.mus[i] + chol[i] @ d
-            covs[i] = chol[i] @ (moments[i, :, :m] / mass[i] - np.outer(d, d)) @ chol[i].T
+        live = ~collapsed
+        sums = moments[live] / mass[live, None, None]
+        d = sums[:, :, m:]
+        lchol = chol[live]
+        mus[live] = model.mus[live] + (lchol @ d)[:, :, 0]
+        covs[live] = lchol @ (sums[:, :, :m] - d * d.swapaxes(1, 2)) @ lchol.swapaxes(1, 2)
+        for i in np.flatnonzero(collapsed):
+            report.events.append(f"iter {h}: component {i} collapsed, reseeded")
+            mus[i] = samples[rng.integers(n)]
+        covs[collapsed] = iso
+        weights[collapsed] = 1.0 / k
         weights = weights / weights.sum()
         lam, q = np.linalg.eigh(manifold._sym(covs))
         lam = np.maximum(lam, floor)

@@ -41,22 +41,22 @@ GRID_NODES = 1024
 GRID_MARGIN = 4.0
 
 
-def _sqrtm_spd(sigma: np.ndarray) -> np.ndarray:
-    lam, q = np.linalg.eigh(sigma)
-    return (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
-
-
 def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
-    """tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), clipped at zero."""
-    return _bures_gap(_sqrtm_spd(sigma1), sigma2, np.trace(sigma1) + np.trace(sigma2))
+    """tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), clipped at zero: the
+    gap ``_pairwise_w2`` takes, of this one pair in the order given."""
+    return float(_bures_gaps(sigma1[None], sigma2[None])[0, 0])
 
 
-def _bures_gap(root1: np.ndarray, sigma2: np.ndarray, traces: float) -> float:
-    """``bures_gap`` given root1 = ``_sqrtm_spd(sigma1)`` and
-    traces = tr(S1) + tr(S2)."""
-    lam = np.clip(np.linalg.eigvalsh(_sym(root1 @ sigma2 @ root1)), 0.0, None)
-    gap = float(traces - 2.0 * np.sum(np.sqrt(lam)))
-    return max(gap, 0.0)
+def _bures_gaps(sigmas1: np.ndarray, sigmas2: np.ndarray) -> np.ndarray:
+    """The (k1, k2) ``bures_gap`` values of the scatters of two stacks, each
+    pair in the order given: one ``eigh`` roots the first stack's scatters,
+    and one ``eigvalsh`` takes the (k1, k2, m, m) stack R_i S_j R_i."""
+    lam, q = np.linalg.eigh(sigmas1)
+    roots = (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
+    inner = roots[:, None] @ sigmas2 @ roots[:, None]
+    lam = np.clip(np.linalg.eigvalsh(_sym(inner)), 0.0, None)
+    traces = np.trace(sigmas1, axis1=1, axis2=2)[:, None] + np.trace(sigmas2, axis1=1, axis2=2)
+    return np.maximum(traces - 2.0 * np.sqrt(lam).sum(axis=-1), 0.0)
 
 
 def _scatter_weight(family, unit_weight: bool) -> float:
@@ -95,18 +95,13 @@ def w2_elliptical(
 def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
     """The (k1, k2) squared W2 values between the components (mus1[i],
     sigmas1[i]) of first = (mus1, sigmas1) and those of second, all of one
-    family, each pair taken in the order given: the square roots of first's
-    scatters only, and every trace once."""
+    family, each pair taken in the order given, in stacked calls over the
+    pairs: the Bures gaps of ``_bures_gaps`` and one ``np.vecdot`` of the
+    location differences."""
     (mus1, sigmas1), (mus2, sigmas2) = first, second
     weight = _scatter_weight(family, unit_weight)
-    traces2 = [np.trace(s) for s in sigmas2]
-    cost = np.empty((len(mus1), len(mus2)))
-    for i, (mu1, s1) in enumerate(zip(mus1, sigmas1)):
-        root1, trace1 = _sqrtm_spd(s1), np.trace(s1)
-        for j, (mu2, s2) in enumerate(zip(mus2, sigmas2)):
-            delta = mu1 - mu2
-            cost[i, j] = float(delta @ delta) + weight * _bures_gap(root1, s2, trace1 + traces2[j])
-    return cost
+    delta = mus1[:, None] - mus2
+    return np.vecdot(delta, delta) + weight * _bures_gaps(sigmas1, sigmas2)
 
 
 def _matching_objective(cost: np.ndarray, sq1: np.ndarray, sq2: np.ndarray, perm) -> float:

@@ -410,6 +410,25 @@ def test_em_matches_unblocked_oracle_through_a_reseed():
     em_oracle_agrees(report, em_oracle(far, data, EM_ORACLE_CFG))
 
 
+def test_em_reseeds_two_collapses_of_one_iteration_in_component_order():
+    # two starts placed far from every sample collapse together at iteration
+    # 1; the live components' M-step divides by no zero mass, and the
+    # reseeds log their events and draw their rows in component order
+    data, model0 = em_case(5000, 6)
+    mus = model0.mus.copy()
+    mus[0], mus[2] = 1e3, -1e3
+    far = mx.MixtureModel(model0.family, model0.weights, mus, model0.sigmas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = optim.fit(far, data, dataclasses.replace(EM_ORACLE_CFG, max_iters=1))
+        report = optim.fit(far, data, EM_ORACLE_CFG)
+    assert report.events[:2] == first.events == [f"iter 1: component {i} collapsed, reseeded" for i in (0, 2)]
+    rng = np.random.default_rng(EM_ORACLE_CFG.seed)
+    drawn = [data.samples[rng.integers(data.samples.shape[0])] for _ in range(2)]
+    np.testing.assert_array_equal(first.final_model.mus[[0, 2]], drawn)
+    em_oracle_agrees(report, em_oracle(far, data, EM_ORACLE_CFG))
+
+
 def test_em_does_not_depend_on_the_block_size(monkeypatch):
     data, model0 = em_case(5000, 8)
     default = optim.fit(model0, data, EM_ORACLE_CFG)

@@ -185,6 +185,20 @@ def pairwise_w2(a, b):
     return tp._pairwise_w2(a.family, (a.mus, a.sigmas), (b.mus, b.sigmas), False)
 
 
+def record_linalg(monkeypatch, *names):
+    """A list that receives (name, operand shape) at each call of the named
+    ``np.linalg`` routines."""
+    calls = []
+    for name in names:
+
+        def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kw):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 def matching_inputs(a, b):
     """The pairwise costs and unit sqrt-weight vectors ``d_u`` matches over."""
     sq1, sq2 = np.sqrt(a.weights), np.sqrt(b.weights)
@@ -219,9 +233,27 @@ class TestExactMatching:
             want_12 = float((mu1 - mu2) @ (mu1 - mu2)) + weight * tp.bures_gap(s1, s2)
             assert tp.w2_elliptical(a.component(1), b.component(2)) == want_12
 
+    @pytest.mark.parametrize("unit_weight", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_stacked_costs_are_the_single_pair_w2_values(self, k, m, unit_weight):
+        # w2_elliptical takes its one pair in the _key order: entry (i, j) of
+        # the stacked matrix of (a, b) where a_i comes first, else entry
+        # (j, i) of that of (b, a); Kotz's E[R^2]/m is not 1
+        rng = np.random.default_rng(70 + 20 * k + m)
+        kotz = fam.Kotz(m=m, a=2.0, b=1.0, s=1.5)
+        a, b = (random_gmm(m, k, rng) for _ in range(2))
+        ab = tp._pairwise_w2(kotz, (a.mus, a.sigmas), (b.mus, b.sigmas), unit_weight)
+        ba = tp._pairwise_w2(kotz, (b.mus, b.sigmas), (a.mus, a.sigmas), unit_weight)
+        for i, j in itertools.product(range(k), repeat=2):
+            c1 = fam.EllipticalComponent(a.mus[i], a.sigmas[i], kotz)
+            c2 = fam.EllipticalComponent(b.mus[j], b.sigmas[j], kotz)
+            want = ba[j, i] if tp._key(c2.mu, c2.sigma) < tp._key(c1.mu, c1.sigma) else ab[i, j]
+            assert tp.w2_elliptical(c1, c2, unit_weight) == want
+
     def test_pairwise_costs_take_each_trace_once(self, monkeypatch):
-        # 2k traces for the k^2 Bures gaps, with the bits of the gap that
-        # takes both traces per pair, in the order given
+        # one stacked trace per side for the k^2 Bures gaps, with the bits of
+        # the gap that takes both traces per pair, in the order given
         rng = np.random.default_rng(31)
         a, b = random_gmm(16, 8, rng), random_gmm(16, 8, rng)
         weight = a.family.mean_r2() / 16
@@ -233,22 +265,20 @@ class TestExactMatching:
         real_trace = np.trace
         monkeypatch.setattr(np, "trace", lambda s, *args, **kw: traced.append(s) or real_trace(s, *args, **kw))
         assert pairwise_w2(a, b).tobytes() == np.array(want).tobytes()
-        assert len(traced) == 16
+        assert [t.shape for t in traced] == [(8, 16, 16), (8, 16, 16)]
 
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_one_eigh_per_square_root(self, k, monkeypatch):
-        # the square roots of one operand's scatters only: one eigh for a
-        # component pair, k for a pair of k-component mixtures
+    def test_two_eigen_calls_per_cost_matrix(self, k, monkeypatch):
+        # one stacked eigh roots one operand's scatters and one stacked
+        # eigvalsh takes every pair's eigenvalues, whatever k
         rng = np.random.default_rng(32)
         a, b = random_gmm(16, k, rng), random_gmm(16, k, rng)
-        calls = []
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda s, *args, **kw: calls.append(s) or real_eigh(s, *args, **kw))
+        calls = record_linalg(monkeypatch, "eigh", "eigvalsh")
         tp.w2_elliptical(a.component(0), b.component(0))
-        assert len(calls) == 1
+        assert calls == [("eigh", (1, 16, 16)), ("eigvalsh", (1, 1, 16, 16))]
         calls.clear()
         tp.d_u(a, b)
-        assert len(calls) == k
+        assert calls == [("eigh", (k, 16, 16)), ("eigvalsh", (k, k, 16, 16))]
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_unique_minimiser_keeps_the_loop_bits(self, k):
