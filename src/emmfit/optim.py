@@ -331,9 +331,8 @@ def fit_em_gmm(model0: MixtureModel, data, cfg: OptimizerConfig) -> FitReport:
     translation of the data.  One stacked ``eigh`` floors the eigenvalues
     of all k scatters, and the next model is rebuilt from them and
     admitted with its floored lam, with no further check; its smallest
-    floored eigenvalue is also the health record's.  A collapsed component
-    is reseeded at a drawn row with an isotropic scatter and weight 1/k,
-    one at a time in component order, each logging an event.
+    floored eigenvalue is also the health record's.  Collapsed components are
+    reseeded in component order at a drawn row, isotropic, with weight 1/k.
     Data whose covariance overflows are refused with ``MismatchError``.  A
     non-finite NLL ends the fit, ``failed``, with the model that gave it.
     """

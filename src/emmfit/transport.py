@@ -1,16 +1,18 @@
 """Distance machinery.
 
-Three layers: the closed-form Wasserstein distance between two elliptical
-laws, the matching-based approximate distance d_u between mixtures (its
-value and its component matching), and the sliced semi-discrete objective
-(projected model density vs. the empirical measure on one direction),
-evaluated in closed form in the quantile domain.  A projection context
-projects the rows of a ``mixture.Dataset`` and reads its grid's spread
-from the covariance the Dataset keeps.  The empirical quantile function
-is read straight from the sorted projections and their prefix sums, at
-the few levels the cost and its gradient ask for: from the n-long
-cumulative sum when the projections are few per level, else from sums of
-the projections between the asked ranks.
+Three layers: the closed-form Wasserstein distance between two
+elliptical laws, taken for all component pairs of two mixtures at once
+with the Bures term in its polar form; the matching-based approximate
+distance d_u between mixtures (its value and its component matching);
+and the sliced semi-discrete objective (projected model density vs. the
+empirical measure on one direction), evaluated in closed form in the
+quantile domain.  A projection context projects the rows of a
+``mixture.Dataset`` and reads its grid's spread from the covariance the
+Dataset keeps.  The empirical quantile function is read straight from
+the sorted projections and their prefix sums, at the few levels the cost
+and its gradient ask for: from the n-long cumulative sum when the
+projections are few per level, else from sums of the projections
+between the asked ranks.
 """
 
 from __future__ import annotations
@@ -42,21 +44,29 @@ GRID_MARGIN = 4.0
 
 
 def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
-    """tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), clipped at zero: the
-    gap ``_pairwise_w2`` takes, of this one pair in the order given."""
+    """The squared Bures distance tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)),
+    as ``_pairwise_w2`` takes it for this one pair in the order given."""
     return float(_bures_gaps(sigma1[None], sigma2[None])[0, 0])
 
 
+def _roots(sigmas: np.ndarray) -> np.ndarray:
+    """The square roots of a (k, m, m) stack of scatters, by one ``eigh``."""
+    lam, q = np.linalg.eigh(sigmas)
+    return (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
+
+
 def _bures_gaps(sigmas1: np.ndarray, sigmas2: np.ndarray) -> np.ndarray:
-    """The (k1, k2) ``bures_gap`` values of the scatters of two stacks, each
-    pair in the order given: one ``eigh`` roots the first stack's scatters,
-    and one ``eigvalsh`` takes the (k1, k2, m, m) stack R_i S_j R_i."""
-    lam, q = np.linalg.eigh(sigmas1)
-    roots = (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
-    inner = roots[:, None] @ sigmas2 @ roots[:, None]
-    lam = np.clip(np.linalg.eigvalsh(_sym(inner)), 0.0, None)
-    traces = np.trace(sigmas1, axis1=1, axis2=2)[:, None] + np.trace(sigmas2, axis1=1, axis2=2)
-    return np.maximum(traces - 2.0 * np.sqrt(lam).sum(axis=-1), 0.0)
+    """The (k1, k2) ``bures_gap`` values of two stacks of scatters, each pair
+    in the order given, as ||R1 - R2 U||_F^2 with R = S^(1/2) and U the
+    orthogonal polar factor of R2 R1 (Bhatia, Jain & Lim 2019): a sum of
+    squares, free of the cancellation of the trace form near equal scatters.
+    One ``eigh`` per stack and one ``svd`` of the (k1, k2, m, m) stack
+    R2_j R1_i.  Equal scatters take exactly 0, which rounding in U misses."""
+    roots1, roots2 = _roots(sigmas1)[:, None], _roots(sigmas2)
+    w, _, vt = np.linalg.svd(roots2 @ roots1)
+    gaps = np.square(roots1 - roots2 @ (w @ vt)).sum(axis=(2, 3))
+    gaps[(sigmas1[:, None] == sigmas2).all(axis=(2, 3))] = 0.0
+    return gaps
 
 
 def _scatter_weight(family, unit_weight: bool) -> float:
@@ -76,13 +86,13 @@ def _key(*arrays) -> bytes:
     return b"".join(a.tobytes() for a in arrays)
 
 
-def w2_elliptical(
-    c1: EllipticalComponent, c2: EllipticalComponent, unit_weight: bool = False
-) -> float:
+def w2_elliptical(c1: EllipticalComponent, c2: EllipticalComponent, unit_weight: bool = False) -> float:
     """Squared Wasserstein distance between two same-family elliptical laws.
 
     The scatter term carries the E[R^2]/m weight; for families without a
-    second moment the caller must opt into ``unit_weight``.
+    second moment the caller must opt into ``unit_weight``.  The pair is
+    taken in the ``_key`` order by ``_pairwise_w2``, the evaluation of d_u's
+    cost matrix, so the value is bitwise symmetric.
     """
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
@@ -95,9 +105,8 @@ def w2_elliptical(
 def _pairwise_w2(family, first, second, unit_weight: bool) -> np.ndarray:
     """The (k1, k2) squared W2 values between the components (mus1[i],
     sigmas1[i]) of first = (mus1, sigmas1) and those of second, all of one
-    family, each pair taken in the order given, in stacked calls over the
-    pairs: the Bures gaps of ``_bures_gaps`` and one ``np.vecdot`` of the
-    location differences."""
+    family, each pair in the order given, in stacked calls over the pairs:
+    ``_bures_gaps`` and one ``np.vecdot`` of the location differences."""
     (mus1, sigmas1), (mus2, sigmas2) = first, second
     weight = _scatter_weight(family, unit_weight)
     delta = mus1[:, None] - mus2
@@ -173,8 +182,10 @@ def d_u(model1: MixtureModel, model2: MixtureModel, unit_weight: bool = False) -
     permutation): component i of model1 is matched to component
     permutation[i] of model2.  Exact for k <= 8 (every matching scored with
     numpy, the best-scored one valued exactly), two-stage heuristic beyond.
-    Symmetric bitwise: the two models are ordered canonically, and each
-    component pair is taken in that order.
+    The k x k W2 costs come from ``_pairwise_w2`` in stacked calls: two
+    ``eigh`` (one per model) and one ``svd``, whatever k.  Symmetric
+    bitwise: the two models are ordered canonically, and each component
+    pair is taken in that order; d_u(a, a) is exactly 0.
     """
     # the family carries m
     if model1.k != model2.k or model1.family != model2.family:
