@@ -2,17 +2,17 @@
 
 Three layers: the closed-form Wasserstein distance between two
 elliptical laws, taken for all component pairs of two mixtures at once
-with the Bures term in its polar form; the matching-based approximate
-distance d_u between mixtures (its value and its component matching);
-and the sliced semi-discrete objective (projected model density vs. the
-empirical measure on one direction), evaluated in closed form in the
-quantile domain.  A projection context projects the rows of a
-``mixture.Dataset`` and reads its grid's spread from the covariance the
-Dataset keeps.  The empirical quantile function is read straight from
-the sorted projections and their prefix sums, at the few levels the cost
-and its gradient ask for: from the n-long cumulative sum when the
-projections are few per level, else from sums of the projections
-between the asked ranks.
+(one ``eigh`` and one ``svd`` call) with the Bures term in its polar
+form; the matching-based approximate distance d_u between mixtures (its
+value and its component matching); and the sliced semi-discrete
+objective (projected model density vs. the empirical measure on one
+direction), evaluated in closed form in the quantile domain.  A
+projection context projects the rows of a ``mixture.Dataset`` and reads
+its grid's spread from the covariance the Dataset keeps.  The empirical
+quantile function is read straight from the sorted projections and their
+prefix sums, at the few levels the cost and its gradient ask for: from
+the n-long cumulative sum when the projections are few per level, else
+from sums of the projections between the asked ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateGridError, MismatchError, UndefinedSecondMomentError, _integer
 from .families import EllipticalComponent
-from .manifold import _is_unit, _sym, sphere_from_weights
+from .manifold import _is_unit, sphere_from_weights
 from .mixture import MixtureModel, as_dataset
 
 K_EXACT = 8  # permutations are enumerated exactly up to this many components
@@ -49,20 +49,17 @@ def bures_gap(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
     return float(_bures_gaps(sigma1[None], sigma2[None])[0, 0])
 
 
-def _roots(sigmas: np.ndarray) -> np.ndarray:
-    """The square roots of a (k, m, m) stack of scatters, by one ``eigh``."""
-    lam, q = np.linalg.eigh(sigmas)
-    return (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
-
-
 def _bures_gaps(sigmas1: np.ndarray, sigmas2: np.ndarray) -> np.ndarray:
     """The (k1, k2) ``bures_gap`` values of two stacks of scatters, each pair
     in the order given, as ||R1 - R2 U||_F^2 with R = S^(1/2) and U the
     orthogonal polar factor of R2 R1 (Bhatia, Jain & Lim 2019): a sum of
     squares, free of the cancellation of the trace form near equal scatters.
-    One ``eigh`` per stack and one ``svd`` of the (k1, k2, m, m) stack
-    R2_j R1_i.  Equal scatters take exactly 0, which rounding in U misses."""
-    roots1, roots2 = _roots(sigmas1)[:, None], _roots(sigmas2)
+    One ``eigh`` roots both stacks' scatters and one ``svd`` of the
+    (k1, k2, m, m) stack R2_j R1_i gives every U.  Equal scatters take
+    exactly 0, which rounding in U misses."""
+    lam, q = np.linalg.eigh(np.concatenate((sigmas1, sigmas2)))
+    roots = (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
+    roots1, roots2 = roots[: len(sigmas1), None], roots[len(sigmas1) :]
     w, _, vt = np.linalg.svd(roots2 @ roots1)
     gaps = np.square(roots1 - roots2 @ (w @ vt)).sum(axis=(2, 3))
     gaps[(sigmas1[:, None] == sigmas2).all(axis=(2, 3))] = 0.0
@@ -89,10 +86,11 @@ def _key(*arrays) -> bytes:
 def w2_elliptical(c1: EllipticalComponent, c2: EllipticalComponent, unit_weight: bool = False) -> float:
     """Squared Wasserstein distance between two same-family elliptical laws.
 
-    The scatter term carries the E[R^2]/m weight; for families without a
-    second moment the caller must opt into ``unit_weight``.  The pair is
-    taken in the ``_key`` order by ``_pairwise_w2``, the evaluation of d_u's
-    cost matrix, so the value is bitwise symmetric.
+    The scatter term is the polar-form Bures gap of ``_bures_gaps`` with the
+    E[R^2]/m weight; for families without a second moment the caller must
+    opt into ``unit_weight``.  The pair goes through d_u's stacked cost
+    matrix, ``_pairwise_w2`` (one ``eigh`` and one ``svd`` call), in the
+    ``_key`` order, so the value is bitwise symmetric.
     """
     if c1.family != c2.family:
         raise MismatchError("components must share one family (and dimension)")
@@ -182,10 +180,10 @@ def d_u(model1: MixtureModel, model2: MixtureModel, unit_weight: bool = False) -
     permutation): component i of model1 is matched to component
     permutation[i] of model2.  Exact for k <= 8 (every matching scored with
     numpy, the best-scored one valued exactly), two-stage heuristic beyond.
-    The k x k W2 costs come from ``_pairwise_w2`` in stacked calls: two
-    ``eigh`` (one per model) and one ``svd``, whatever k.  Symmetric
-    bitwise: the two models are ordered canonically, and each component
-    pair is taken in that order; d_u(a, a) is exactly 0.
+    The k x k W2 costs come from ``_pairwise_w2`` in stacked calls, one
+    ``eigh`` and one ``svd``, whatever k.  Symmetric bitwise: the two
+    models are ordered canonically, and each component pair is taken in
+    that order; d_u(a, a) is exactly 0.
     """
     # the family carries m
     if model1.k != model2.k or model1.family != model2.family:
