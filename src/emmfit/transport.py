@@ -56,7 +56,7 @@ def _bures_gaps(sigmas1: np.ndarray, sigmas2: np.ndarray) -> np.ndarray:
     squares, free of the cancellation of the trace form near equal scatters.
     One ``eigh`` roots both stacks' scatters and one ``svd`` of the
     (k1, k2, m, m) stack R2_j R1_i gives every U.  Equal scatters take
-    exactly 0, which rounding in U misses."""
+    exactly 0, where rounding in U would leave about (eps |R|)^2."""
     lam, q = np.linalg.eigh(np.concatenate((sigmas1, sigmas2)))
     roots = (q * np.sqrt(np.clip(lam, 0.0, None))[:, None]) @ q.swapaxes(1, 2)
     roots1, roots2 = roots[: len(sigmas1), None], roots[len(sigmas1) :]
